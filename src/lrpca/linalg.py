@@ -181,15 +181,18 @@ def _extra_passes(deltas):
 def gram_solve(V, G, pivot_rtol=1e-14):
     """Solve ``W @ G = V`` for symmetric positive definite ``G``.
 
-    The inverse is applied through a diagonally pivoted Cholesky
-    factorization of ``G`` followed by one step of iterative refinement,
-    keeping the residual ``||W G - V||_F`` at the 1e-10 * ||V||_F level.
+    ``G`` is factored once by LAPACK Cholesky, ``G = Lc Lc^T``; ``V`` is
+    multiplied by the r x r inverse ``Lc^{-T} Lc^{-1}`` and the result gets
+    one step of iterative refinement.  For cond(G) up to about 1e6 this keeps
+    the residual ``||W G - V||_F`` below 1e-10 * ||V||_F; beyond that it
+    grows with cond(G) (about 2e-9 relative at 1e8).
 
     Raises
     ------
     SingularGram
-        If a pivot falls below ``pivot_rtol`` times the largest diagonal
-        entry, i.e. G is numerically singular or indefinite.
+        If the factorization fails or a squared Cholesky pivot falls below
+        ``pivot_rtol`` times the largest diagonal entry, i.e. G is
+        numerically singular or indefinite.
     """
     Vm = check_matrix(V, "V")
     Gm = check_matrix(G, "G")
@@ -197,43 +200,16 @@ def gram_solve(V, G, pivot_rtol=1e-14):
     if Gm.shape != (r, r) or Vm.shape[1] != r:
         raise InvalidInput(f"shape mismatch: V {Vm.shape}, G {Gm.shape}")
     Gm = 0.5 * (Gm + Gm.T)
-    perm, L = _pivoted_cholesky(Gm, pivot_rtol)
-    W = _apply_inverse(Vm, perm, L)
-    W += _apply_inverse(Vm - W @ Gm, perm, L)
+    try:
+        Lc = np.linalg.cholesky(Gm)
+    except np.linalg.LinAlgError as exc:
+        raise SingularGram(f"Cholesky factorization failed: {exc}") from exc
+    pivot = float((Lc.diagonal() ** 2).min())
+    threshold = pivot_rtol * float(Gm.diagonal().max())
+    if pivot <= threshold:
+        raise SingularGram(f"pivot {pivot:.3e} below {threshold:.3e}")
+    Lc_inv = np.linalg.inv(Lc)
+    G_inv = Lc_inv.T @ Lc_inv
+    W = Vm @ G_inv
+    W += (Vm - W @ Gm) @ G_inv
     return W
-
-
-def _pivoted_cholesky(G, pivot_rtol):
-    r = G.shape[0]
-    A = G.copy()
-    perm = np.arange(r)
-    threshold = pivot_rtol * max(float(A.diagonal().max()), 0.0)
-    for k in range(r):
-        d = A.diagonal()[k:]
-        j = k + int(np.argmax(d))
-        if A[j, j] <= threshold:
-            raise SingularGram(
-                f"pivot {A[j, j]:.3e} below {threshold:.3e} at step {k}")
-        if j != k:
-            A[[k, j]] = A[[j, k]]
-            A[:, [k, j]] = A[:, [j, k]]
-            perm[[k, j]] = perm[[j, k]]
-        A[k, k] = np.sqrt(A[k, k])
-        A[k + 1:, k] /= A[k, k]
-        A[k + 1:, k + 1:] -= np.outer(A[k + 1:, k], A[k + 1:, k])
-    return perm, np.tril(A)
-
-
-def _apply_inverse(V, perm, L):
-    """Return ``V @ G^{-1}`` given the pivoted Cholesky factor of G."""
-    r = L.shape[0]
-    B = V.T[perm]
-    Y = np.empty_like(B)
-    for i in range(r):
-        Y[i] = (B[i] - L[i, :i] @ Y[:i]) / L[i, i]
-    Z = np.empty_like(B)
-    for i in range(r - 1, -1, -1):
-        Z[i] = (Y[i] - L[i + 1:, i] @ Z[i + 1:]) / L[i, i]
-    out = np.empty_like(V)
-    out[:, perm] = Z.T
-    return out

@@ -47,7 +47,7 @@ def _soft_threshold_unchecked(A, zeta):
     # In-place ops to limit temporaries on large inputs.
     out = np.abs(A)
     out -= zeta
-    np.maximum(out, 0.0, out)
+    np.maximum(out, 0.0, out=out)
     out *= np.sign(A)
     return out
 

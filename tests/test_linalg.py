@@ -124,26 +124,40 @@ class TestGramSolve:
     def test_diagonal_inverse(self):
         W = gram_solve(np.eye(2), np.diag([2.0, 4.0]))
         assert W == pytest.approx(np.diag([0.5, 0.25]))
+        # A pivot above pivot_rtol * max(diag G) is solved, not rejected.
+        W = gram_solve(np.eye(2), np.diag([1.0, 1e-12]))
+        assert W == pytest.approx(np.diag([1.0, 1e12]))
 
     def test_identity_gram(self, rng):
         V = rng.standard_normal((7, 3))
         assert gram_solve(V, np.eye(3)) == pytest.approx(V)
 
-    def test_zero_gram_singular(self):
+    @pytest.mark.parametrize("G", [
+        np.zeros((2, 2)),
+        np.diag([1.0, 1e-16]),
+        np.diag([1e-16, 1.0]),
+        np.array([[1.0, 1.0], [1.0, 1.0 + 1e-15]]),
+    ], ids=["zero", "tiny_last", "tiny_first", "near_collinear"])
+    def test_zero_gram_singular(self, G):
         with pytest.raises(SingularGram):
-            gram_solve(np.ones((4, 2)), np.zeros((2, 2)))
+            gram_solve(np.ones((4, 2)), G)
 
     def test_indefinite_gram_rejected(self):
         with pytest.raises(SingularGram):
             gram_solve(np.ones((3, 2)), np.diag([1.0, -1.0]))
 
     def test_residual_bound(self, rng):
-        for _ in range(10):
-            A = rng.standard_normal((20, 5))
-            G = A.T @ A + 0.1 * np.eye(5)
+        def check(G):
             V = rng.standard_normal((30, 5))
             W = gram_solve(V, G)
             assert np.linalg.norm(W @ G - V) <= 1e-10 * np.linalg.norm(V)
+
+        for _ in range(10):
+            A = rng.standard_normal((20, 5))
+            check(A.T @ A + 0.1 * np.eye(5))
+        # cond(G) = 1e6, the edge of the documented 1e-10 residual range.
+        Q = np.linalg.qr(rng.standard_normal((5, 5)))[0]
+        check(Q @ np.diag(np.logspace(0, -6, 5)) @ Q.T)
 
     def test_round_trip_property(self, rng):
         V = rng.standard_normal((9, 4))
