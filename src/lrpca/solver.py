@@ -14,6 +14,13 @@ The Gram-scaled steps make the per-iteration progress insensitive to the
 conditioning of the low-rank part.  A baseline variant replaces the
 soft-threshold with top-fraction sparsification.
 
+One iteration makes a single pass over ``Y`` and ``S`` in row slabs (see
+:func:`_soft_pass`): each slab forms its rows of ``L R^T`` once, thresholds,
+writes the new ``S`` and accumulates the two thin products ``W R`` and
+``W^T L``; the rest is ``O(n r^2)`` work on the factors.  Besides ``Y``, a
+solve holds two ``S`` buffers (the stop rule may keep the previous one) and
+builds the returned ``X`` once, at the end.
+
 Thresholds and step sizes come from a schedule source: a learned
 :class:`~lrpca.schedule.ParamSchedule`, a :class:`FixedSchedule`, or an
 :class:`OracleSchedule` that recomputes the theoretical threshold
@@ -23,11 +30,12 @@ iteration (useful to verify the guaranteed geometric contraction).
 
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (InvalidFraction, InvalidInput, InvalidThreshold,
-                     MissingGroundTruth, SingularGram)
+from .errors import (InvalidDimensions, InvalidFraction, InvalidInput,
+                     InvalidThreshold, MissingGroundTruth, SingularGram)
 from .linalg import gram_solve, truncated_svd
 from .operators import _sparsify_unchecked, soft_threshold
 from .schedule import ParamSchedule
@@ -74,6 +82,9 @@ class StopRule:
     mode 'iterate_change' once the max of the relative changes in X and S
     between consecutive iterations drops below tolerance, and 'fixed_iters'
     runs exactly ``max_iters`` iterations.  ``max_iters`` caps every mode.
+    The change in X is computed from small Gram products of the factors,
+    without forming X; it stays accurate far below the tolerances in use
+    (1e-3 to 1e-6).
     """
 
     mode: str = "residual_rel"
@@ -91,7 +102,13 @@ class StopRule:
 
 @dataclass
 class SolveTrace:
-    """Per-iteration diagnostics; row 0 describes the initialization."""
+    """Per-iteration diagnostics; row 0 describes the initialization.
+
+    ``stop_reason`` says how the solve ended: ``"converged"`` when the stop
+    rule's tolerance test passed (``residual_rel`` or ``iterate_change``),
+    ``"max_iters"`` when the iteration cap ended it (always the case for
+    ``fixed_iters``).
+    """
 
     iters: list = field(default_factory=list)
     zetas: list = field(default_factory=list)
@@ -99,6 +116,7 @@ class SolveTrace:
     residuals: list = field(default_factory=list)
     rel_errs: list = field(default_factory=list)
     wall_ms: list = field(default_factory=list)
+    stop_reason: str = ""
 
     def append(self, k, zeta, eta, residual, rel_err, wall):
         self.iters.append(k)
@@ -163,53 +181,152 @@ def _factor_state(Y, S0, r, seed):
     return SolverState(FactorPair(f.U * root, f.V * root), S0, 0)
 
 
-def _scaled_update(factors, W, eta):
-    # Both factor updates read the pre-step L and R.
-    L, R = factors.L, factors.R
-    L_new = L - eta * gram_solve(W @ R, R.T @ R)
-    R_new = R - eta * gram_solve(W.T @ L, L.T @ L)
-    return FactorPair(L_new, R_new)
+# Elements per row slab: a few slab-sized scratch buffers stay in a core's
+# L2 cache while Y and S stream through once per iteration.
+_SLAB_ELEMS = 1 << 16
 
 
 def _block_rows(n_rows, n_cols):
-    # Aim for ~4 MB row slabs so consecutive elementwise ops stay in cache.
-    return max(1, min(n_rows, int(524288 // max(n_cols, 1)) or 1))
+    return max(1, min(n_rows, _SLAB_ELEMS // max(n_cols, 1)))
 
 
-def _step_soft(factors, zeta, eta, T, out_S=None, out_W=None):
-    """One thresholded iteration given the residual ``T = Y - L R^T``.
+class _Pass(NamedTuple):
+    """Sums and factor products from one pass at the iterate (L, R, S)."""
 
-    Returns (factors', S, W) with ``W = L R^T + S - Y``.  For the soft
-    threshold, W is just the residual clipped to [-zeta, zeta] and negated,
-    and ``S = T + W`` recovers the thresholded matrix exactly.  The
-    elementwise work runs over row slabs into preallocated buffers, which
-    keeps the iteration free of large temporaries.
+    resid_sq: float  # ||Y - L R^T - S||_F^2
+    err_sq: float    # ||L R^T - truth||_F^2
+    dS_sq: float     # ||S' - S||_F^2
+    S_sq: float      # ||S||_F^2
+    WR: np.ndarray   # W R with W = L R^T + S' - Y
+    WtL: np.ndarray  # W^T L
+
+
+def _sq(A):
+    return float(np.vdot(A, A))
+
+
+def _soft_pass(Y, L, R, zeta, S=None, S_out=None, truth=None, track=False):
+    """One slab-streamed pass of the soft-threshold iteration.
+
+    Every row slab forms ``X_sl = L_sl R^T`` once and ``T_sl = Y_sl - X_sl``,
+    then adds ``||T_sl - S_sl||^2`` (when ``S`` is given) and
+    ``||X_sl - truth_sl||^2`` (when ``truth`` is given).  With a threshold
+    ``zeta`` it also writes ``S'_sl = T_sl - clip(T_sl, +-zeta)`` into
+    ``S_out`` (when given), adds ``||S'_sl - S_sl||^2`` and ``||S_sl||^2``
+    (when ``track``), fills ``W_sl R`` and accumulates ``W_sl^T L_sl`` with
+    ``W_sl = -clip(T_sl, +-zeta)``.  So one iteration reads Y and S once,
+    writes S' once and never holds an n1 x n2 temporary; without ``zeta``
+    the pass only measures the iterate.
     """
-    W = out_W if out_W is not None else np.empty_like(T)
-    S = out_S if out_S is not None else np.empty_like(T)
-    step = _block_rows(*T.shape)
-    for i in range(0, T.shape[0], step):
+    n1, n2 = Y.shape
+    step = _block_rows(n1, n2)
+    # Scratch is per call: concurrent solves on threads share nothing.
+    X_buf = np.empty((step, n2))
+    D_buf = np.empty((step, n2))
+    C_buf = np.empty((step, n2))
+    RT = R.T
+    rank_one = L.shape[1] == 1
+    resid_sq = err_sq = dS_sq = S_sq = 0.0
+    CR = CtL = None
+    if zeta is not None:
+        CR = np.empty((n1, L.shape[1]))
+        CtL = np.zeros((n2, L.shape[1]))
+    for i in range(0, n1, step):
         sl = slice(i, i + step)
-        np.clip(T[sl], -zeta, zeta, out=W[sl])
-        np.negative(W[sl], out=W[sl])
-        np.add(T[sl], W[sl], out=S[sl])
-    return _scaled_update(factors, W, eta), S, W
+        b = min(step, n1 - i)
+        X, D, C = X_buf[:b], D_buf[:b], C_buf[:b]
+        # X_sl is formed at most once per slab per iteration: at r = 1 a
+        # matmul with inner dimension 1 costs more than a pass reading a
+        # stored X would, and a broadcast outer product halves that cost.
+        if rank_one:
+            np.multiply(L[sl], RT, out=X)
+        else:
+            np.matmul(L[sl], RT, out=X)
+        if truth is not None:
+            err_sq += _sq(np.subtract(X, truth[sl], out=D))
+        T = np.subtract(Y[sl], X, out=X)
+        if S is not None:
+            resid_sq += _sq(np.subtract(T, S[sl], out=D))
+        if zeta is None:
+            continue
+        np.clip(T, -zeta, zeta, out=C)
+        if S_out is not None:
+            np.subtract(T, C, out=S_out[sl])
+            if track:
+                dS_sq += _sq(np.subtract(S_out[sl], S[sl], out=D))
+                S_sq += _sq(S[sl])
+        np.matmul(C, R, out=CR[sl])
+        CtL += C.T @ L[sl]
+    if zeta is not None:
+        np.negative(CR, out=CR)
+        np.negative(CtL, out=CtL)
+    return _Pass(resid_sq, err_sq, dS_sq, S_sq, CR, CtL)
 
 
-def _step_sparsify(factors, alpha_tilde, eta, T, out_S=None, out_W=None):
+def _sparsify_pass(Y, L, R, alpha_tilde, S=None, S_out=None, truth=None,
+                   track=False):
+    """:func:`_soft_pass` for top-fraction sparsification.  Its row and
+    column cutoffs need the whole residual, so ``T`` is materialized."""
+    X = L @ R.T
+    err_sq = _sq(X - truth) if truth is not None else 0.0
+    T = np.subtract(Y, X, out=X)
+    resid_sq = _sq(T - S) if S is not None else 0.0
+    if alpha_tilde is None:
+        return _Pass(resid_sq, err_sq, 0.0, 0.0, None, None)
     S_new = _sparsify_unchecked(T, alpha_tilde)
-    W = np.subtract(S_new, T, out=out_W) if out_W is not None else S_new - T
-    return _scaled_update(factors, W, eta), S_new, W
+    dS_sq = _sq(S_new - S) if track else 0.0
+    S_sq = _sq(S) if track else 0.0
+    if S_out is not None:
+        np.copyto(S_out, S_new)
+    W = np.subtract(S_new, T, out=T)
+    return _Pass(resid_sq, err_sq, dS_sq, S_sq, W @ R, W.T @ L)
 
 
-def _norm_diff(A, B):
-    """``||A - B||_F`` accumulated over row slabs without big temporaries."""
-    step = _block_rows(*A.shape)
-    acc = 0.0
-    for i in range(0, A.shape[0], step):
-        D = A[i:i + step] - B[i:i + step]
-        acc += float((D * D).sum())
-    return np.sqrt(acc)
+def _scaled_update(factors, p, eta):
+    # Both factor updates read the pre-step L and R.
+    L, R = factors.L, factors.R
+    L_new = L - eta * gram_solve(p.WR, R.T @ R)
+    R_new = R - eta * gram_solve(p.WtL, L.T @ L)
+    return FactorPair(L_new, R_new)
+
+
+def _soft_step(Y, factors, zeta, eta, S_out=None):
+    """Factors after one soft-threshold iteration (S' into ``S_out``)."""
+    return _scaled_update(
+        factors, _soft_pass(Y, factors.L, factors.R, zeta, S_out=S_out), eta)
+
+
+def _ratio(num_sq, den_sq):
+    if den_sq == 0.0:
+        return 0.0 if num_sq == 0.0 else float("inf")
+    return float(np.sqrt(num_sq / den_sq))
+
+
+def _low_rank_change(old, new):
+    """``||L' R'^T - L R^T||_F / ||L R^T||_F`` from Gram products of the
+    thin factors, without forming either product.
+
+    The difference is ``A B^T`` with ``A = [L' - L, L]`` and
+    ``B = [R', R' - R]``, so ``||A B^T||_F^2 = tr((A^T A)(B^T B))``.  No term
+    of size ``||X||^2`` cancels, which keeps small changes accurate.
+    """
+    L, R = old.L, old.R
+    A = np.hstack((new.L - L, L))
+    B = np.hstack((new.R, new.R - R))
+    diff_sq = max(float(np.sum((A.T @ A) * (B.T @ B))), 0.0)
+    return _ratio(diff_sq, float(np.sum((L.T @ L) * (R.T @ R))))
+
+
+def _max_abs_err(factors, truth):
+    """``||L R^T - truth||_inf`` over row slabs."""
+    L, RT = factors.L, factors.R.T
+    step = _block_rows(*truth.shape)
+    out = 0.0
+    for i in range(0, truth.shape[0], step):
+        D = L[i:i + step] @ RT
+        D -= truth[i:i + step]
+        out = max(out, float(D.max()), -float(D.min()))
+    return out
 
 
 def lrpca_step(state, Y, zeta, eta):
@@ -217,8 +334,11 @@ def lrpca_step(state, Y, zeta, eta):
     Ym = check_matrix(Y, "Y")
     if zeta < 0:
         raise InvalidThreshold(f"threshold must be >= 0, got {zeta}")
-    factors, S, _ = _step_soft(state.factors, zeta, eta,
-                               Ym - state.low_rank())
+    shape = (state.factors.L.shape[0], state.factors.R.shape[0])
+    if shape != Ym.shape:
+        raise InvalidDimensions(f"factors give shape {shape}, Y has {Ym.shape}")
+    S = np.empty(Ym.shape)
+    factors = _soft_step(Ym, state.factors, zeta, eta, S_out=S)
     return SolverState(factors, S, state.iteration + 1)
 
 
@@ -227,87 +347,79 @@ def scaledgd_step(state, Y, alpha_tilde, eta):
     Ym = check_matrix(Y, "Y")
     if not 0.0 <= alpha_tilde <= 1.0:
         raise InvalidFraction(f"fraction must be in [0, 1], got {alpha_tilde}")
-    factors, S, _ = _step_sparsify(state.factors, alpha_tilde, eta,
-                                   Ym - state.low_rank())
+    S = np.empty(Ym.shape)
+    factors = _scaled_update(
+        state.factors,
+        _sparsify_pass(Ym, state.factors.L, state.factors.R, alpha_tilde,
+                       S_out=S),
+        eta)
     return SolverState(factors, S, state.iteration + 1)
 
 
 def _resolve_schedule(schedule, truth):
-    """Return (zeta0, params_fn) where params_fn(k, X_cur) -> (zeta, eta)."""
+    """Return (zeta0, params_fn) where params_fn(k, factors) -> (zeta, eta)
+    for iteration k, given the factors of iterate k - 1."""
     if isinstance(schedule, ParamSchedule):
-        return schedule.zeta0, lambda k, X: schedule.at(k)
+        return schedule.zeta0, lambda k, f: schedule.at(k)
     if isinstance(schedule, FixedSchedule):
         if schedule.zeta < 0:
             raise InvalidThreshold(f"threshold must be >= 0, got {schedule.zeta}")
-        return schedule.zeta, lambda k, X: (schedule.zeta, schedule.eta)
+        return schedule.zeta, lambda k, f: (schedule.zeta, schedule.eta)
     if isinstance(schedule, OracleSchedule):
         if truth is None:
             raise MissingGroundTruth("oracle schedule requires the true low-rank matrix")
         zeta0 = float(np.abs(truth).max())
-        return zeta0, lambda k, X: (float(np.abs(X - truth).max()), schedule.eta)
+        return zeta0, lambda k, f: (_max_abs_err(f, truth), schedule.eta)
     raise InvalidInput(f"unsupported schedule source {type(schedule).__name__}")
 
 
-def _rel_change(new, old):
-    denom = np.linalg.norm(old)
-    diff = np.linalg.norm(new - old)
-    if denom == 0.0:
-        return 0.0 if diff == 0.0 else float("inf")
-    return float(diff / denom)
+def _run(Y, stop, truth, init_fn, params_fn, pass_fn):
+    """The iteration loop shared by both solvers.
 
-
-def _run(Y, stop, truth, init_fn, params_fn, step_kernel):
+    The pass that thresholds for iteration k + 1 also measures iterate k, so
+    trace row k is written once that pass returns; the stop rule then either
+    keeps iterate k (its S is still in the other buffer) or commits the
+    factor update.  ``wall_ms[k]`` is the time since the previous row.
+    """
     trace = SolveTrace()
     ny = np.linalg.norm(Y)
-    nt = np.linalg.norm(truth) if truth is not None else None
-
-    def record(k, zeta, eta, X, resid_fro, wall):
-        res = float(resid_fro / ny) if ny > 0 else 0.0
-        rel = (float(np.linalg.norm(X - truth) / nt)
-               if truth is not None and nt > 0 else float("nan"))
-        trace.append(k, zeta, eta, res, rel, wall)
-
+    nt = np.linalg.norm(truth) if truth is not None else 0.0
+    track = stop.mode == "iterate_change"
     t0 = time.perf_counter()
-    state, zeta0 = init_fn()
-    X = state.low_rank()
-    S = state.S
-    T = Y - X  # residual against the current factors; feeds the next step
-    record(0, zeta0, float("nan"), X, _norm_diff(T, S),
-           (time.perf_counter() - t0) * 1e3)
-
-    # Ping-pong buffers: the previous X and S stay live for the
-    # iterate-change stop while the next iteration writes the other pair.
-    S_bufs = (np.empty_like(Y), np.empty_like(Y))
-    X_bufs = (np.empty_like(Y), np.empty_like(Y))
-    W_buf = np.empty_like(Y)
-    flip = 0
-
+    state, zeta = init_fn()
+    factors, S = state.factors, state.S
+    S_next = np.empty(Y.shape)
+    eta, change = float("nan"), float("inf")
     k = 0
-    while k < stop.max_iters:
-        if stop.mode == "residual_rel" and trace.residuals[-1] < stop.tolerance:
+    while True:
+        converged = track and change < stop.tolerance
+        stepping = k < stop.max_iters and not converged
+        nxt = params_fn(k + 1, factors) if stepping else (None, None)
+        p = pass_fn(Y, factors.L, factors.R, nxt[0], S,
+                    S_next if stepping else None, truth, track)
+        res = float(np.sqrt(p.resid_sq) / ny) if ny > 0 else 0.0
+        rel = float(np.sqrt(p.err_sq) / nt) if nt > 0 else float("nan")
+        t1 = time.perf_counter()
+        trace.append(k, zeta, eta, res, rel, (t1 - t0) * 1e3)
+        t0 = t1
+        if stop.mode == "residual_rel" and res < stop.tolerance:
+            converged = True
+        if converged or not stepping:
             break
         k += 1
-        zeta, eta = params_fn(k, X)
-        t0 = time.perf_counter()
+        zeta, eta = nxt
         try:
-            factors, S_new, W = step_kernel(state.factors, zeta, eta, T,
-                                            out_S=S_bufs[flip], out_W=W_buf)
+            new = _scaled_update(factors, p, eta)
         except SingularGram as exc:
             raise SingularGram(
                 f"Gram factorization collapsed at iteration {k}: {exc}") from exc
-        X_new = np.matmul(factors.L, factors.R.T, out=X_bufs[flip])
-        np.subtract(Y, X_new, out=T)
-        resid_fro = _norm_diff(T, S_new)
-        wall = (time.perf_counter() - t0) * 1e3
-        if stop.mode == "iterate_change":
-            change = max(_rel_change(X_new, X), _rel_change(S_new, S))
-        state = SolverState(factors, S_new, k)
-        X, S = X_new, S_new
-        flip = 1 - flip
-        record(k, zeta, eta, X, resid_fro, wall)
-        if stop.mode == "iterate_change" and change < stop.tolerance:
-            break
-    return X, S, trace
+        if track:
+            change = max(_low_rank_change(factors, new),
+                         _ratio(p.dS_sq, p.S_sq))
+        factors = new
+        S, S_next = S_next, S
+    trace.stop_reason = "converged" if converged else "max_iters"
+    return factors.product(), S, trace
 
 
 def solve(Y, r, schedule, stop=StopRule(), truth=None, seed=0):
@@ -343,7 +455,7 @@ def solve(Y, r, schedule, stop=StopRule(), truth=None, seed=0):
     def init():
         return spectral_init(Ym, r, zeta0, seed=seed), zeta0
 
-    return _run(Ym, stop, truth, init, params_fn, _step_soft)
+    return _run(Ym, stop, truth, init, params_fn, _soft_pass)
 
 
 def solve_scaledgd(Y, r, alpha_tilde, eta, stop=StopRule(), truth=None, seed=0):
@@ -365,4 +477,4 @@ def solve_scaledgd(Y, r, alpha_tilde, eta, stop=StopRule(), truth=None, seed=0):
         return _factor_state(Ym, S0, r, seed), alpha_tilde
 
     return _run(Ym, stop, truth, init,
-                lambda k, X: (alpha_tilde, eta), _step_sparsify)
+                lambda k, f: (alpha_tilde, eta), _sparsify_pass)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import LrpcaError, TrainingDiverged
 from .schedule import ParamSchedule
-from .solver import SolverState, _step_soft, spectral_init
+from .solver import _soft_step, spectral_init
 
 __all__ = ["TrainConfig", "stage_loss", "layerwise_train", "grid_search_tail",
            "train_schedule"]
@@ -59,28 +59,27 @@ class TrainConfig:
         return vals
 
 
-def _advance(factors, S, X, Y, theta, j0, k):
-    """Run iterations j0..k from the given state, collecting each state."""
+def _advance(factors, Y, theta, j0, k):
+    """Factors after each of the iterations j0..k from ``factors``.
+
+    Only the factors carry state from one iteration to the next: the soft
+    threshold reads ``Y - L R^T``, never the previous S.
+    """
     states = []
-    T = Y - X
     for j in range(j0, k + 1):
         zeta, eta = theta.at(j)
-        factors, S, _ = _step_soft(factors, zeta, eta, T)
-        X = factors.product()
-        T = Y - X
-        states.append((factors, S, X))
+        factors = _soft_step(Y, factors, zeta, eta)
+        states.append(factors)
     return states
 
 
-def _forward(theta, inst, k, init_state=None):
-    """State after k iterations of the unrolled solver on one instance."""
-    if init_state is None:
-        init_state = spectral_init(inst.Y, inst.r, theta.zeta0, seed=inst.seed)
-    X0 = init_state.low_rank()
-    states = _advance(init_state.factors, init_state.S, X0, inst.Y, theta, 1, k)
-    factors, S, X = states[-1] if states else (init_state.factors,
-                                               init_state.S, X0)
-    return X, SolverState(factors, S, k)
+def _forward(theta, inst, k):
+    """``(X, factors)`` after k iterations of the unrolled solver on one
+    instance."""
+    init = spectral_init(inst.Y, inst.r, theta.zeta0, seed=inst.seed)
+    states = _advance(init.factors, inst.Y, theta, 1, k)
+    factors = states[-1] if states else init.factors
+    return factors.product(), factors
 
 
 def stage_loss(theta, k, batch):
@@ -144,10 +143,9 @@ class _StepContext:
         self.k = k
         self.init_cache = {}
         init = self._init_state(theta.zeta0)
-        self.states = [(init.factors, init.S, init.low_rank())]
-        self.states += _advance(init.factors, init.S, self.states[0][2],
-                                inst.Y, theta, 1, k)
-        self.center_loss = _norm_loss(self.states[-1][2], inst)
+        self.states = [init.factors]
+        self.states += _advance(init.factors, inst.Y, theta, 1, k)
+        self.center_loss = _norm_loss(self.states[-1].product(), inst)
 
     def _init_state(self, zeta0):
         state = self.init_cache.get(zeta0)
@@ -160,13 +158,12 @@ class _StepContext:
     def probe_loss(self, cand, idx):
         j0 = max(_param_iteration(cand, idx), 1)
         if idx == 0:
-            init = self._init_state(cand.zeta0)
-            factors, S, X = init.factors, init.S, init.low_rank()
+            factors = self._init_state(cand.zeta0).factors
         else:
-            factors, S, X = self.states[j0 - 1]
-        states = _advance(factors, S, X, self.inst.Y, cand, j0, self.k)
-        X_final = states[-1][2] if states else X
-        return _norm_loss(X_final, self.inst)
+            factors = self.states[j0 - 1]
+        states = _advance(factors, self.inst.Y, cand, j0, self.k)
+        return _norm_loss((states[-1] if states else factors).product(),
+                          self.inst)
 
 
 def _fd_gradient(ctx, idx, h):
@@ -253,19 +250,15 @@ def grid_search_tail(theta, dataset, cfg, jobs=1):
         raise ValueError("dataset must be nonempty")
     K, K_bar = theta.K, cfg.K_bar
     # The first K iterations do not depend on (beta, phi); cache them.
-    cached = []
-    for inst in dataset:
-        X, state = _forward(theta, inst, K)
-        cached.append((inst, state, X))
+    cached = [(inst, _forward(theta, inst, K)[1]) for inst in dataset]
 
     def tail_loss(pair):
         beta, phi = pair
         cand = theta.replace(beta=beta, phi=phi)
         total = 0.0
-        for inst, state, X in cached:
-            states = _advance(state.factors, state.S, X, inst.Y, cand,
-                              K + 1, K_bar)
-            X_final = states[-1][2] if states else X
+        for inst, factors in cached:
+            states = _advance(factors, inst.Y, cand, K + 1, K_bar)
+            X_final = (states[-1] if states else factors).product()
             total += float(np.linalg.norm(X_final - inst.X_star) ** 2)
         return total / len(cached)
 

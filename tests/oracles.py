@@ -110,3 +110,52 @@ def scalar_lrpca_step(L, R, Y, zeta, eta):
     L_new = np.array(L) - eta * WR
     R_new = np.array(R) - eta * WL
     return L_new, R_new, np.array(S)
+
+
+def dense_reference_solve(Y, L, R, S, params, mode, tol, max_iters,
+                          truth=None):
+    """Dense reference for the solver loop from the initial (L, R, S).
+
+    Every iteration forms ``X = L R^T``, ``T = Y - X``, the soft threshold
+    ``S' = sign(T) max(|T| - zeta, 0)`` and ``W = X + S' - Y`` as full
+    matrices, and updates both factors by solving against the pre-step Gram
+    matrices with ``np.linalg.solve``.  The stop modes follow
+    :class:`lrpca.StopRule`, with the iterate changes taken from dense
+    differences.  ``params(k, X)`` gives ``(zeta, eta)`` for iteration k
+    from the previous iterate's X.  Returns ``(X, S, residuals, rel_errs)``
+    with one entry per iterate, the initial one included.
+    """
+    Y = np.asarray(Y, dtype=np.float64)
+    ny = np.linalg.norm(Y)
+
+    def rel(new, old):
+        den = np.linalg.norm(old)
+        diff = np.linalg.norm(new - old)
+        return (0.0 if diff == 0.0 else np.inf) if den == 0.0 else diff / den
+
+    def measure(X, S):
+        residuals.append(np.linalg.norm(Y - X - S) / ny)
+        if truth is not None:
+            rel_errs.append(np.linalg.norm(X - truth) / np.linalg.norm(truth))
+
+    residuals, rel_errs = [], []
+    X = L @ R.T
+    measure(X, S)
+    k = 0
+    while k < max_iters:
+        if mode == "residual_rel" and residuals[-1] < tol:
+            break
+        k += 1
+        zeta, eta = params(k, X)
+        T = Y - X
+        S_new = np.sign(T) * np.maximum(np.abs(T) - zeta, 0.0)
+        W = X + S_new - Y
+        L_new = L - eta * np.linalg.solve(R.T @ R, (W @ R).T).T
+        R_new = R - eta * np.linalg.solve(L.T @ L, (W.T @ L).T).T
+        X_new = L_new @ R_new.T
+        change = max(rel(X_new, X), rel(S_new, S))
+        L, R, X, S = L_new, R_new, X_new, S_new
+        measure(X, S)
+        if mode == "iterate_change" and change < tol:
+            break
+    return X, S, residuals, rel_errs

@@ -6,7 +6,8 @@ from lrpca import (FactorPair, FixedSchedule, InvalidInput, MissingGroundTruth,
                    StopRule, gen_instance, lrpca_step, residual_rel,
                    scaledgd_step, solve, solve_scaledgd, spectral_init,
                    support_of, truncated_svd)
-from oracles import scalar_lrpca_step
+from lrpca.solver import _block_rows, _low_rank_change
+from oracles import dense_reference_solve, scalar_lrpca_step
 
 
 def rank_r_instance(rng, n1=30, n2=24, r=3, noise=0.0):
@@ -247,7 +248,7 @@ class TestSolve:
 
     def test_rank_collapse_raises_singular_gram(self, rng):
         Y = np.outer(rng.standard_normal(10), rng.standard_normal(10))
-        with pytest.raises(SingularGram):
+        with pytest.raises(SingularGram, match="at iteration 1:"):
             solve(Y, 3, FixedSchedule(0.0, 0.5),
                   StopRule("fixed_iters", max_iters=3))
 
@@ -263,6 +264,101 @@ class TestSolve:
     def test_invalid_stop_mode(self):
         with pytest.raises(InvalidInput):
             StopRule("bogus", 1e-4, 10)
+
+    @pytest.mark.parametrize("stop, reason", [
+        (StopRule("residual_rel", 1e-6, 200), "converged"),
+        (StopRule("residual_rel", 1e-6, 3), "max_iters"),
+        (StopRule("iterate_change", 1e-6, 200), "converged"),
+        (StopRule("iterate_change", 1e-6, 3), "max_iters"),
+        # fixed_iters ends on the cap even once the residual is tiny.
+        (StopRule("fixed_iters", 1e-6, 80), "max_iters"),
+    ], ids=["residual_converged", "residual_cap", "change_converged",
+            "change_cap", "fixed"])
+    def test_stop_reason(self, stop, reason):
+        inst = gen_instance(80, 80, 2, 0.05, 9)
+        _, _, trace = solve(inst.Y, 2, OracleSchedule(0.5), stop,
+                            truth=inst.X_star)
+        assert trace.stop_reason == reason
+        assert trace.iterations <= stop.max_iters
+        if reason == "max_iters":
+            assert trace.iterations == stop.max_iters
+        if stop.mode == "fixed_iters":
+            assert trace.residuals[-1] < stop.tolerance
+
+
+# Shapes whose row count spans at least three row slabs of the solver's
+# iteration pass, the last one partial: wide (few rows per slab) and tall
+# with rank 1 (the video shape).
+MULTI_SLAB = [(300, 2000, 5, 0.1), (4000, 60, 1, 0.05)]
+
+
+def _dense_run(inst, schedule, stop, seed=1):
+    """The solve of ``inst`` repeated by the dense reference loop."""
+    if isinstance(schedule, OracleSchedule):
+        zeta0 = float(np.abs(inst.X_star).max())
+
+        def params(k, X):
+            return float(np.abs(X - inst.X_star).max()), schedule.eta
+    else:
+        zeta0 = schedule.zeta0
+
+        def params(k, X):
+            return schedule.at(k)
+    init = spectral_init(inst.Y, inst.r, zeta0, seed=seed)
+    return dense_reference_solve(inst.Y, init.factors.L, init.factors.R,
+                                 init.S, params, stop.mode, stop.tolerance,
+                                 stop.max_iters, truth=inst.X_star)
+
+
+class TestSlabStreamedIteration:
+    @pytest.mark.parametrize("n1, n2, r, alpha", MULTI_SLAB)
+    def test_shapes_span_several_slabs(self, n1, n2, r, alpha):
+        rows = _block_rows(n1, n2)
+        assert n1 >= 3 * rows and n1 % rows != 0
+
+    @pytest.mark.parametrize("n1, n2, r, alpha", MULTI_SLAB)
+    @pytest.mark.parametrize("stop", [
+        StopRule("residual_rel", 1e-6, 100),
+        StopRule("iterate_change", 1e-3, 100),
+        StopRule("iterate_change", 1e-6, 100),
+    ], ids=["residual_1e-6", "change_1e-3", "change_1e-6"])
+    def test_oracle_matches_dense_reference(self, n1, n2, r, alpha, stop):
+        inst = gen_instance(n1, n2, r, alpha, 3)
+        X, S, trace = solve(inst.Y, r, OracleSchedule(0.5), stop,
+                            truth=inst.X_star, seed=1)
+        X_ref, S_ref, res_ref, err_ref = _dense_run(inst, OracleSchedule(0.5),
+                                                    stop)
+        assert trace.iterations == len(res_ref) - 1
+        assert trace.stop_reason == "converged"
+        np.testing.assert_allclose(trace.residuals, res_ref, rtol=1e-10)
+        np.testing.assert_allclose(trace.rel_errs, err_ref, rtol=1e-10)
+        assert np.linalg.norm(X - X_ref) <= 1e-12 * np.linalg.norm(X_ref)
+        assert np.linalg.norm(S - S_ref) <= 1e-12 * np.linalg.norm(S_ref)
+
+    @pytest.mark.parametrize("scale", [1e-1, 1e-6, 1e-10])
+    def test_low_rank_change_from_grams(self, rng, scale):
+        L, R = rng.standard_normal((50, 3)), rng.standard_normal((40, 3))
+        L2 = L + scale * rng.standard_normal(L.shape)
+        R2 = R + scale * rng.standard_normal(R.shape)
+        dense = np.linalg.norm((L2 - L) @ R2.T + L @ (R2 - R).T)
+        got = _low_rank_change(FactorPair(L, R), FactorPair(L2, R2))
+        assert got == pytest.approx(dense / np.linalg.norm(L @ R.T),
+                                    rel=1e-9)
+
+    @pytest.mark.parametrize("n1, n2, r, alpha", MULTI_SLAB)
+    def test_learned_schedule_matches_dense_reference(self, n1, n2, r, alpha):
+        inst = gen_instance(n1, n2, r, alpha, 4)
+        z0 = float(np.abs(inst.X_star).max())
+        theta = ParamSchedule(zetas=(z0, 0.3 * z0), etas=(0.5,), beta=1.0,
+                              phi=0.7)
+        stop = StopRule("residual_rel", 1e-5, 100)
+        X, S, trace = solve(inst.Y, r, theta, stop, truth=inst.X_star, seed=1)
+        X_ref, S_ref, res_ref, _ = _dense_run(inst, theta, stop)
+        assert trace.iterations == len(res_ref) - 1
+        assert trace.residuals[-1] < stop.tolerance
+        np.testing.assert_allclose(trace.residuals, res_ref, rtol=1e-10)
+        assert np.linalg.norm(X - X_ref) <= 1e-12 * np.linalg.norm(X_ref)
+        assert np.linalg.norm(S - S_ref) <= 1e-12 * np.linalg.norm(S_ref)
 
 
 class TestSolveScaledgd:

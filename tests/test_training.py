@@ -148,6 +148,15 @@ class TestGridSearchTail:
             for phi in (0.3, 0.6, 0.9):
                 assert best_loss <= eval_pair(beta, phi) * (1 + 1e-12)
 
+    def test_threads_match_serial(self):
+        # Worker threads run the solver's iteration pass concurrently, so its
+        # scratch buffers must not be shared between calls.
+        theta = ParamSchedule(zetas=(0.03, 0.015, 0.008), etas=(0.6, 0.6))
+        dataset = [gen_instance(30, 30, 2, 0.1, 50 + i) for i in range(3)]
+        cfg = TrainConfig(K=2, K_bar=5, grid=(0.3, 0.9, 0.3))
+        assert (grid_search_tail(theta, dataset, cfg, jobs=2)
+                == grid_search_tail(theta, dataset, cfg, jobs=1))
+
     def test_empty_dataset_rejected(self):
         theta = ParamSchedule(zetas=(0.02, 0.01), etas=(0.5,))
         with pytest.raises(ValueError):
