@@ -1,8 +1,8 @@
 """Dense linear-algebra substrate: norms, truncated SVD, Gram solves.
 
-Everything operates on plain 2-D float64 numpy arrays.  The truncated SVD is
-the only randomized routine in the package; it is deterministic for a fixed
-seed.
+Everything operates on plain 2-D float64 numpy arrays.  The truncated SVD and
+the solver's initialization sketch are the only randomized routines in the
+package; both are deterministic for a fixed seed.
 """
 
 from dataclasses import dataclass
@@ -18,6 +18,10 @@ NORM_KINDS = ("fro", "inf", "two_inf", "one_inf", "spectral")
 
 _SPECTRAL_TOL = 1e-10
 _SPECTRAL_CAP = 1000
+
+# Width beyond r and power passes of the solver's initialization sketch.
+_SKETCH_OVERSAMPLE = 10
+_SKETCH_PASSES = 3
 
 
 @dataclass(frozen=True)
@@ -161,6 +165,28 @@ def truncated_svd(M, r, seed=0, oversample=10, min_passes=4, cap=1000):
                                     np.ascontiguousarray(V))
         prev_u, prev_v = U, V
     raise ConvergenceFailure(f"subspace iteration did not stabilize in {cap} passes")
+
+
+def _sketch_svd(A, r, seed):
+    """Rank-r SVD of ``A`` from a fixed-cost seeded range sketch.
+
+    Randomized subspace iteration (Halko, Martinsson & Tropp 2011, Alg. 4.4):
+    a Gaussian sketch of width ``r + _SKETCH_OVERSAMPLE``, ``_SKETCH_PASSES``
+    power passes with a QR after every product, then one Rayleigh-Ritz SVD
+    of ``Q^T A``; eight thin products for three passes, whatever the
+    spectrum.  No accuracy target is checked: the error is set by the
+    spectral gap, see :func:`lrpca.solver.spectral_init` for the contract.
+    ``A`` is taken as a validated float64 matrix.
+    """
+    ell = r + _SKETCH_OVERSAMPLE
+    rng = np.random.default_rng(seed)
+    Q = np.linalg.qr(A @ rng.standard_normal((A.shape[1], ell)))[0]
+    for _ in range(_SKETCH_PASSES):
+        Q = np.linalg.qr(A.T @ Q)[0]
+        Q = np.linalg.qr(A @ Q)[0]
+    Ub, s, Vt = np.linalg.svd(Q.T @ A, full_matrices=False)
+    return TruncatedSVD(Q @ Ub[:, :r], s[:r].copy(),
+                        np.ascontiguousarray(Vt[:r].T))
 
 
 def _subspace_sine(U, U_prev):

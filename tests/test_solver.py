@@ -6,6 +6,7 @@ from lrpca import (FactorPair, FixedSchedule, InvalidInput, MissingGroundTruth,
                    StopRule, gen_instance, lrpca_step, residual_rel,
                    scaledgd_step, solve, solve_scaledgd, spectral_init,
                    support_of, truncated_svd)
+from lrpca import solver as solver_module
 from lrpca.solver import _block_rows, _low_rank_change
 from oracles import dense_reference_solve, scalar_lrpca_step
 
@@ -41,6 +42,34 @@ class TestSpectralInit:
     def test_iteration_counter_starts_at_zero(self, rng):
         Y = rng.standard_normal((6, 6))
         assert spectral_init(Y, 2, 0.1).iteration == 0
+
+    # Wide and tall shapes whose short side exceeds 2 (r + 10), so the init
+    # takes the range sketch, each at a loose and a tight threshold (the
+    # tight one leaves outliers in Y - S_0 and narrows the spectral gap).
+    @pytest.mark.parametrize("n1, n2, r, alpha", [(600, 2000, 5, 0.1),
+                                                  (4000, 60, 1, 0.05)])
+    @pytest.mark.parametrize("frac", [0.5, 0.1])
+    def test_sketch_within_contract_of_exact_truncation(
+            self, monkeypatch, n1, n2, r, alpha, frac):
+        def accurate_svd(*args, **kwargs):
+            raise AssertionError("init took the truncated_svd path")
+
+        monkeypatch.setattr(solver_module, "truncated_svd", accurate_svd)
+        inst = gen_instance(n1, n2, r, alpha, 5)
+        state = spectral_init(inst.Y, r, frac * np.abs(inst.Y).max(), seed=3)
+        U, s, Vt = np.linalg.svd(inst.Y - state.S, full_matrices=False)
+        exact = (U[:, :r] * s[:r]) @ Vt[:r]
+        bound = 10 * (s[r] / s[r - 1]) ** 7 + 1e-12
+        err = np.linalg.norm(state.low_rank() - exact)
+        assert err <= bound * np.linalg.norm(exact)
+
+    def test_sketch_fixed_by_seed(self):
+        inst = gen_instance(600, 2000, 5, 0.1, 5)
+        zeta0 = 0.1 * np.abs(inst.Y).max()
+        a, b, c = (spectral_init(inst.Y, 5, zeta0, seed=s) for s in (4, 4, 5))
+        assert np.array_equal(a.factors.L, b.factors.L)
+        assert np.array_equal(a.factors.R, b.factors.R)
+        assert not np.array_equal(a.factors.L, c.factors.L)
 
 
 class TestLrpcaStep:
@@ -334,6 +363,23 @@ class TestSlabStreamedIteration:
         np.testing.assert_allclose(trace.rel_errs, err_ref, rtol=1e-10)
         assert np.linalg.norm(X - X_ref) <= 1e-12 * np.linalg.norm(X_ref)
         assert np.linalg.norm(S - S_ref) <= 1e-12 * np.linalg.norm(S_ref)
+
+    @pytest.mark.parametrize("n1, n2, r, alpha", MULTI_SLAB)
+    @pytest.mark.parametrize("stop", [
+        StopRule("residual_rel", 1e-6, 100),
+        StopRule("iterate_change", 1e-6, 100),
+        StopRule("fixed_iters", max_iters=20),
+    ], ids=["residual", "change", "fixed"])
+    def test_last_trace_row_measures_returned_iterate(self, n1, n2, r, alpha,
+                                                      stop):
+        inst = gen_instance(n1, n2, r, alpha, 3)
+        X, S, trace = solve(inst.Y, r, OracleSchedule(0.5), stop,
+                            truth=inst.X_star, seed=1)
+        assert trace.residuals[-1] == pytest.approx(
+            residual_rel(inst.Y, X, S), rel=1e-12)
+        rel_err = (np.linalg.norm(X - inst.X_star)
+                   / np.linalg.norm(inst.X_star))
+        assert trace.rel_errs[-1] == pytest.approx(rel_err, rel=1e-12)
 
     @pytest.mark.parametrize("scale", [1e-1, 1e-6, 1e-10])
     def test_low_rank_change_from_grams(self, rng, scale):

@@ -131,6 +131,24 @@ class TestBackgroundSubtract:
         assert precision >= 0.9
         assert recall >= 0.9
 
+    def test_rank_two_tall_clip(self):
+        # A 120 x 160, 60-frame clip whose background has rank 1, so at rank
+        # 2 the init's sigma_2 and sigma_3 are close; an init SVD that pursues
+        # an accuracy target there raised ConvergenceFailure instead.
+        seq, masks = moving_blob_scene(height=120, width=160, n_frames=60,
+                                       blob=5, amplitude=0.85877,
+                                       phase=(97, 64))
+        theta = ParamSchedule(zetas=tuple(0.425 * 0.65 ** k for k in range(11)),
+                              etas=(0.65,) * 10, beta=1.0, phi=0.65)
+        stop = StopRule("iterate_change", 1e-3, 100)
+        bg, fg, trace = background_subtract(seq, 2, theta, stop=stop)
+        detected = np.stack(fg.frames) > 0.1
+        masks = np.stack(masks)
+        tp = int((detected & masks).sum())
+        f1 = 2 * tp / (2 * tp + int((detected & ~masks).sum())
+                       + int((~detected & masks).sum()))
+        assert f1 >= 0.9
+
     def test_rank_exceeds_frames(self):
         seq = FrameSequence((np.zeros((2, 2)), np.ones((2, 2)) * 0.5))
         with pytest.raises(InvalidRank):
