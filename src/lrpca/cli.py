@@ -24,7 +24,7 @@ from .matrixio import read_matrix, write_matrix
 from .schedule import read_schedule, write_schedule
 from .solver import FixedSchedule, OracleSchedule, StopRule, solve
 from .synth import InstanceSource, gen_instance
-from .training import TrainConfig, grid_search_tail, layerwise_train
+from .training import TrainConfig, train_schedule
 from .video import background_subtract, read_pgm_sequence, write_pgm
 
 __all__ = ["main"]
@@ -149,31 +149,29 @@ def cmd_train(args):
     n2 = s.get("n2", default=n, cast=int)
     r = s.get("r", default=5, cast=int)
     alpha = s.get("alpha", default=0.1, cast=float)
-    K = s.get("K", default=10, cast=int)
-    K_bar = s.get("K_bar", default=15, cast=int)
+    d = TrainConfig()
+    K = s.get("K", default=d.K, cast=int)
+    K_bar = s.get("K_bar", default=d.K_bar, cast=int)
     if K_bar < K:
         raise UsageError(f"K_bar ({K_bar}) must be >= K ({K})")
-    steps = s.get("sgd_steps_per_stage", default=25, cast=int)
-    lr = s.get("learning_rate", default=0.1, cast=float)
-    fd_eps = s.get("fd_epsilon", default=1e-5, cast=float)
-    grid_min = s.get("grid_min", default=0.1, cast=float)
-    grid_max = s.get("grid_max", default=1.0, cast=float)
-    grid_step = s.get("grid_step", default=0.1, cast=float)
+    steps = s.get("sgd_steps_per_stage", default=d.sgd_steps_per_stage,
+                  cast=int)
+    lr = s.get("learning_rate", default=d.learning_rate, cast=float)
+    grid_min = s.get("grid_min", default=d.grid[0], cast=float)
+    grid_max = s.get("grid_max", default=d.grid[1], cast=float)
+    grid_step = s.get("grid_step", default=d.grid[2], cast=float)
     grid_instances = s.get("grid_instances", default=20, cast=int)
-    jobs = s.get("jobs", default=1, cast=int)
     seed = s.seed()
     out = _outdir(s)
 
     cfg = TrainConfig(K=K, K_bar=K_bar, sgd_steps_per_stage=steps,
-                      learning_rate=lr, fd_epsilon=fd_eps,
-                      grid=(grid_min, grid_max, grid_step), seed=seed)
+                      learning_rate=lr, grid=(grid_min, grid_max, grid_step),
+                      seed=seed)
     source = InstanceSource(n, n2, r, alpha, base_seed=seed)
     log_rows = []
-    theta = layerwise_train(
-        source, cfg,
+    theta = train_schedule(
+        source, cfg, grid_instances,
         callback=lambda stage, step, loss: log_rows.append((stage, step, loss)))
-    dataset = source.batch(1 + (K + 1) * steps, grid_instances)
-    theta = grid_search_tail(theta, dataset, cfg, jobs=jobs)
 
     write_schedule(theta, os.path.join(out, "schedule.csv"))
     with open(os.path.join(out, "training_log.csv"), "w",
@@ -394,12 +392,10 @@ def build_parser():
     p.add_argument("--K-bar", dest="K_bar", type=int)
     p.add_argument("--sgd-steps-per-stage", dest="sgd_steps_per_stage", type=int)
     p.add_argument("--learning-rate", dest="learning_rate", type=float)
-    p.add_argument("--fd-epsilon", dest="fd_epsilon", type=float)
     p.add_argument("--grid-min", dest="grid_min", type=float)
     p.add_argument("--grid-max", dest="grid_max", type=float)
     p.add_argument("--grid-step", dest="grid_step", type=float)
     p.add_argument("--grid-instances", dest="grid_instances", type=int)
-    p.add_argument("--jobs", type=int)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("solve", help="decompose a matrix")

@@ -15,7 +15,7 @@ from .errors import InvalidInput, MissingGroundTruth
 from .schedule import ParamSchedule
 from .solver import FixedSchedule, OracleSchedule, StopRule, solve
 from .synth import InstanceSource
-from .training import TrainConfig, grid_search_tail, layerwise_train
+from .training import TrainConfig, train_schedule
 from .validation import check_matrix
 
 __all__ = ["LRPCA", "UnfoldingTrainer"]
@@ -150,7 +150,7 @@ class UnfoldingTrainer(_ParamsMixin):
     """
 
     def __init__(self, n=500, n2=None, rank=5, alpha=0.1, K=10, K_bar=15,
-                 sgd_steps_per_stage=15, learning_rate=0.1, fd_epsilon=1e-5,
+                 sgd_steps_per_stage=15, learning_rate=0.1,
                  grid=(0.1, 1.0, 0.1), grid_instances=20, seed=0):
         self.n = n
         self.n2 = n2
@@ -160,7 +160,6 @@ class UnfoldingTrainer(_ParamsMixin):
         self.K_bar = K_bar
         self.sgd_steps_per_stage = sgd_steps_per_stage
         self.learning_rate = learning_rate
-        self.fd_epsilon = fd_epsilon
         self.grid = grid
         self.grid_instances = grid_instances
         self.seed = seed
@@ -168,8 +167,7 @@ class UnfoldingTrainer(_ParamsMixin):
     def _config(self):
         return TrainConfig(K=self.K, K_bar=self.K_bar,
                            sgd_steps_per_stage=self.sgd_steps_per_stage,
-                           learning_rate=self.learning_rate,
-                           fd_epsilon=self.fd_epsilon, grid=self.grid,
+                           learning_rate=self.learning_rate, grid=self.grid,
                            seed=self.seed)
 
     def fit(self, X=None, y=None):
@@ -180,12 +178,9 @@ class UnfoldingTrainer(_ParamsMixin):
         else:
             source = _ListSource(X)
         losses = []
-        theta = layerwise_train(
-            source, cfg,
+        self.schedule_ = train_schedule(
+            source, cfg, self.grid_instances,
             callback=lambda stage, step, loss: losses.append((stage, step, loss)))
-        start = 1 + (cfg.K + 1) * cfg.sgd_steps_per_stage
-        dataset = source.batch(start, self.grid_instances)
-        self.schedule_ = grid_search_tail(theta, dataset, cfg)
         self.stage_losses_ = losses
         return self
 

@@ -35,6 +35,8 @@ class ParamSchedule:
             raise ValueError("need len(zetas) == len(etas) + 1")
         if any(z < 0 for z in self.zetas):
             raise ValueError("thresholds must be >= 0")
+        if any(not e > 0 for e in self.etas):
+            raise ValueError("step sizes must be > 0")
         if self.beta <= 0 or self.phi <= 0:
             raise ValueError("tail factors must be > 0")
 

@@ -233,6 +233,14 @@ def _sq(A):
     return float(np.vdot(A, A))
 
 
+def _product_rows(L_rows, RT, out):
+    # At r = 1 a matmul with inner dimension 1 costs more than a pass reading
+    # a stored X would; a broadcast outer product halves that cost.
+    if L_rows.shape[1] == 1:
+        return np.multiply(L_rows, RT, out=out)
+    return np.matmul(L_rows, RT, out=out)
+
+
 def _soft_pass(Y, L, R, zeta, S=None, S_out=None, truth=None, track=False):
     """One slab-streamed pass of the soft-threshold iteration.
 
@@ -253,7 +261,6 @@ def _soft_pass(Y, L, R, zeta, S=None, S_out=None, truth=None, track=False):
     D_buf = np.empty((step, n2))
     C_buf = np.empty((step, n2))
     RT = R.T
-    rank_one = L.shape[1] == 1
     resid_sq = err_sq = dS_sq = S_sq = 0.0
     CR = CtL = None
     if zeta is not None:
@@ -263,13 +270,7 @@ def _soft_pass(Y, L, R, zeta, S=None, S_out=None, truth=None, track=False):
         sl = slice(i, i + step)
         b = min(step, n1 - i)
         X, D, C = X_buf[:b], D_buf[:b], C_buf[:b]
-        # X_sl is formed at most once per slab per iteration: at r = 1 a
-        # matmul with inner dimension 1 costs more than a pass reading a
-        # stored X would, and a broadcast outer product halves that cost.
-        if rank_one:
-            np.multiply(L[sl], RT, out=X)
-        else:
-            np.matmul(L[sl], RT, out=X)
+        _product_rows(L[sl], RT, X)
         if truth is not None:
             err_sq += _sq(np.subtract(X, truth[sl], out=D))
         T = np.subtract(Y[sl], X, out=X)
@@ -289,6 +290,55 @@ def _soft_pass(Y, L, R, zeta, S=None, S_out=None, truth=None, track=False):
         np.negative(CR, out=CR)
         np.negative(CtL, out=CtL)
     return _Pass(resid_sq, err_sq, dS_sq, S_sq, CR, CtL)
+
+
+def _soft_backward(Y, L, R, zeta, eta, L_bar, R_bar):
+    """Reverse mode through one soft-threshold iteration.
+
+    The iteration maps ``(L, R)`` to ``(L + eta P, R + eta Q)``, where
+    ``P = C R (R^T R)^{-1}``, ``Q = C^T L (L^T L)^{-1}``, ``T = Y - L R^T``
+    and ``C = clip(T, +-zeta)``.  Given the adjoints of its outputs, this returns
+    those of ``(L, R, zeta, eta)``.  ``C_bar = P_bar R^T + L Q_bar^T``, with
+    ``P_bar = eta L_bar (R^T R)^{-1}`` and ``Q_bar = eta R_bar (L^T L)^{-1}``,
+    goes to ``T`` where ``|T| < zeta`` and, times ``sign(T)``, to ``zeta``
+    elsewhere.  ``T`` and ``C`` are recomputed in the row slabs of
+    :func:`_soft_pass`, never as an n1 x n2 temporary.
+    """
+    n1, n2 = Y.shape
+    r = L.shape[1]
+    step = _block_rows(n1, n2)
+    T_buf, C_buf, G_buf = (np.empty((step, n2)) for _ in range(3))
+    RT = R.T
+    GR, GL = R.T @ R, L.T @ L
+    P_bar, Q_bar = eta * gram_solve(L_bar, GR), eta * gram_solve(R_bar, GL)
+    # C_bar = left right^T; C right = [C R, C Q_bar] and C^T left =
+    # [C^T P_bar, C^T L] give the forward products and the factor adjoints.
+    left, right = np.hstack((P_bar, L)), np.hstack((R, Q_bar))
+    C_right, Ct_left = np.empty((n1, 2 * r)), np.zeros((n2, 2 * r))
+    Tb_R, Tbt_L = np.empty((n1, r)), np.zeros((n2, r))
+    zeta_bar = 0.0
+    for i in range(0, n1, step):
+        sl = slice(i, i + step)
+        b = min(step, n1 - i)
+        T, C, G = T_buf[:b], C_buf[:b], G_buf[:b]
+        T = np.subtract(Y[sl], _product_rows(L[sl], RT, T), out=T)
+        np.clip(T, -zeta, zeta, out=C)
+        np.matmul(left[sl], right.T, out=G)
+        # T - C is nonzero exactly where |T| > zeta, with the sign of T.
+        D = np.sign(np.subtract(T, C, out=T), out=T)
+        zeta_bar += float(np.vdot(G, D))
+        # T_bar = C_bar where |T| <= zeta: take out the part where D != 0.
+        G -= np.multiply(G, np.abs(D, out=D), out=D)
+        np.matmul(C, right, out=C_right[sl])
+        Ct_left += C.T @ left[sl]
+        np.matmul(G, R, out=Tb_R[sl])
+        Tbt_L += G.T @ L[sl]
+    P, Q = gram_solve(C_right[:, :r], GR), gram_solve(Ct_left[:, r:], GL)
+    eta_bar = float(np.vdot(L_bar, P) + np.vdot(R_bar, Q))
+    GR_nbar, GL_nbar = P.T @ P_bar, Q.T @ Q_bar  # minus the Gram adjoints
+    L_in_bar = L_bar + C_right[:, r:] - Tb_R - L @ (GL_nbar + GL_nbar.T)
+    R_in_bar = R_bar + Ct_left[:, :r] - Tbt_L - R @ (GR_nbar + GR_nbar.T)
+    return L_in_bar, R_in_bar, zeta_bar, eta_bar
 
 
 def _sparsify_pass(Y, L, R, alpha_tilde, S=None, S_out=None, truth=None,

@@ -7,11 +7,13 @@ iterations,
     E || L_k(Y, theta) R_k(Y, theta)^T - X_star ||_F^2,
 
 by stochastic gradient descent with batch size one (a fresh instance per
-step) and central finite-difference gradients over the scalar parameters.
-All parameters that influence the stage output stay trainable at every
-stage.  The second phase fixes the learned per-iteration parameters and
-grid-searches the geometric tail factors (beta, phi) to minimize the same
-loss after K_bar > K iterations.
+step) and gradients by backpropagation through the unrolled layers (deep
+unfolding): one forward pass keeps the factors entering every layer, and one
+backward sweep gives the gradients in every threshold and step size that
+acts on the stage output.  Only ``zeta_0``, which acts through the initial
+SVD, takes central finite differences.  The second phase fixes the learned
+per-iteration parameters and grid-searches the geometric tail factors
+(beta, phi) to minimize the same loss after K_bar > K iterations.
 """
 
 import math
@@ -21,10 +23,13 @@ import numpy as np
 
 from .errors import LrpcaError, TrainingDiverged
 from .schedule import ParamSchedule
-from .solver import _soft_step, spectral_init
+from .solver import _soft_backward, _soft_step, spectral_init
 
 __all__ = ["TrainConfig", "stage_loss", "layerwise_train", "grid_search_tail",
            "train_schedule"]
+
+# Finite-difference step for zeta_0, in the units of Y.
+_ZETA0_STEP = 1e-5
 
 
 @dataclass(frozen=True)
@@ -35,7 +40,6 @@ class TrainConfig:
     K_bar: int = 15
     sgd_steps_per_stage: int = 15
     learning_rate: float = 0.1
-    fd_epsilon: float = 1e-5
     grid: tuple = (0.1, 1.0, 0.1)  # (min, max, step) for both beta and phi
     seed: int = 0
     init_eta: float = 0.65
@@ -46,8 +50,6 @@ class TrainConfig:
             raise ValueError("need 0 <= K <= K_bar")
         if self.grid[2] <= 0:
             raise ValueError("grid step must be > 0")
-        if self.fd_epsilon <= 0:
-            raise ValueError("fd_epsilon must be > 0")
 
     def grid_values(self):
         lo, hi, step = self.grid
@@ -74,12 +76,10 @@ def _advance(factors, Y, theta, j0, k):
 
 
 def _forward(theta, inst, k):
-    """``(X, factors)`` after k iterations of the unrolled solver on one
-    instance."""
+    """Factors of the unrolled solver on one instance: the init's, then
+    those after each of the first k iterations."""
     init = spectral_init(inst.Y, inst.r, theta.zeta0, seed=inst.seed)
-    states = _advance(init.factors, inst.Y, theta, 1, k)
-    factors = states[-1] if states else init.factors
-    return factors.product(), factors
+    return [init.factors] + _advance(init.factors, inst.Y, theta, 1, k)
 
 
 def stage_loss(theta, k, batch):
@@ -88,7 +88,7 @@ def stage_loss(theta, k, batch):
         raise ValueError("batch must be nonempty")
     total = 0.0
     for inst in batch:
-        X, _ = _forward(theta, inst, k)
+        X = _forward(theta, inst, k)[-1].product()
         total += float(np.linalg.norm(X - inst.X_star) ** 2)
     return total / len(batch)
 
@@ -108,90 +108,59 @@ def _norm_loss(X, inst):
     return float(np.linalg.norm(X - inst.X_star) ** 2) / max(scale, 1e-300)
 
 
-def _perturbed(theta, idx, value):
-    """Schedule with one scalar replaced; idx < K+1 addresses zeta_idx,
-    otherwise eta_{idx-K}."""
-    if idx <= theta.K:
-        zetas = list(theta.zetas)
-        zetas[idx] = max(value, 0.0)
-        return theta.replace(zetas=tuple(zetas))
-    etas = list(theta.etas)
-    etas[idx - theta.K - 1] = value
-    return theta.replace(etas=tuple(etas))
-
-
-def _param_value(theta, idx):
-    return theta.zetas[idx] if idx <= theta.K else theta.etas[idx - theta.K - 1]
-
-
-def _param_iteration(theta, idx):
-    """First solver iteration the parameter influences (0 = initialization)."""
-    return idx if idx <= theta.K else idx - theta.K
-
-
-class _StepContext:
-    """Center trajectory for one SGD step.
-
-    A probe of the parameter acting at iteration j shares the center prefix
-    up to iteration j-1, so only iterations j..k are recomputed.  The
-    spectral initialization is cached per distinct zeta_0 value.
-    """
-
-    def __init__(self, theta, inst, k):
-        self.theta = theta
-        self.inst = inst
-        self.k = k
-        self.init_cache = {}
-        init = self._init_state(theta.zeta0)
-        self.states = [init.factors]
-        self.states += _advance(init.factors, inst.Y, theta, 1, k)
-        self.center_loss = _norm_loss(self.states[-1].product(), inst)
-
-    def _init_state(self, zeta0):
-        state = self.init_cache.get(zeta0)
-        if state is None:
-            state = spectral_init(self.inst.Y, self.inst.r, zeta0,
-                                  seed=self.inst.seed)
-            self.init_cache[zeta0] = state
-        return state
-
-    def probe_loss(self, cand, idx):
-        j0 = max(_param_iteration(cand, idx), 1)
-        if idx == 0:
-            factors = self._init_state(cand.zeta0).factors
-        else:
-            factors = self.states[j0 - 1]
-        states = _advance(factors, self.inst.Y, cand, j0, self.k)
-        return _norm_loss((states[-1] if states else factors).product(),
-                          self.inst)
-
-
-def _fd_gradient(ctx, idx, h):
-    """Central finite difference, falling back to a one-sided estimate when
-    a probe leaves the feasible region or fails to evaluate."""
-    theta = ctx.theta
-    val = _param_value(theta, idx)
-    lo_val = val - h
-    if idx <= theta.K and lo_val < 0.0:
-        lo_val = 0.0
+def _fd_zeta0(theta, inst, k, center):
+    """Derivative of the stage-k loss in zeta_0, which acts through the init
+    SVD: central differences over two inits and replays, one-sided where
+    zeta_0 - h would leave [0, inf) or a probe fails to evaluate."""
+    z0, h = theta.zeta0, _ZETA0_STEP
 
     def probe(v):
+        cand = theta.replace(zetas=(v,) + theta.zetas[1:])
         try:
-            loss = ctx.probe_loss(_perturbed(theta, idx, v), idx)
+            loss = _norm_loss(_forward(cand, inst, k)[-1].product(), inst)
         except LrpcaError:
             return None
         return loss if math.isfinite(loss) else None
 
-    f_center = ctx.center_loss
-    f_hi = probe(val + h)
-    f_lo = probe(lo_val) if lo_val != val else f_center
-    if f_hi is not None and f_lo is not None and val + h != lo_val:
-        return (f_hi - f_lo) / (val + h - lo_val)
-    if f_hi is not None:
-        return (f_hi - f_center) / h
-    if f_lo is not None and val != lo_val:
-        return (f_center - f_lo) / (val - lo_val)
-    return 0.0
+    hi, lo = z0 + h, max(z0 - h, 0.0)
+    f_hi, f_lo = probe(hi), (probe(lo) if lo != z0 else center)
+    if f_hi is None:
+        hi, f_hi = z0, center
+    if f_lo is None:
+        lo, f_lo = z0, center
+    return (f_hi - f_lo) / (hi - lo) if hi != lo else 0.0
+
+
+def _stage_gradient(theta, inst, k):
+    """``(loss, zeta_grad, eta_grad)`` of the normalized stage-k loss.
+
+    The backward sweep starts from ``X_bar = 2 (L_k R_k^T - X_star) /
+    ||X_star||^2`` and runs through :func:`~lrpca.solver._soft_backward` for
+    layers k..1; zeta_0 comes from :func:`_fd_zeta0`.  Parameters past
+    iteration k get zero.
+    """
+    states = _forward(theta, inst, k)
+    X = states[-1].product()
+    loss = _norm_loss(X, inst)
+    X_bar = np.subtract(X, inst.X_star, out=X)
+    X_bar *= 2.0 / max(float(np.linalg.norm(inst.X_star) ** 2), 1e-300)
+    L_bar, R_bar = X_bar @ states[-1].R, X_bar.T @ states[-1].L
+    zeta_grad, eta_grad = np.zeros(theta.K + 1), np.zeros(theta.K)
+    for j in range(k, 0, -1):
+        zeta, eta = theta.at(j)
+        f = states[j - 1]
+        L_bar, R_bar, zeta_grad[j], eta_grad[j - 1] = _soft_backward(
+            inst.Y, f.L, f.R, zeta, eta, L_bar, R_bar)
+    zeta_grad[0] = _fd_zeta0(theta, inst, k, loss)
+    return loss, zeta_grad, eta_grad
+
+
+def _capped_step(values, grad, lr, floor):
+    # Trust cap: no parameter moves more than 25% of its own scale per
+    # step, which keeps the raw-gradient magnitudes from different stages
+    # comparable.
+    cap = 0.25 * np.maximum(np.abs(values), floor)
+    return values - np.clip(lr * grad, -cap, cap)
 
 
 def layerwise_train(source, cfg, callback=None):
@@ -204,56 +173,46 @@ def layerwise_train(source, cfg, callback=None):
     Raises
     ------
     TrainingDiverged
-        If the training loss becomes NaN/Inf at some stage.
+        If the training loss or its gradient becomes NaN/Inf at some stage.
     """
     theta = _initial_schedule(source, cfg)
     counter = 1  # instance 0 was the probe
     lr = cfg.learning_rate
-    h = cfg.fd_epsilon
     for stage in range(cfg.K + 1):
-        # zeta_0..zeta_stage and eta_1..eta_stage influence the stage output.
-        active = list(range(stage + 1)) + [cfg.K + 1 + j for j in range(stage)]
         for step in range(cfg.sgd_steps_per_stage):
             inst = source.instance(counter)
             counter += 1
             try:
-                ctx = _StepContext(theta, inst, stage)
+                loss, g_zeta, g_eta = _stage_gradient(theta, inst, stage)
             except LrpcaError as exc:
                 raise TrainingDiverged(stage, f"stage {stage}: {exc}") from exc
-            if not math.isfinite(ctx.center_loss):
+            if not np.isfinite(np.r_[loss, g_zeta, g_eta]).all():
                 raise TrainingDiverged(stage)
-            grads = [_fd_gradient(ctx, idx, h) for idx in active]
-            for idx, g in zip(active, grads):
-                val = _param_value(theta, idx)
-                update = lr * g
-                # Trust cap: no parameter moves more than 25% of its own
-                # scale per step, which keeps the raw-gradient magnitudes
-                # from different stages comparable.
-                cap = 0.25 * max(abs(val), 1e-4)
-                update = float(np.clip(update, -cap, cap))
-                theta = _perturbed(theta, idx, val - update)
+            # Thresholds may reach 0 but not cross it; the step-size cap has
+            # no floor, so every eta stays above 3/4 of its value.
+            zetas = np.maximum(_capped_step(np.array(theta.zetas), g_zeta,
+                                            lr, 1e-4), 0.0)
+            etas = _capped_step(np.array(theta.etas), g_eta, lr, 0.0)
+            theta = theta.replace(zetas=tuple(zetas), etas=tuple(etas))
             if callback is not None:
-                callback(stage, step, ctx.center_loss)
+                callback(stage, step, loss)
     return theta
 
 
-def grid_search_tail(theta, dataset, cfg, jobs=1):
+def grid_search_tail(theta, dataset, cfg):
     """Phase two: exhaustive (beta, phi) search for the geometric tail.
 
     Evaluates the mean squared reconstruction error after ``cfg.K_bar``
     iterations for every grid pair and returns the schedule with the
     minimizing pair; ties break toward smaller phi, then smaller beta.
-    Grid points are independent and evaluate on ``jobs`` worker threads;
-    the tie-break order is fixed regardless of scheduling.
     """
     if not dataset:
         raise ValueError("dataset must be nonempty")
     K, K_bar = theta.K, cfg.K_bar
     # The first K iterations do not depend on (beta, phi); cache them.
-    cached = [(inst, _forward(theta, inst, K)[1]) for inst in dataset]
+    cached = [(inst, _forward(theta, inst, K)[-1]) for inst in dataset]
 
-    def tail_loss(pair):
-        beta, phi = pair
+    def tail_loss(beta, phi):
         cand = theta.replace(beta=beta, phi=phi)
         total = 0.0
         for inst, factors in cached:
@@ -262,16 +221,9 @@ def grid_search_tail(theta, dataset, cfg, jobs=1):
             total += float(np.linalg.norm(X_final - inst.X_star) ** 2)
         return total / len(cached)
 
-    pairs = [(beta, phi) for phi in cfg.grid_values()
-             for beta in cfg.grid_values()]
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            losses = list(pool.map(tail_loss, pairs))
-    else:
-        losses = [tail_loss(pair) for pair in pairs]
-    _, phi, beta = min((loss, phi, beta)
-                       for (beta, phi), loss in zip(pairs, losses))
+    grid = cfg.grid_values()
+    _, phi, beta = min((tail_loss(beta, phi), phi, beta)
+                       for phi in grid for beta in grid)
     return theta.replace(beta=beta, phi=phi)
 
 
@@ -279,7 +231,8 @@ def train_schedule(source, cfg, grid_instances=20, callback=None):
     """Run both phases; returns the complete schedule.
 
     The grid phase uses ``grid_instances`` fresh instances drawn after the
-    ones consumed by SGD.
+    ones consumed by SGD.  ``callback`` is passed to
+    :func:`layerwise_train`.
     """
     theta = layerwise_train(source, cfg, callback=callback)
     start = 1 + (cfg.K + 1) * cfg.sgd_steps_per_stage

@@ -159,3 +159,49 @@ def dense_reference_solve(Y, L, R, S, params, mode, tol, max_iters,
         if mode == "iterate_change" and change < tol:
             break
     return X, S, residuals, rel_errs
+
+
+def dense_layer_vjp(Y, L, R, zeta, eta, L_bar, R_bar):
+    """Dense reverse mode through one soft-threshold iteration.
+
+    The layer is ``L' = L + eta C R (R^T R)^{-1}``,
+    ``R' = R + eta C^T L (L^T L)^{-1}`` with ``C = clip(Y - L R^T, +-zeta)``.
+    Every matrix is formed in full and the Gram inverses come from
+    ``np.linalg.inv``.  Given the adjoints of ``(L', R')`` it returns those of
+    ``(L, R, zeta, eta)``.
+    """
+    T = Y - L @ R.T
+    C = np.clip(T, -zeta, zeta)
+    GR_inv = np.linalg.inv(R.T @ R)
+    GL_inv = np.linalg.inv(L.T @ L)
+    P = C @ R @ GR_inv
+    Q = C.T @ L @ GL_inv
+    # Adjoints of M = C R and N = C^T L.
+    M_bar = eta * L_bar @ GR_inv
+    N_bar = eta * R_bar @ GL_inv
+    C_bar = M_bar @ R.T + L @ N_bar.T
+    inside = np.abs(T) < zeta
+    T_bar = np.where(inside, C_bar, 0.0)
+    zeta_bar = float(np.sum(np.where(np.abs(T) > zeta, C_bar * np.sign(T),
+                                     0.0)))
+    eta_bar = float(np.sum(L_bar * P) + np.sum(R_bar * Q))
+    # d(G^{-1}) = -G^{-1} dG G^{-1}, and G = R^T R gives dG = dR^T R + R^T dR.
+    GR_bar = -P.T @ M_bar
+    GL_bar = -Q.T @ N_bar
+    L_in = L_bar + C @ N_bar - T_bar @ R + L @ (GL_bar + GL_bar.T)
+    R_in = R_bar + C.T @ M_bar - T_bar.T @ L + R @ (GR_bar + GR_bar.T)
+    return L_in, R_in, zeta_bar, eta_bar
+
+
+def central_difference_gradient(f, values, h):
+    """Gradient-check oracle: ``(f(v + h e_i) - f(v - h e_i)) / 2h`` for
+    every coordinate of ``values``.  Exact to O(h^2) where ``f`` is smooth,
+    that is, away from the kinks of the soft threshold."""
+    values = np.asarray(values, dtype=np.float64)
+    grad = np.empty_like(values)
+    for i in range(values.size):
+        hi, lo = values.copy(), values.copy()
+        hi[i] += h
+        lo[i] -= h
+        grad[i] = (f(hi) - f(lo)) / (2.0 * h)
+    return grad

@@ -168,19 +168,28 @@ def test_criterion_07_recoverability_trend(trained_high_alpha):
 def test_criterion_08_runtime_scaling():
     t0 = time.perf_counter()
     rows_2000 = runtime_scaling_bench([2000], [5, 10, 20], iters=10, base_seed=50)
-    rows_4000 = runtime_scaling_bench([4000], [5], iters=10, base_seed=50)
-    times = {(row["n"], row["r"]): row["median_iter_ms"]
-             for row in rows_2000 + rows_4000}
+    times = {(row["n"], row["r"]): row["median_iter_ms"] for row in rows_2000}
     r_ratio = times[(2000, 10)] / times[(2000, 5)]
     r_ratio_20 = times[(2000, 20)] / times[(2000, 5)]
-    n_ratio = times[(4000, 5)] / times[(2000, 5)]
+    # The host's speed drifts in phases of seconds to minutes, so the
+    # n-doubling ratio is the median over pairs of n = 2000 and n = 4000
+    # solves timed back to back, alternating which size runs first.
+    n_ratios = []
+    for rep in range(5):
+        sizes = (2000, 4000) if rep % 2 == 0 else (4000, 2000)
+        pair = {n: runtime_scaling_bench([n], [5], iters=10,
+                                         base_seed=50)[0]["median_iter_ms"]
+                for n in sizes}
+        n_ratios.append(pair[4000] / pair[2000])
+    n_ratio = float(np.median(n_ratios))
     wall = time.perf_counter() - t0
     assert r_ratio <= 2.5
     assert r_ratio_20 <= 5.0  # at-most-linear growth in the rank
     assert n_ratio <= 5.5
     assert wall < 120.0
     report("C8", f"r10/r5 = {r_ratio:.2f} <= 2.5, r20/r5 = {r_ratio_20:.2f} "
-                 f"<= 5, n-doubling {n_ratio:.2f} <= 5.5, {wall:.0f}s")
+                 f"<= 5, n-doubling {n_ratio:.2f} (median of 5 pairs) <= 5.5, "
+                 f"{wall:.0f}s")
 
 
 def test_criterion_09_generalization(trained_base, trained_target_large_n,

@@ -3,7 +3,8 @@ import os
 import numpy as np
 import pytest
 
-from lrpca import read_matrix, read_schedule, write_pgm
+from lrpca import (InstanceSource, TrainConfig, read_matrix, read_schedule,
+                   train_schedule, write_pgm)
 from lrpca.cli import main, parse_config
 from lrpca.video import moving_blob_scene
 
@@ -148,6 +149,30 @@ class TestTrainCommand:
         code = run(["train", "--n", 20, "--r", 2, "--K", 3, "--K-bar", 2,
                     "--out", tmp_path / "t3"])
         assert code == 2
+
+    def test_same_pipeline_and_defaults_as_library(self, tmp_path):
+        # No --sgd-steps-per-stage: the CLI takes TrainConfig's default and
+        # runs train_schedule, so it learns the library's schedule.
+        out = tmp_path / "lib"
+        assert run(["train", "--n", 25, "--r", 2, "--alpha", "0.1",
+                    "--K", 1, "--K-bar", 2, "--grid-min", "0.5",
+                    "--grid-max", "1.0", "--grid-step", "0.5",
+                    "--grid-instances", 2, "--seed", 8, "--out", out]) == 0
+        cfg = TrainConfig(K=1, K_bar=2, grid=(0.5, 1.0, 0.5), seed=8)
+        theta = train_schedule(InstanceSource(25, 25, 2, 0.1, base_seed=8),
+                               cfg, grid_instances=2)
+        assert read_schedule(out / "schedule.csv") == theta
+        steps = TrainConfig.sgd_steps_per_stage
+        assert len(read_lines(out / "training_log.csv")) == 1 + 2 * steps
+        assert f"sgd_steps_per_stage = {steps}" in read_lines(
+            out / "manifest.txt")
+
+    def test_removed_flags_rejected(self, tmp_path):
+        for flag in ("--fd-epsilon", "--jobs"):
+            with pytest.raises(SystemExit) as info:
+                run(["train", "--n", 20, "--r", 2, flag, "1",
+                     "--out", tmp_path / "t4"])
+            assert info.value.code == 2
 
     def test_deterministic_schedule(self, tmp_path):
         args = ["train", "--n", 25, "--r", 2, "--alpha", "0.1", "--K", 1,

@@ -102,6 +102,12 @@ class TestSerialization:
         with pytest.raises(ParseError):
             import_schedule([("zeta", 0, 1.0), ("zeta", 2, 0.5)])
 
+    @pytest.mark.parametrize("eta", [-3.0, 0.0])
+    def test_nonpositive_eta_rejected(self, eta):
+        with pytest.raises(ParseError, match="step sizes"):
+            import_schedule([("zeta", 0, 1.0), ("zeta", 1, 0.5),
+                             ("eta", 1, eta)])
+
     def test_file_round_trip(self, tmp_path):
         theta = make_schedule()
         path = tmp_path / "schedule.csv"
@@ -128,6 +134,11 @@ class TestValidation:
     def test_negative_zeta_rejected(self):
         with pytest.raises(ValueError):
             ParamSchedule(zetas=(-1.0, 0.5), etas=(0.5,))
+
+    @pytest.mark.parametrize("eta", [-3.0, 0.0, float("nan")])
+    def test_nonpositive_eta_rejected(self, eta):
+        with pytest.raises(ValueError, match="step sizes"):
+            ParamSchedule(zetas=(1.0, 0.5), etas=(eta,))
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):

@@ -7,8 +7,9 @@ from lrpca import (FactorPair, FixedSchedule, InvalidInput, MissingGroundTruth,
                    scaledgd_step, solve, solve_scaledgd, spectral_init,
                    support_of, truncated_svd)
 from lrpca import solver as solver_module
-from lrpca.solver import _block_rows, _low_rank_change
-from oracles import dense_reference_solve, scalar_lrpca_step
+from lrpca.solver import _block_rows, _low_rank_change, _soft_backward
+from oracles import (dense_layer_vjp, dense_reference_solve,
+                     scalar_lrpca_step)
 
 
 def rank_r_instance(rng, n1=30, n2=24, r=3, noise=0.0):
@@ -423,3 +424,26 @@ class TestSolveScaledgd:
         from lrpca import InvalidFraction
         with pytest.raises(InvalidFraction):
             solve_scaledgd(Y, 2, 1.5, 0.5)
+
+
+class TestSoftBackward:
+    @pytest.mark.parametrize("n1, n2, r, alpha", MULTI_SLAB)
+    def test_matches_dense_vjp(self, n1, n2, r, alpha):
+        # MULTI_SLAB spans several slabs with a partial last one, at r > 1
+        # and at r = 1 (the broadcast outer-product path).
+        inst = gen_instance(n1, n2, r, alpha, 5)
+        f = spectral_init(inst.Y, r, float(np.abs(inst.Y).max()),
+                          seed=1).factors
+        L, R = f.L, f.R
+        T = inst.Y - L @ R.T
+        zeta = float(np.quantile(np.abs(T), 0.7))  # both sides of the clip
+        rng = np.random.default_rng(8)
+        L_bar = rng.standard_normal(L.shape)
+        R_bar = rng.standard_normal(R.shape)
+        got = _soft_backward(inst.Y, L, R, zeta, 0.6, L_bar, R_bar)
+        ref = dense_layer_vjp(inst.Y, L, R, zeta, 0.6, L_bar, R_bar)
+        for a, b in zip(got[:2], ref[:2]):
+            assert np.linalg.norm(a - b) <= 1e-11 * np.linalg.norm(b)
+        assert got[2] == pytest.approx(ref[2], rel=1e-11)
+        assert got[3] == pytest.approx(ref[3], rel=1e-11)
+        assert ref[2] != 0.0
