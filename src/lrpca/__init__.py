@@ -7,7 +7,7 @@ from .errors import (ConvergenceFailure, FormatError, InvalidDimensions,
                      ParseError, SingularGram, TrainingDiverged)
 from .estimators import LRPCA, UnfoldingTrainer
 from .linalg import TruncatedSVD, gram_solve, matrix_norm, truncated_svd
-from .operators import SupportSet, soft_threshold, sparsify_top_fraction, support_of
+from .operators import soft_threshold, sparsify_top_fraction
 from .schedule import (ParamSchedule, export_schedule, import_schedule,
                        read_schedule, rescale_schedule, schedule_at,
                        write_schedule)
@@ -26,7 +26,7 @@ __version__ = "0.1.0"
 __all__ = [
     "LRPCA", "UnfoldingTrainer",
     "TruncatedSVD", "matrix_norm", "truncated_svd", "gram_solve",
-    "SupportSet", "soft_threshold", "sparsify_top_fraction", "support_of",
+    "soft_threshold", "sparsify_top_fraction",
     "ParamSchedule", "schedule_at", "rescale_schedule", "export_schedule",
     "import_schedule", "read_schedule", "write_schedule",
     "FactorPair", "SolverState", "StopRule", "SolveTrace",

@@ -91,16 +91,15 @@ def convergence_bench(solver_specs, instance, stop):
 
 
 def recoverability_sweep(alphas, trials_per_alpha, spec_factory, success_tol,
-                         n=500, r=5, base_seed=900, max_iters=150, jobs=1):
+                         n=500, r=5, base_seed=900, max_iters=150):
     """Success counts per (alpha, solver).
 
     ``spec_factory(alpha)`` supplies the solver list for each outlier level
     (the baseline's keep-fraction depends on alpha).  Trial t at every alpha
     reuses seed ``base_seed + t``, so sweeps share instances across levels.
     Success means the final relative error against the true low-rank part
-    is below ``success_tol``; solver failures count as misses.  Trials run
-    on ``jobs`` worker threads; row order is fixed by (alpha, trial, solver)
-    regardless of scheduling.
+    is below ``success_tol``; solver failures count as misses.  Rows are
+    ordered by (alpha, trial, solver).
     """
     if trials_per_alpha < 1:
         raise InvalidInput("need at least one trial per alpha")
@@ -114,21 +113,15 @@ def recoverability_sweep(alphas, trials_per_alpha, spec_factory, success_tol,
             for spec in specs:
                 tasks.append((alpha, t, spec))
 
-    def run_one(task):
-        alpha, t, spec = task
+    rows = []
+    for alpha, t, spec in tasks:
         inst = gen_instance(n, n, r, alpha, base_seed + t)
         try:
             X, S, trace = spec.run(inst, stop)
         except LrpcaError:
-            return _row(spec, inst, None, False)
-        return _row(spec, inst, trace, trace.rel_errs[-1] < success_tol)
-
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(run_one, tasks))
-    else:
-        rows = [run_one(task) for task in tasks]
+            rows.append(_row(spec, inst, None, False))
+            continue
+        rows.append(_row(spec, inst, trace, trace.rel_errs[-1] < success_tol))
     return BenchReport(rows)
 
 

@@ -165,8 +165,7 @@ def cmd_train(args):
     out = _outdir(s)
 
     cfg = TrainConfig(K=K, K_bar=K_bar, sgd_steps_per_stage=steps,
-                      learning_rate=lr, grid=(grid_min, grid_max, grid_step),
-                      seed=seed)
+                      learning_rate=lr, grid=(grid_min, grid_max, grid_step))
     source = InstanceSource(n, n2, r, alpha, base_seed=seed)
     log_rows = []
     theta = train_schedule(
@@ -256,7 +255,6 @@ def cmd_bench(args):
     s = Settings(args)
     kind = s.require("kind")
     out = _outdir(s)
-    jobs = s.get("jobs", default=1, cast=int)
     seed = s.seed()
 
     if kind == "convergence":
@@ -287,7 +285,7 @@ def cmd_bench(args):
 
         report = bench_mod.recoverability_sweep(
             alphas, trials, factory, success_tol, n=n, r=r,
-            base_seed=seed, max_iters=max_iters, jobs=jobs)
+            base_seed=seed, max_iters=max_iters)
     elif kind == "runtime":
         n_list = s.require("n_list", cast=lambda v: [int(x) for x in str(v).split(",")])
         r_list = s.require("r_list", cast=lambda v: [int(x) for x in str(v).split(",")])
@@ -419,7 +417,6 @@ def build_parser():
     common(p)
     p.add_argument("--kind", choices=["convergence", "recoverability",
                                       "runtime", "generalization"])
-    p.add_argument("--jobs", type=int)
     p.add_argument("--schedule")
     p.set_defaults(func=cmd_bench)
 

@@ -167,8 +167,7 @@ class UnfoldingTrainer(_ParamsMixin):
     def _config(self):
         return TrainConfig(K=self.K, K_bar=self.K_bar,
                            sgd_steps_per_stage=self.sgd_steps_per_stage,
-                           learning_rate=self.learning_rate, grid=self.grid,
-                           seed=self.seed)
+                           learning_rate=self.learning_rate, grid=self.grid)
 
     def fit(self, X=None, y=None):
         cfg = self._config()

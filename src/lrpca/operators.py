@@ -5,31 +5,12 @@ zero by a level ``zeta``) and top-fraction sparsification (keep an entry only
 if it ranks among the largest magnitudes of both its row and its column).
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import InvalidFraction, InvalidThreshold
 from .validation import check_matrix
 
-__all__ = ["SupportSet", "soft_threshold", "sparsify_top_fraction", "support_of"]
-
-
-@dataclass(frozen=True)
-class SupportSet:
-    """Set of (row, col) index pairs inside a fixed matrix shape."""
-
-    indices: frozenset
-    shape: tuple
-
-    def __len__(self):
-        return len(self.indices)
-
-    def __le__(self, other):
-        return self.indices <= other.indices
-
-    def issubset(self, other):
-        return self.indices <= other.indices
+__all__ = ["soft_threshold", "sparsify_top_fraction"]
 
 
 def soft_threshold(M, zeta):
@@ -76,12 +57,3 @@ def _sparsify_unchecked(A, alpha_tilde):
     row_cut = np.partition(mag, n2 - k_row, axis=1)[:, n2 - k_row][:, None]
     col_cut = np.partition(mag, n1 - k_col, axis=0)[n1 - k_col, :][None, :]
     return np.where((mag >= row_cut) & (mag >= col_cut), A, 0.0)
-
-
-def support_of(M, tol=0.0):
-    """Indices of entries with ``|M_ij| > tol`` (strict inequality)."""
-    if tol < 0:
-        raise InvalidThreshold(f"tolerance must be >= 0, got {tol}")
-    A = check_matrix(M, "M")
-    rows, cols = np.nonzero(np.abs(A) > tol)
-    return SupportSet(frozenset(zip(rows.tolist(), cols.tolist())), A.shape)

@@ -187,9 +187,9 @@ def spectral_init(Y, r, zeta0, seed=0):
     ``A``; measured constants stay below 1).  The init thus follows the
     spectral gap rather than an accuracy target, which the iteration does
     not need: it corrects the factors from the first step on.  On smaller
-    inputs an accurate SVD costs no more, so they get
-    :func:`~lrpca.linalg.truncated_svd` (about 1e-10 relative).  Either way
-    ``seed`` fixes the factors bit for bit.
+    inputs an exact LAPACK SVD costs no more, so they get
+    :func:`~lrpca.linalg.truncated_svd` and ignore ``seed``.  Either way
+    the factors are fixed bit for bit.
     """
     Ym = check_matrix(Y, "Y")
     r = check_rank(r, *Ym.shape)
@@ -199,12 +199,12 @@ def spectral_init(Y, r, zeta0, seed=0):
 
 def _factor_state(Y, S0, r, seed):
     A = Y - S0
-    # Below a short side of twice the sketch width an accurate SVD costs no
+    # Below a short side of twice the sketch width an exact SVD costs no
     # more than the sketch, so small inputs keep the exact truncation.
     if min(A.shape) > 2 * (r + _SKETCH_OVERSAMPLE):
         f = _sketch_svd(A, r, seed)
     else:
-        f = truncated_svd(A, r, seed=seed)
+        f = truncated_svd(A, r)
     root = np.sqrt(f.sigma)
     return SolverState(FactorPair(f.U * root, f.V * root), S0, 0)
 

@@ -41,7 +41,6 @@ class TrainConfig:
     sgd_steps_per_stage: int = 15
     learning_rate: float = 0.1
     grid: tuple = (0.1, 1.0, 0.1)  # (min, max, step) for both beta and phi
-    seed: int = 0
     init_eta: float = 0.65
     init_decay: float = 0.65
 

@@ -28,7 +28,7 @@ def _train(n, r, alpha, seed, steps, grid=(0.1, 1.0, 0.1), grid_instances=20,
            K=10, K_bar=15):
     from lrpca import InstanceSource, TrainConfig, train_schedule
     cfg = TrainConfig(K=K, K_bar=K_bar, sgd_steps_per_stage=steps,
-                      grid=grid, seed=seed)
+                      grid=grid)
     t0 = time.perf_counter()
     theta = train_schedule(InstanceSource(n, n, r, alpha, base_seed=seed),
                            cfg, grid_instances=grid_instances)
@@ -91,7 +91,7 @@ def trained_video_schedule():
                      [(3, 2, 0.85), (5, 7, 0.8), (1, 4, 0.9), (7, 1, 0.75),
                       (2, 9, 0.85), (6, 5, 0.8), (4, 3, 0.9), (0, 6, 0.82)])]
     source = _ListSource(instances)
-    cfg = TrainConfig(K=5, K_bar=10, sgd_steps_per_stage=8, seed=0)
+    cfg = TrainConfig(K=5, K_bar=10, sgd_steps_per_stage=8)
     t0 = time.perf_counter()
     theta = layerwise_train(source, cfg)
     theta = grid_search_tail(theta, instances, cfg)

@@ -58,18 +58,6 @@ class TestRecoverabilitySweep:
         assert report.success_count() == 0
         assert all(row["iters"] == -1 for row in report.rows)
 
-    def test_jobs_parallel_matches_serial(self):
-        kwargs = dict(success_tol=1e-3, n=30, r=2, base_seed=5, max_iters=8)
-        serial = recoverability_sweep(
-            [0.0, 0.1], 2, lambda a: [lrpca_spec(OracleSchedule(0.5))],
-            jobs=1, **kwargs)
-        parallel = recoverability_sweep(
-            [0.0, 0.1], 2, lambda a: [lrpca_spec(OracleSchedule(0.5))],
-            jobs=2, **kwargs)
-        strip = lambda rows: [{k: v for k, v in r.items() if k != "wall_ms"}
-                              for r in rows]
-        assert strip(serial.rows) == strip(parallel.rows)
-
     def test_needs_trials(self):
         with pytest.raises(InvalidInput):
             recoverability_sweep([0.1], 0, lambda a: [], 1e-3)

@@ -158,7 +158,7 @@ class TestTrainCommand:
                     "--K", 1, "--K-bar", 2, "--grid-min", "0.5",
                     "--grid-max", "1.0", "--grid-step", "0.5",
                     "--grid-instances", 2, "--seed", 8, "--out", out]) == 0
-        cfg = TrainConfig(K=1, K_bar=2, grid=(0.5, 1.0, 0.5), seed=8)
+        cfg = TrainConfig(K=1, K_bar=2, grid=(0.5, 1.0, 0.5))
         theta = train_schedule(InstanceSource(25, 25, 2, 0.1, base_seed=8),
                                cfg, grid_instances=2)
         assert read_schedule(out / "schedule.csv") == theta
@@ -168,10 +168,12 @@ class TestTrainCommand:
             out / "manifest.txt")
 
     def test_removed_flags_rejected(self, tmp_path):
-        for flag in ("--fd-epsilon", "--jobs"):
+        train = ["train", "--n", 20, "--r", 2]
+        bench = ["bench", "--kind", "recoverability"]
+        for args, flag in ((train, "--fd-epsilon"), (train, "--jobs"),
+                           (bench, "--jobs")):
             with pytest.raises(SystemExit) as info:
-                run(["train", "--n", 20, "--r", 2, flag, "1",
-                     "--out", tmp_path / "t4"])
+                run(args + [flag, "1", "--out", tmp_path / "t4"])
             assert info.value.code == 2
 
     def test_deterministic_schedule(self, tmp_path):

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from lrpca import (InvalidFraction, InvalidThreshold, banded_sparse_matrix,
-                   matrix_norm, soft_threshold, sparsify_top_fraction,
-                   support_of)
+                   matrix_norm, soft_threshold, sparsify_top_fraction)
 from oracles import brute_force_sparsify
 
 
@@ -72,25 +71,6 @@ class TestSparsifyTopFraction:
         assert np.array_equal(out != 0, np.abs(M) == 2.0)
 
 
-class TestSupportOf:
-    def test_zero_matrix_empty(self):
-        assert len(support_of(np.zeros((3, 3)), 0.0)) == 0
-
-    def test_single_entry(self):
-        s = support_of([[0.0, 2.0], [0.0, 0.0]], 0.0)
-        assert s.indices == {(0, 1)}
-
-    def test_strict_inequality_at_max(self, rng):
-        M = rng.standard_normal((4, 4))
-        assert len(support_of(M, np.abs(M).max())) == 0
-
-    def test_subset_semantics(self):
-        small = support_of([[0.0, 1.0]], 0.0)
-        big = support_of([[2.0, 1.0]], 0.0)
-        assert small.issubset(big)
-        assert not big.issubset(small)
-
-
 class TestThresholdSupportContainment:
     """With the oracle threshold, no false-positive outliers survive and the
     sparse estimate stays within 2x of the true outliers entrywise."""
@@ -105,7 +85,7 @@ class TestThresholdSupportContainment:
             S_star[mask] = 3.0 * rng.standard_normal(int(mask.sum()))
             zeta = np.abs(X_star - X_k).max()
             S = soft_threshold(X_star + S_star - X_k, zeta)
-            assert support_of(S, 0.0).issubset(support_of(S_star, 0.0))
+            assert not ((S != 0) & (S_star == 0)).any()
             assert np.abs(S - S_star).max() <= 2 * zeta + 1e-12
 
 

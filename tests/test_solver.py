@@ -5,7 +5,7 @@ from lrpca import (FactorPair, FixedSchedule, InvalidInput, MissingGroundTruth,
                    OracleSchedule, ParamSchedule, SingularGram, SolverState,
                    StopRule, gen_instance, lrpca_step, residual_rel,
                    scaledgd_step, solve, solve_scaledgd, spectral_init,
-                   support_of, truncated_svd)
+                   truncated_svd)
 from lrpca import solver as solver_module
 from lrpca.solver import _block_rows, _low_rank_change, _soft_backward
 from oracles import (dense_layer_vjp, dense_reference_solve,
@@ -31,7 +31,7 @@ class TestSpectralInit:
         S = np.zeros_like(X)
         S[rng.random(X.shape) < 0.1] = 5.0
         state = spectral_init(X + S, 3, np.abs(X).max())
-        assert support_of(state.S, 0.0).issubset(support_of(S, 0.0))
+        assert not ((state.S != 0) & (S == 0)).any()
 
     def test_full_shrinkage_gives_plain_svd(self, rng):
         Y = rng.standard_normal((20, 15))
@@ -115,7 +115,7 @@ class TestLrpcaStep:
         state = spectral_init(inst.Y, 3, np.abs(inst.X_star).max())
         zeta = np.abs(inst.X_star - state.low_rank()).max()
         new = lrpca_step(state, inst.Y, zeta=zeta, eta=0.5)
-        assert support_of(new.S, 0.0).issubset(support_of(inst.S_star, 0.0))
+        assert not ((new.S != 0) & (inst.S_star == 0)).any()
 
     def test_gauge_invariance_of_product(self, rng):
         inst = gen_instance(30, 30, 3, 0.1, 9)
@@ -225,12 +225,12 @@ class TestSolve:
             if errs[k - 1] < 1e-11:
                 break
             assert errs[k] <= errs[k - 1] * (1 + 1e-10)
-        true_support = support_of(inst.S_star, 0.0)
+        outside = inst.S_star == 0
         state = spectral_init(inst.Y, 5, np.abs(inst.X_star).max(), seed=1)
         for k in range(1, 15):
             zeta = np.abs(inst.X_star - state.low_rank()).max()
             state = lrpca_step(state, inst.Y, zeta, 0.5)
-            assert support_of(state.S, 0.0).issubset(true_support)
+            assert not ((state.S != 0) & outside).any()
 
     def test_trace_has_init_plus_iterations(self, rng):
         inst = gen_instance(30, 30, 2, 0.1, 4)

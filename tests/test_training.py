@@ -98,7 +98,7 @@ class TestReverseModeGradient:
 
 class TestLayerwiseTrain:
     def test_deterministic(self):
-        cfg = TrainConfig(K=2, K_bar=3, sgd_steps_per_stage=3, seed=4)
+        cfg = TrainConfig(K=2, K_bar=3, sgd_steps_per_stage=3)
         a = layerwise_train(small_source(seed=4), cfg)
         b = layerwise_train(small_source(seed=4), cfg)
         assert a == b
@@ -108,7 +108,7 @@ class TestLayerwiseTrain:
         # training must find it from the deliberately low starting point.
         source = small_source(alpha=0.0, seed=8)
         cfg = TrainConfig(K=0, K_bar=0, sgd_steps_per_stage=30,
-                          learning_rate=0.5, seed=8)
+                          learning_rate=0.5)
         theta0_loss = stage_loss(
             ParamSchedule(zetas=(0.5 * np.abs(source.instance(0).Y).max(),),
                           etas=()),
@@ -121,7 +121,7 @@ class TestLayerwiseTrain:
     def test_loss_improves_on_corrupted_family(self):
         from lrpca.training import _initial_schedule
         source = small_source(alpha=0.1, seed=3)
-        cfg = TrainConfig(K=2, K_bar=3, sgd_steps_per_stage=8, seed=3)
+        cfg = TrainConfig(K=2, K_bar=3, sgd_steps_per_stage=8)
         held = [source.instance(900 + i) for i in range(8)]
         before = stage_loss(_initial_schedule(source, cfg), 2, held)
         theta = layerwise_train(source, cfg)
@@ -138,7 +138,7 @@ class TestLayerwiseTrain:
             def instance(self, i):
                 return bad
 
-        cfg = TrainConfig(K=1, K_bar=1, sgd_steps_per_stage=2, seed=0)
+        cfg = TrainConfig(K=1, K_bar=1, sgd_steps_per_stage=2)
         with pytest.raises(TrainingDiverged) as info:
             layerwise_train(BadSource(), cfg)
         assert info.value.stage == 0
@@ -152,7 +152,7 @@ class TestLayerwiseTrain:
 
         real_backward = training._soft_backward
         monkeypatch.setattr(training, "_soft_backward", nan_backward)
-        cfg = TrainConfig(K=2, K_bar=2, sgd_steps_per_stage=2, seed=0)
+        cfg = TrainConfig(K=2, K_bar=2, sgd_steps_per_stage=2)
         with pytest.raises(TrainingDiverged) as info:
             layerwise_train(small_source(seed=2), cfg)
         assert info.value.stage == 1
@@ -165,7 +165,7 @@ class TestLayerwiseTrain:
             return 1.0, np.zeros(theta.K + 1), np.full(theta.K, 1e6)
 
         monkeypatch.setattr(training, "_stage_gradient", falling)
-        cfg = TrainConfig(K=2, K_bar=2, sgd_steps_per_stage=20, seed=0)
+        cfg = TrainConfig(K=2, K_bar=2, sgd_steps_per_stage=20)
         theta = layerwise_train(small_source(seed=2), cfg)
         assert all(0.0 < e < 1e-4 for e in theta.etas)
 
@@ -210,7 +210,7 @@ class TestTrainSchedule:
         theta = train_schedule(small_source(seed=6),
                                TrainConfig(K=2, K_bar=4,
                                            sgd_steps_per_stage=4,
-                                           grid=(0.5, 1.0, 0.5), seed=6),
+                                           grid=(0.5, 1.0, 0.5)),
                                grid_instances=2)
         assert theta.K == 2
         assert theta.beta in (0.5, 1.0)
