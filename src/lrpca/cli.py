@@ -4,12 +4,15 @@ Subcommands: ``gen`` (synthetic instances), ``train`` (two-phase parameter
 learning), ``solve`` (decompose a matrix), ``bench`` (benchmark harnesses),
 ``bgsub`` (background subtraction on PGM frame sequences).
 
-Configuration files are flat ``key = value`` text with ``#`` comments;
-command-line flags override file values.  Every run writes a ``manifest.txt``
-echoing the fully resolved configuration, and re-running a subcommand with
-``--config manifest.txt`` reproduces the outputs (modulo wall-clock columns).
-The environment variable ``LRPCA_SEED`` provides the seed when neither flag
-nor config sets one.
+Each setting is declared once, as a flag of its subcommand's parser with
+its type and default; the flag ``--some-key`` is also the config key
+``some_key``.  Config files are flat ``key = value`` text with ``#``
+comments.  Precedence: flag > config > ``LRPCA_SEED`` (seed only) >
+default.  A config key that names no setting of the subcommand is a usage
+error (``command``, which manifests carry, is allowed).  Every run writes a
+``manifest.txt`` listing every setting of the subcommand in the syntax
+``--config`` reads, so ``--config manifest.txt`` reproduces the outputs
+(modulo wall-clock columns).
 
 Exit codes: 0 success, 1 runtime/solver failure, 2 usage or config error.
 """
@@ -24,7 +27,7 @@ from .matrixio import read_matrix, write_matrix
 from .schedule import read_schedule, write_schedule
 from .solver import FixedSchedule, OracleSchedule, StopRule, solve
 from .synth import InstanceSource, gen_instance
-from .training import TrainConfig, train_schedule
+from .training import _GRID_INSTANCES, TrainConfig, train_schedule
 from .video import background_subtract, read_pgm_sequence, write_pgm
 
 __all__ = ["main"]
@@ -51,273 +54,205 @@ def parse_config(path):
     return out
 
 
-def write_manifest(path, resolved):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for key, value in resolved.items():
-            fh.write(f"{key} = {value}\n")
+def _layer_config(sub, path):
+    """Make the config file's non-empty values the defaults of subparser
+    ``sub``: argparse casts a string default through the flag's ``type``
+    when the flag is absent, so flags still win and bad values exit 2."""
+    values = parse_config(path)
+    actions = {a.dest: a for a in sub._actions if a.dest not in ("help", "config")}
+    unknown = sorted(set(values) - set(actions) - {"command"})
+    if unknown:
+        raise UsageError(f"unknown config keys in {path}: {', '.join(unknown)}")
+    defaults = {}
+    for key, text in values.items():
+        action = actions.get(key)
+        if action is None or text == "":
+            continue
+        if action.nargs == 0:  # a switch; manifests write True or False
+            if text not in ("True", "False"):
+                raise UsageError(f"{key} must be True or False, got {text!r}")
+            text = text == "True"
+        elif action.nargs is not None:  # several values, as on the command line
+            flag_args = [action.option_strings[0], *text.split()]
+            text = getattr(sub.parse_args(flag_args), key)
+        defaults[key] = text
+    sub.set_defaults(**defaults)
 
 
-class Settings:
-    """Layered settings: flags override config values override defaults."""
+def _write_manifest(args):
+    """Every setting of the run, in the syntax ``--config`` reads."""
+    with open(os.path.join(args.out, "manifest.txt"), "w", encoding="utf-8",
+              newline="\n") as fh:
+        for key, value in vars(args).items():
+            if key in ("config", "func"):
+                continue
+            if isinstance(value, list):  # argparse's list of one flag's values
+                value = " ".join(map(str, value))
+            elif isinstance(value, tuple):  # comma-separated; targets are n:r
+                value = ",".join(":".join(map(str, v)) if isinstance(v, tuple)
+                                 else str(v) for v in value)
+            fh.write(f"{key} = {'' if value is None else value}\n")
 
-    def __init__(self, args, extra_defaults=None):
-        self.flags = vars(args)
-        self.config = parse_config(args.config) if getattr(args, "config", None) else {}
-        self.defaults = dict(extra_defaults or {})
-        self.resolved = {}
 
-    def get(self, key, default=None, cast=str):
-        flag = self.flags.get(key.replace("-", "_"))
-        if flag is not None:
-            value = flag
-        elif self.config.get(key, "") != "":
-            value = self.config[key]
-        elif key in self.defaults:
-            value = self.defaults[key]
-        else:
-            value = default
-        if value is None:
-            self.resolved[key] = ""
-            return None
-        try:
-            value = cast(value) if not isinstance(value, bool) else value
-        except (TypeError, ValueError) as exc:
-            raise UsageError(f"bad value for {key!r}: {value!r}") from exc
-        self.resolved[key] = value
-        return value
+def float_list(text):
+    return tuple(map(float, text.split(",")))
 
-    def seed(self, default=0):
-        flag = self.flags.get("seed")
-        try:
-            if flag is not None:
-                value = int(flag)
-            elif self.config.get("seed", "") != "":
-                value = int(self.config["seed"])
-            elif os.environ.get("LRPCA_SEED"):
-                value = int(os.environ["LRPCA_SEED"])
-            else:
-                value = default
-        except ValueError as exc:
-            raise UsageError(f"bad seed value: {exc}") from exc
-        self.resolved["seed"] = value
-        return value
 
-    def require(self, key, cast=str):
-        value = self.get(key, cast=cast)
-        if value is None:
+def int_list(text):
+    return tuple(map(int, text.split(",")))
+
+
+def pair_list(text):
+    pairs = tuple(tuple(map(int, item.split(":"))) for item in text.split(","))
+    if any(len(pair) != 2 for pair in pairs):
+        raise ValueError(f"expected n:r pairs, got {text!r}")
+    return pairs
+
+
+def _require(args, *keys):
+    for key in keys:
+        if getattr(args, key) is None:
             raise UsageError(f"missing required setting {key!r}")
-        return value
 
 
-def _outdir(settings):
-    out = settings.require("out")
-    os.makedirs(out, exist_ok=True)
-    return out
+def _fill(args, **defaults):
+    """Set the settings ``args`` leaves unset to defaults that depend on others."""
+    for key, value in defaults.items():
+        if getattr(args, key) is None:
+            setattr(args, key, value)
 
 
-def _finish(settings, out, command):
-    manifest = {"command": command}
-    manifest.update(settings.resolved)
-    write_manifest(os.path.join(out, "manifest.txt"), manifest)
+def _existing(path, what):
+    if not os.path.isfile(path):
+        raise UsageError(f"{what} file not found: {path}")
+    return path
+
+
+def _outdir(args):
+    _require(args, "out")
+    os.makedirs(args.out, exist_ok=True)
+    return args.out
+
+
+def _stop(args):
+    return StopRule(mode=args.stop_mode, tolerance=args.tol, max_iters=args.max_iters)
 
 
 def cmd_gen(args):
-    s = Settings(args)
-    n = s.get("n", cast=int)
-    n1 = s.get("n1", default=n, cast=int)
-    n2 = s.get("n2", default=n, cast=int)
-    if n1 is None or n2 is None:
+    _fill(args, n1=args.n, n2=args.n)
+    if args.n1 is None or args.n2 is None:
         raise UsageError("need --n or both --n1/--n2")
-    r = s.require("r", cast=int)
-    alpha = s.require("alpha", cast=float)
-    if not 0.0 <= alpha <= 1.0:
-        raise UsageError(f"alpha must be in [0, 1], got {alpha}")
-    seed = s.seed()
-    out = _outdir(s)
-    inst = gen_instance(n1, n2, r, alpha, seed)
-    write_matrix(inst.Y, os.path.join(out, "Y.lrpm"))
-    write_matrix(inst.X_star, os.path.join(out, "X_star.lrpm"))
-    write_matrix(inst.S_star, os.path.join(out, "S_star.lrpm"))
-    _finish(s, out, "gen")
-    print(f"gen: wrote {n1}x{n2} instance (r={r}, alpha={alpha}) to {out}")
-    return 0
+    _require(args, "r", "alpha")
+    if not 0.0 <= args.alpha <= 1.0:
+        raise UsageError(f"alpha must be in [0, 1], got {args.alpha}")
+    out = _outdir(args)
+    inst = gen_instance(args.n1, args.n2, args.r, args.alpha, args.seed)
+    for name in ("Y", "X_star", "S_star"):
+        write_matrix(getattr(inst, name), os.path.join(out, f"{name}.lrpm"))
+    print(f"gen: wrote {args.n1}x{args.n2} instance (r={args.r}, "
+          f"alpha={args.alpha}) to {out}")
 
 
 def cmd_train(args):
-    s = Settings(args)
-    n = s.get("n", default=500, cast=int)
-    n2 = s.get("n2", default=n, cast=int)
-    r = s.get("r", default=5, cast=int)
-    alpha = s.get("alpha", default=0.1, cast=float)
-    d = TrainConfig()
-    K = s.get("K", default=d.K, cast=int)
-    K_bar = s.get("K_bar", default=d.K_bar, cast=int)
-    if K_bar < K:
-        raise UsageError(f"K_bar ({K_bar}) must be >= K ({K})")
-    steps = s.get("sgd_steps_per_stage", default=d.sgd_steps_per_stage,
-                  cast=int)
-    lr = s.get("learning_rate", default=d.learning_rate, cast=float)
-    grid_min = s.get("grid_min", default=d.grid[0], cast=float)
-    grid_max = s.get("grid_max", default=d.grid[1], cast=float)
-    grid_step = s.get("grid_step", default=d.grid[2], cast=float)
-    grid_instances = s.get("grid_instances", default=20, cast=int)
-    seed = s.seed()
-    out = _outdir(s)
+    _fill(args, n2=args.n)
+    if args.K_bar < args.K:
+        raise UsageError(f"K_bar ({args.K_bar}) must be >= K ({args.K})")
+    out = _outdir(args)
 
-    cfg = TrainConfig(K=K, K_bar=K_bar, sgd_steps_per_stage=steps,
-                      learning_rate=lr, grid=(grid_min, grid_max, grid_step))
-    source = InstanceSource(n, n2, r, alpha, base_seed=seed)
-    log_rows = []
-    theta = train_schedule(
-        source, cfg, grid_instances,
-        callback=lambda stage, step, loss: log_rows.append((stage, step, loss)))
-
-    write_schedule(theta, os.path.join(out, "schedule.csv"))
+    cfg = TrainConfig(K=args.K, K_bar=args.K_bar,
+                      sgd_steps_per_stage=args.sgd_steps_per_stage,
+                      learning_rate=args.learning_rate,
+                      grid=(args.grid_min, args.grid_max, args.grid_step))
+    source = InstanceSource(args.n, args.n2, args.r, args.alpha,
+                            base_seed=args.seed)
     with open(os.path.join(out, "training_log.csv"), "w",
-              encoding="utf-8", newline="\n") as fh:
-        fh.write("stage,step,loss\n")
-        for stage, step, loss in log_rows:
-            fh.write(f"{stage},{step},{loss:.17g}\n")
-    _finish(s, out, "train")
-    print(f"train: wrote schedule (K={K}, K_bar={K_bar}, beta={theta.beta}, "
-          f"phi={theta.phi}) to {out}")
-    return 0
-
-
-def _stop_from(s):
-    mode = s.get("stop_mode", default="residual_rel")
-    tol = s.get("tol", default=1e-4, cast=float)
-    max_iters = s.get("max_iters", default=100, cast=int)
-    return StopRule(mode=mode, tolerance=tol, max_iters=max_iters)
+              encoding="utf-8", newline="\n") as log:
+        log.write("stage,step,loss\n")
+        theta = train_schedule(
+            source, cfg, args.grid_instances,
+            callback=lambda stage, step, loss: log.write(
+                f"{stage},{step},{loss:.17g}\n"))
+    write_schedule(theta, os.path.join(out, "schedule.csv"))
+    print(f"train: wrote schedule (K={args.K}, K_bar={args.K_bar}, "
+          f"beta={theta.beta}, phi={theta.phi}) to {out}")
 
 
 def cmd_solve(args):
-    s = Settings(args)
-    y_path = s.require("y")
-    if not os.path.isfile(y_path):
-        raise UsageError(f"matrix file not found: {y_path}")
-    r = s.require("r", cast=int)
-    seed = s.seed()
-    stop = _stop_from(s)
-    out = _outdir(s)
-
-    schedule_path = s.get("schedule")
-    oracle = bool(s.get("oracle", default=False, cast=lambda v: str(v) == "True"))
-    fixed = s.flags.get("fixed")
-    if fixed is None and "fixed" in s.config:
-        fixed = s.config["fixed"].split()
-    if fixed is not None:
-        s.resolved["fixed"] = f"{fixed[0]} {fixed[1]}"
-    truth_path = s.get("truth")
-
-    sources = sum(x is not None and x is not False
-                  for x in (schedule_path, oracle or None, fixed))
-    if sources != 1:
+    _require(args, "y", "r")
+    Y = read_matrix(_existing(args.y, "matrix"))
+    if (args.schedule is not None) + args.oracle + (args.fixed is not None) != 1:
         raise UsageError("choose exactly one of --schedule, --oracle, --fixed")
-    if schedule_path is not None:
-        if not os.path.isfile(schedule_path):
-            raise UsageError(f"schedule file not found: {schedule_path}")
-        schedule = read_schedule(schedule_path)
-    elif fixed is not None:
-        schedule = FixedSchedule(zeta=float(fixed[0]), eta=float(fixed[1]))
+    if args.schedule is not None:
+        schedule = read_schedule(_existing(args.schedule, "schedule"))
+    elif args.fixed is not None:
+        schedule = FixedSchedule(zeta=args.fixed[0], eta=args.fixed[1])
     else:
-        eta = s.get("eta", default=0.5, cast=float)
-        schedule = OracleSchedule(eta=eta)
+        schedule = OracleSchedule(eta=args.eta)
+    truth = None if args.truth is None else read_matrix(_existing(args.truth, "truth"))
+    out = _outdir(args)
 
-    truth = None
-    if truth_path is not None:
-        if not os.path.isfile(truth_path):
-            raise UsageError(f"truth file not found: {truth_path}")
-        truth = read_matrix(truth_path)
-
-    Y = read_matrix(y_path)
-    X, S, trace = solve(Y, r, schedule, stop=stop, truth=truth, seed=seed)
+    X, S, trace = solve(Y, args.r, schedule, stop=_stop(args), truth=truth,
+                        seed=args.seed)
     write_matrix(X, os.path.join(out, "X_hat.lrpm"))
     write_matrix(S, os.path.join(out, "S_hat.lrpm"))
     bench_mod.write_trace(trace, os.path.join(out, "trace.csv"))
-    _finish(s, out, "solve")
     print(f"solve: {trace.iterations} iterations, final residual "
           f"{trace.residuals[-1]:.3e}; outputs in {out}")
-    return 0
 
 
-def _load_lrpca_spec(s, name="lrpca"):
-    schedule_path = s.get("schedule")
-    if schedule_path is not None:
-        if not os.path.isfile(schedule_path):
-            raise UsageError(f"schedule file not found: {schedule_path}")
-        return bench_mod.lrpca_spec(read_schedule(schedule_path), name=name)
-    eta = s.get("eta", default=0.5, cast=float)
-    return bench_mod.lrpca_spec(OracleSchedule(eta=eta), name=name + "-oracle")
+def _lrpca_spec(args):
+    if args.schedule is not None:
+        theta = read_schedule(_existing(args.schedule, "schedule"))
+        return bench_mod.lrpca_spec(theta)
+    return bench_mod.lrpca_spec(OracleSchedule(eta=args.eta), name="lrpca-oracle")
 
 
 def cmd_bench(args):
-    s = Settings(args)
-    kind = s.require("kind")
-    out = _outdir(s)
-    seed = s.seed()
+    _require(args, "kind")
+    out = _outdir(args)
+    seed, kind = args.seed, args.kind
 
     if kind == "convergence":
-        n = s.get("n", default=500, cast=int)
-        r = s.get("r", default=5, cast=int)
-        alpha = s.get("alpha", default=0.1, cast=float)
-        at = s.get("scaledgd_alpha_tilde", default=min(2 * alpha, 1.0), cast=float)
-        eta = s.get("scaledgd_eta", default=0.5, cast=float)
-        stop = _stop_from(s)
-        inst = gen_instance(n, n, r, alpha, seed)
-        specs = [_load_lrpca_spec(s), bench_mod.scaledgd_spec(at, eta)]
-        report, traces = bench_mod.convergence_bench(specs, inst, stop)
+        _fill(args, max_iters=100, scaledgd_alpha_tilde=min(2 * args.alpha, 1.0))
+        inst = gen_instance(args.n, args.n, args.r, args.alpha, seed)
+        specs = [_lrpca_spec(args),
+                 bench_mod.scaledgd_spec(args.scaledgd_alpha_tilde,
+                                         args.scaledgd_eta)]
+        report, traces = bench_mod.convergence_bench(specs, inst, _stop(args))
         for spec_name, trace in traces.items():
             bench_mod.write_trace(trace, os.path.join(out, f"trace_{spec_name}.csv"))
     elif kind == "recoverability":
-        alphas = s.require("alphas", cast=lambda v: [float(x) for x in str(v).split(",")])
-        trials = s.get("trials", default=10, cast=int)
-        n = s.get("n", default=500, cast=int)
-        r = s.get("r", default=5, cast=int)
-        success_tol = s.get("success_tol", default=1e-3, cast=float)
-        max_iters = s.get("max_iters", default=150, cast=int)
-        eta = s.get("scaledgd_eta", default=0.5, cast=float)
-        lrpca = _load_lrpca_spec(s)
+        _require(args, "alphas")
+        _fill(args, max_iters=150, trials=10)
+        lrpca = _lrpca_spec(args)
 
         def factory(alpha):
             return [lrpca,
-                    bench_mod.scaledgd_spec(min(2 * alpha, 1.0), eta)]
+                    bench_mod.scaledgd_spec(min(2 * alpha, 1.0), args.scaledgd_eta)]
 
         report = bench_mod.recoverability_sweep(
-            alphas, trials, factory, success_tol, n=n, r=r,
-            base_seed=seed, max_iters=max_iters)
+            args.alphas, args.trials, factory, args.success_tol,
+            n=args.n, r=args.r, base_seed=seed, max_iters=args.max_iters)
     elif kind == "runtime":
-        n_list = s.require("n_list", cast=lambda v: [int(x) for x in str(v).split(",")])
-        r_list = s.require("r_list", cast=lambda v: [int(x) for x in str(v).split(",")])
-        iters = s.get("iters", default=10, cast=int)
-        alpha = s.get("alpha", default=0.1, cast=float)
-        rows = bench_mod.runtime_scaling_bench(n_list, r_list, iters,
-                                               alpha=alpha, base_seed=seed)
+        _require(args, "n_list", "r_list")
+        rows = bench_mod.runtime_scaling_bench(
+            args.n_list, args.r_list, args.iters, alpha=args.alpha, base_seed=seed)
         report = bench_mod.BenchReport([
-            {"solver": "lrpca", "seed": seed, "alpha": alpha, "n": row["n"],
-             "r": row["r"], "iters": iters, "final_rel_err": float("nan"),
-             "wall_ms": row["median_iter_ms"], "success": 1}
+            {"solver": "lrpca", "seed": seed, "alpha": args.alpha,
+             "n": row["n"], "r": row["r"], "iters": args.iters,
+             "final_rel_err": float("nan"), "wall_ms": row["median_iter_ms"],
+             "success": 1}
             for row in rows])
     elif kind == "generalization":
-        schedule_path = s.require("schedule")
-        if not os.path.isfile(schedule_path):
-            raise UsageError(f"schedule file not found: {schedule_path}")
-        theta = read_schedule(schedule_path)
-        base_n = s.require("base_n", cast=int)
-        base_r = s.require("base_r", cast=int)
-        targets = s.require(
-            "targets",
-            cast=lambda v: [tuple(int(x) for x in item.split(":"))
-                            for item in str(v).split(",")])
-        tol = s.get("tol", default=1e-4, cast=float)
-        trials = s.get("trials", default=5, cast=int)
-        alpha = s.get("alpha", default=0.1, cast=float)
-        max_iters = s.get("max_iters", default=200, cast=int)
+        _require(args, "schedule", "base_n", "base_r", "targets")
+        _fill(args, max_iters=200, trials=5)
+        theta = read_schedule(_existing(args.schedule, "schedule"))
         rows = bench_mod.generalization_bench(
-            theta, (base_n, base_r), targets, tol, trials=trials,
-            alpha=alpha, base_seed=seed, max_iters=max_iters)
+            theta, (args.base_n, args.base_r), args.targets, args.tol,
+            trials=args.trials, alpha=args.alpha, base_seed=seed,
+            max_iters=args.max_iters)
         report = bench_mod.BenchReport([
-            {"solver": "lrpca-rescaled", "seed": seed + t, "alpha": alpha,
+            {"solver": "lrpca-rescaled", "seed": seed + t, "alpha": args.alpha,
              "n": row["n"], "r": row["r"], "iters": count,
              "final_rel_err": float("nan"), "wall_ms": 0.0, "success": 1}
             for row in rows for t, count in enumerate(row["counts"])])
@@ -325,126 +260,130 @@ def cmd_bench(args):
         raise UsageError(f"unknown bench kind {kind!r}")
 
     bench_mod.write_report(report, os.path.join(out, "report.csv"))
-    _finish(s, out, "bench")
     print(f"bench[{kind}]: wrote report.csv with {len(report.rows)} rows to {out}")
-    return 0
 
 
 def cmd_bgsub(args):
-    s = Settings(args)
-    frames_dir = s.require("frames")
-    if not os.path.isdir(frames_dir):
-        raise UsageError(f"frames directory not found: {frames_dir}")
-    if not any(name.lower().endswith(".pgm") for name in os.listdir(frames_dir)):
-        raise UsageError(f"no PGM frames in {frames_dir}")
-    r = s.require("r", cast=int)
-    schedule_path = s.require("schedule")
-    if not os.path.isfile(schedule_path):
-        raise UsageError(f"schedule file not found: {schedule_path}")
-    seed = s.seed()
-    s.defaults.update({"stop_mode": "iterate_change", "tol": 1e-3})
-    stop = _stop_from(s)
-    out = _outdir(s)
+    _require(args, "frames", "r", "schedule")
+    if not os.path.isdir(args.frames):
+        raise UsageError(f"frames directory not found: {args.frames}")
+    if not any(name.lower().endswith(".pgm") for name in os.listdir(args.frames)):
+        raise UsageError(f"no PGM frames in {args.frames}")
+    theta = read_schedule(_existing(args.schedule, "schedule"))
+    out = _outdir(args)
 
-    seq = read_pgm_sequence(frames_dir)
-    theta = read_schedule(schedule_path)
-    bg, fg, trace = background_subtract(seq, r, theta, stop=stop, seed=seed)
+    seq = read_pgm_sequence(args.frames)
+    bg, fg, trace = background_subtract(seq, args.r, theta, stop=_stop(args),
+                                        seed=args.seed)
     for i, frame in enumerate(bg.frames):
         write_pgm(frame, os.path.join(out, f"bg_{i:05d}.pgm"))
     for i, frame in enumerate(fg.frames):
         write_pgm(frame, os.path.join(out, f"fg_{i:05d}.pgm"))
     bench_mod.write_trace(trace, os.path.join(out, "trace.csv"))
-    _finish(s, out, "bgsub")
     print(f"bgsub: processed {len(seq)} frames in {trace.iterations} iterations; "
           f"outputs in {out}")
-    return 0
 
 
 def build_parser():
+    """The ``lrpca`` parser and its subparsers by command name."""
     parser = argparse.ArgumentParser(
         prog="lrpca",
         description="Low-rank + sparse decomposition with learned schedules")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, func, summary):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(func=func)
         p.add_argument("--config", help="flat key = value config file")
         p.add_argument("--out", help="output directory")
-        p.add_argument("--seed", type=int)
+        p.add_argument("--seed", type=int, default=os.environ.get("LRPCA_SEED") or 0)
+        return p
 
-    p = sub.add_parser("gen", help="generate a synthetic instance")
-    common(p)
+    def stop_rule(p, mode, tol, max_iters):
+        p.add_argument("--stop-mode", default=mode,
+                       choices=["residual_rel", "iterate_change", "fixed_iters"])
+        p.add_argument("--tol", type=float, default=tol)
+        p.add_argument("--max-iters", type=int, default=max_iters)
+
+    p = command("gen", cmd_gen, "generate a synthetic instance")
     p.add_argument("--n", type=int)
     p.add_argument("--n1", type=int)
     p.add_argument("--n2", type=int)
     p.add_argument("--r", type=int)
     p.add_argument("--alpha", type=float)
-    p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("train", help="learn an iteration schedule")
-    common(p)
-    p.add_argument("--n", type=int)
+    p = command("train", cmd_train, "learn an iteration schedule")
+    p.add_argument("--n", type=int, default=500)
     p.add_argument("--n2", type=int)
-    p.add_argument("--r", type=int)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--K", type=int)
-    p.add_argument("--K-bar", dest="K_bar", type=int)
-    p.add_argument("--sgd-steps-per-stage", dest="sgd_steps_per_stage", type=int)
-    p.add_argument("--learning-rate", dest="learning_rate", type=float)
-    p.add_argument("--grid-min", dest="grid_min", type=float)
-    p.add_argument("--grid-max", dest="grid_max", type=float)
-    p.add_argument("--grid-step", dest="grid_step", type=float)
-    p.add_argument("--grid-instances", dest="grid_instances", type=int)
-    p.set_defaults(func=cmd_train)
+    p.add_argument("--r", type=int, default=5)
+    p.add_argument("--alpha", type=float, default=0.1)
+    p.add_argument("--K", type=int, default=TrainConfig.K)
+    p.add_argument("--K-bar", type=int, default=TrainConfig.K_bar)
+    p.add_argument("--sgd-steps-per-stage", type=int,
+                   default=TrainConfig.sgd_steps_per_stage)
+    p.add_argument("--learning-rate", type=float, default=TrainConfig.learning_rate)
+    p.add_argument("--grid-min", type=float, default=TrainConfig.grid[0])
+    p.add_argument("--grid-max", type=float, default=TrainConfig.grid[1])
+    p.add_argument("--grid-step", type=float, default=TrainConfig.grid[2])
+    p.add_argument("--grid-instances", type=int, default=_GRID_INSTANCES)
 
-    p = sub.add_parser("solve", help="decompose a matrix")
-    common(p)
+    p = command("solve", cmd_solve, "decompose a matrix")
     p.add_argument("--y", help="observed matrix (binary format)")
     p.add_argument("--r", type=int)
     p.add_argument("--schedule", help="schedule CSV from train")
-    p.add_argument("--oracle", action="store_true", default=None,
+    p.add_argument("--oracle", action="store_true",
                    help="ground-truth thresholds (requires --truth)")
     p.add_argument("--truth", help="true low-rank matrix")
-    p.add_argument("--fixed", nargs=2, metavar=("ZETA", "ETA"),
+    p.add_argument("--fixed", nargs=2, type=float, metavar=("ZETA", "ETA"),
                    help="constant threshold and step size")
-    p.add_argument("--eta", type=float)
-    p.add_argument("--stop-mode", dest="stop_mode",
-                   choices=["residual_rel", "iterate_change", "fixed_iters"])
-    p.add_argument("--tol", type=float)
-    p.add_argument("--max-iters", dest="max_iters", type=int)
-    p.set_defaults(func=cmd_solve)
+    p.add_argument("--eta", type=float, default=0.5)
+    stop_rule(p, "residual_rel", 1e-4, 100)
 
-    p = sub.add_parser("bench", help="run a benchmark harness")
-    common(p)
+    # Each kind reads some of these; max_iters, trials and
+    # scaledgd_alpha_tilde get kind-dependent defaults in cmd_bench.
+    p = command("bench", cmd_bench, "run a benchmark harness")
     p.add_argument("--kind", choices=["convergence", "recoverability",
                                       "runtime", "generalization"])
     p.add_argument("--schedule")
-    p.set_defaults(func=cmd_bench)
+    p.add_argument("--eta", type=float, default=0.5)
+    p.add_argument("--n", type=int, default=500)
+    p.add_argument("--r", type=int, default=5)
+    p.add_argument("--alpha", type=float, default=0.1)
+    stop_rule(p, "residual_rel", 1e-4, None)
+    p.add_argument("--scaledgd-alpha-tilde", type=float)
+    p.add_argument("--scaledgd-eta", type=float, default=0.5)
+    p.add_argument("--alphas", type=float_list, help="comma-separated alphas")
+    p.add_argument("--trials", type=int)
+    p.add_argument("--success-tol", type=float, default=1e-3)
+    p.add_argument("--n-list", type=int_list, help="comma-separated sizes")
+    p.add_argument("--r-list", type=int_list, help="comma-separated ranks")
+    p.add_argument("--iters", type=int, default=10)
+    p.add_argument("--base-n", type=int)
+    p.add_argument("--base-r", type=int)
+    p.add_argument("--targets", type=pair_list, help="comma-separated n:r pairs")
 
-    p = sub.add_parser("bgsub", help="background subtraction on PGM frames")
-    common(p)
+    p = command("bgsub", cmd_bgsub, "background subtraction on PGM frames")
     p.add_argument("--frames", help="directory of P5 PGM frames")
     p.add_argument("--r", type=int)
     p.add_argument("--schedule")
-    p.add_argument("--stop-mode", dest="stop_mode",
-                   choices=["residual_rel", "iterate_change", "fixed_iters"])
-    p.add_argument("--tol", type=float)
-    p.add_argument("--max-iters", dest="max_iters", type=int)
-    p.set_defaults(func=cmd_bgsub)
+    stop_rule(p, "iterate_change", 1e-3, 100)
 
-    return parser
+    return parser, sub.choices
 
 
 def main(argv=None):
-    parser = build_parser()
+    parser, commands = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except UsageError as exc:
+        if args.config:
+            _layer_config(commands[args.command], args.config)
+            args = parser.parse_args(argv)
+        args.func(args)
+    except (UsageError, LrpcaError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except LrpcaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, UsageError) else 1
+    _write_manifest(args)
+    return 0
 
 
 if __name__ == "__main__":

@@ -15,7 +15,7 @@ from .errors import InvalidInput, MissingGroundTruth
 from .schedule import ParamSchedule
 from .solver import FixedSchedule, OracleSchedule, StopRule, solve
 from .synth import InstanceSource
-from .training import TrainConfig, train_schedule
+from .training import _GRID_INSTANCES, TrainConfig, train_schedule
 from .validation import check_matrix
 
 __all__ = ["LRPCA", "UnfoldingTrainer"]
@@ -149,9 +149,11 @@ class UnfoldingTrainer(_ParamsMixin):
     stage_losses_ : list of (stage, step, loss)
     """
 
-    def __init__(self, n=500, n2=None, rank=5, alpha=0.1, K=10, K_bar=15,
-                 sgd_steps_per_stage=15, learning_rate=0.1,
-                 grid=(0.1, 1.0, 0.1), grid_instances=20, seed=0):
+    def __init__(self, n=500, n2=None, rank=5, alpha=0.1, K=TrainConfig.K,
+                 K_bar=TrainConfig.K_bar,
+                 sgd_steps_per_stage=TrainConfig.sgd_steps_per_stage,
+                 learning_rate=TrainConfig.learning_rate,
+                 grid=TrainConfig.grid, grid_instances=_GRID_INSTANCES, seed=0):
         self.n = n
         self.n2 = n2
         self.rank = rank

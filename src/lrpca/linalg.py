@@ -21,6 +21,10 @@ NORM_KINDS = ("fro", "inf", "two_inf", "one_inf", "spectral")
 _SKETCH_OVERSAMPLE = 10
 _SKETCH_PASSES = 3
 
+# gram_solve rejects G when a squared Cholesky pivot falls to this fraction
+# of G's largest diagonal entry.
+_PIVOT_RTOL = 1e-14
+
 
 @dataclass(frozen=True)
 class TruncatedSVD:
@@ -114,7 +118,7 @@ def _sketch_svd(A, r, seed):
                         np.ascontiguousarray(Vt[:r].T))
 
 
-def gram_solve(V, G, pivot_rtol=1e-14):
+def gram_solve(V, G):
     """Solve ``W @ G = V`` for symmetric positive definite ``G``.
 
     ``G`` is factored once by LAPACK Cholesky, ``G = Lc Lc^T``; ``V`` is
@@ -127,7 +131,7 @@ def gram_solve(V, G, pivot_rtol=1e-14):
     ------
     SingularGram
         If the factorization fails or a squared Cholesky pivot falls below
-        ``pivot_rtol`` times the largest diagonal entry, i.e. G is
+        ``_PIVOT_RTOL`` (1e-14) times the largest diagonal entry, i.e. G is
         numerically singular or indefinite.
     """
     Vm = check_matrix(V, "V")
@@ -141,7 +145,7 @@ def gram_solve(V, G, pivot_rtol=1e-14):
     except np.linalg.LinAlgError as exc:
         raise SingularGram(f"Cholesky factorization failed: {exc}") from exc
     pivot = float((Lc.diagonal() ** 2).min())
-    threshold = pivot_rtol * float(Gm.diagonal().max())
+    threshold = _PIVOT_RTOL * float(Gm.diagonal().max())
     if pivot <= threshold:
         raise SingularGram(f"pivot {pivot:.3e} below {threshold:.3e}")
     Lc_inv = np.linalg.inv(Lc)

@@ -21,16 +21,9 @@ def soft_threshold(M, zeta):
     if zeta < 0:
         raise InvalidThreshold(f"threshold must be >= 0, got {zeta}")
     A = check_matrix(M, "M")
-    return _soft_threshold_unchecked(A, zeta)
-
-
-def _soft_threshold_unchecked(A, zeta):
-    # In-place ops to limit temporaries on large inputs.
-    out = np.abs(A)
-    out -= zeta
-    np.maximum(out, 0.0, out=out)
-    out *= np.sign(A)
-    return out
+    # A - clip(A, +-zeta), written into the clip's buffer: one temporary.
+    C = np.clip(A, -zeta, zeta)
+    return np.subtract(A, C, out=C)
 
 
 def sparsify_top_fraction(M, alpha_tilde):

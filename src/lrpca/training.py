@@ -31,6 +31,13 @@ __all__ = ["TrainConfig", "stage_loss", "layerwise_train", "grid_search_tail",
 # Finite-difference step for zeta_0, in the units of Y.
 _ZETA0_STEP = 1e-5
 
+# Step size and per-iteration threshold decay of the schedule SGD starts from.
+_INIT_ETA = 0.65
+_INIT_DECAY = 0.65
+
+# Instances the tail grid search averages over, by default.
+_GRID_INSTANCES = 20
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -41,8 +48,6 @@ class TrainConfig:
     sgd_steps_per_stage: int = 15
     learning_rate: float = 0.1
     grid: tuple = (0.1, 1.0, 0.1)  # (min, max, step) for both beta and phi
-    init_eta: float = 0.65
-    init_decay: float = 0.65
 
     def __post_init__(self):
         if self.K < 0 or self.K_bar < self.K:
@@ -97,8 +102,8 @@ def _initial_schedule(source, cfg):
     # mirrors the geometric error contraction of the underlying iteration.
     probe = source.instance(0)
     z0 = 0.5 * float(np.abs(probe.Y).max())
-    zetas = tuple(z0 * cfg.init_decay ** k for k in range(cfg.K + 1))
-    etas = tuple(cfg.init_eta for _ in range(cfg.K))
+    zetas = tuple(z0 * _INIT_DECAY ** k for k in range(cfg.K + 1))
+    etas = (_INIT_ETA,) * cfg.K
     return ParamSchedule(zetas=zetas, etas=etas, beta=1.0, phi=1.0)
 
 
@@ -226,7 +231,7 @@ def grid_search_tail(theta, dataset, cfg):
     return theta.replace(beta=beta, phi=phi)
 
 
-def train_schedule(source, cfg, grid_instances=20, callback=None):
+def train_schedule(source, cfg, grid_instances=_GRID_INSTANCES, callback=None):
     """Run both phases; returns the complete schedule.
 
     The grid phase uses ``grid_instances`` fresh instances drawn after the

@@ -7,7 +7,7 @@ from .errors import InvalidDimensions, InvalidInput, InvalidRank
 __all__ = ["check_matrix", "check_rank", "check_same_shape"]
 
 
-def check_matrix(M, name="matrix", allow_empty=False):
+def check_matrix(M, name="matrix"):
     """Coerce ``M`` to a 2-D float64 array and validate it.
 
     Every public operation funnels its matrix arguments through here, so the
@@ -16,9 +16,9 @@ def check_matrix(M, name="matrix", allow_empty=False):
     A = np.asarray(M, dtype=np.float64)
     if A.ndim != 2:
         raise InvalidDimensions(f"{name} must be 2-D, got ndim={A.ndim}")
-    if A.size == 0 and not allow_empty:
+    if A.size == 0:
         raise InvalidDimensions(f"{name} is empty (shape {A.shape})")
-    if A.size and not np.isfinite(A).all():
+    if not np.isfinite(A).all():
         raise InvalidInput(f"{name} contains NaN or Inf entries")
     return np.ascontiguousarray(A)
 

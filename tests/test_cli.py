@@ -3,8 +3,8 @@ import os
 import numpy as np
 import pytest
 
-from lrpca import (InstanceSource, TrainConfig, read_matrix, read_schedule,
-                   train_schedule, write_pgm)
+from lrpca import (InstanceSource, ParamSchedule, TrainConfig, read_matrix,
+                   read_schedule, train_schedule, write_pgm, write_schedule)
 from lrpca.cli import main, parse_config
 from lrpca.video import moving_blob_scene
 
@@ -52,6 +52,27 @@ class TestGen:
         run(["gen", "--n", 10, "--r", 2, "--alpha", "0.1", "--out", out])
         manifest = parse_config(out / "manifest.txt")
         assert manifest["seed"] == "77"
+
+    def test_seed_precedence_flag_config_env(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("LRPCA_SEED", "77")
+        cfg = tmp_path / "c.txt"
+        cfg.write_text("seed = 5\nalpha = 0.2\n")
+        base = ["gen", "--n", 10, "--r", 2, "--config", cfg]
+        for extra, seed, alpha in (([], "5", "0.2"),
+                                   (["--seed", 9, "--alpha", "0.3"], "9", "0.3")):
+            out = tmp_path / f"p{seed}"
+            assert run(base + extra + ["--out", out]) == 0
+            manifest = parse_config(out / "manifest.txt")
+            assert (manifest["seed"], manifest["alpha"]) == (seed, alpha)
+
+    def test_unknown_config_keys_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "c.txt"
+        cfg.write_text("alpha = 0.1\nalpah = 0.3\njobs = 2\n")
+        out = tmp_path / "u"
+        assert run(["gen", "--n", 10, "--r", 2, "--config", cfg,
+                    "--out", out]) == 2
+        assert "alpah, jobs" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSolveCommand:
@@ -223,7 +244,6 @@ iters = 10
 
     def test_generalization_kind(self, tmp_path):
         sched = tmp_path / "sched.csv"
-        from lrpca import ParamSchedule, write_schedule
         write_schedule(
             ParamSchedule(zetas=tuple(0.03 * 0.6 ** k for k in range(4)),
                           etas=(0.65,) * 3, beta=1.0, phi=0.6), sched)
@@ -272,7 +292,6 @@ class TestBgsubCommand:
         for i in range(6):
             write_pgm(frame, frames / f"f{i:03d}.pgm")
         sched = tmp_path / "sched.csv"
-        from lrpca import ParamSchedule, write_schedule
         write_schedule(ParamSchedule(zetas=(1.0, 0.5, 0.25), etas=(0.7, 0.7),
                                      beta=1.0, phi=0.5), sched)
         out = tmp_path / "bg"
@@ -299,7 +318,6 @@ class TestBgsubCommand:
         for i, f in enumerate(seq.frames):
             write_pgm(f, frames / f"f{i:04d}.pgm")
         sched = tmp_path / "sched.csv"
-        from lrpca import ParamSchedule, write_schedule
         write_schedule(
             ParamSchedule(zetas=tuple(0.5 * 0.65 ** k for k in range(6)),
                           etas=(0.7,) * 5, beta=1.0, phi=0.65), sched)
@@ -308,3 +326,68 @@ class TestBgsubCommand:
                     "--out", out])
         assert code == 0
         assert len(list(out.glob("fg_*.pgm"))) == 20
+
+
+# One small run per subcommand (and bench kind): its arguments and the text
+# of a config file read with them.  Bench settings go through the config,
+# the way the bench docs configure them.
+MANIFEST_RUNS = {
+    "gen": (["gen", "--n1", 20, "--n2", 15, "--r", 2, "--alpha", "0.1",
+             "--seed", 3], ""),
+    "train": (["train", "--n", 20, "--r", 2, "--seed", 2],
+              "K = 1\nK_bar = 2\nsgd_steps_per_stage = 1\ngrid_min = 0.5\n"
+              "grid_max = 1.0\ngrid_step = 0.5\ngrid_instances = 1\n"),
+    "solve": (["solve", "--y", "{inst}/Y.lrpm", "--r", 2, "--oracle",
+               "--truth", "{inst}/X_star.lrpm", "--max-iters", 6], ""),
+    "solve-fixed": (["solve", "--y", "{inst}/Y.lrpm", "--r", 2,
+                     "--fixed", "0.05", "0.5", "--tol", "1e-3"], ""),
+    "bgsub": (["bgsub", "--frames", "{frames}", "--r", 1,
+               "--schedule", "{sched}", "--max-iters", 5], ""),
+    "bench-convergence": (["bench", "--kind", "convergence", "--seed", 2],
+                          "n = 30\nr = 2\nstop_mode = fixed_iters\n"
+                          "max_iters = 4\n"),
+    "bench-recoverability": (["bench", "--kind", "recoverability", "--seed", 4],
+                             "alphas = 0.0,0.1\ntrials = 1\nn = 20\nr = 2\n"
+                             "max_iters = 4\n"),
+    "bench-runtime": (["bench", "--kind", "runtime", "--seed", 1],
+                      "n_list = 20,30\nr_list = 1,2\niters = 10\n"),
+    "bench-generalization": (["bench", "--kind", "generalization",
+                              "--schedule", "{sched}", "--seed", 2],
+                             "base_n = 20\nbase_r = 1\ntargets = 30:1,20:2\n"
+                             "tol = 1e-2\ntrials = 1\nmax_iters = 20\n"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MANIFEST_RUNS))
+def test_rerun_from_own_manifest(tmp_path, name):
+    """``--config manifest.txt`` reproduces every output of the run that
+    wrote it (wall-clock columns aside) and writes the same manifest."""
+    inst, frames, sched = tmp_path / "inst", tmp_path / "frames", tmp_path / "s.csv"
+    run(["gen", "--n", 20, "--r", 2, "--alpha", "0.1", "--seed", 3, "--out", inst])
+    frames.mkdir()
+    for i, frame in enumerate(moving_blob_scene(height=8, width=10,
+                                                n_frames=6)[0].frames):
+        write_pgm(frame, frames / f"f{i:02d}.pgm")
+    write_schedule(ParamSchedule(zetas=(0.5, 0.3, 0.2), etas=(0.7, 0.7),
+                                 beta=1.0, phi=0.6), sched)
+    args, config = MANIFEST_RUNS[name]
+    args = [str(a).format(inst=inst, frames=frames, sched=sched) for a in args]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config)
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert run(args + ["--config", cfg, "--out", first]) == 0
+    assert run([args[0], "--config", first / "manifest.txt",
+                "--out", second]) == 0
+
+    names = sorted(p.name for p in first.iterdir())
+    assert names == sorted(p.name for p in second.iterdir())
+    for fname in names:
+        a, b = first / fname, second / fname
+        if fname == "manifest.txt":
+            drop_out = [ln for ln in read_lines(a) if not ln.startswith("out =")]
+            assert drop_out == [ln for ln in read_lines(b)
+                                if not ln.startswith("out =")]
+        elif fname.endswith(".csv"):
+            assert strip_wall(a) == strip_wall(b), fname
+        else:
+            assert a.read_bytes() == b.read_bytes(), fname

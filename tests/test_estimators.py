@@ -1,8 +1,11 @@
+import dataclasses
+import inspect
+
 import numpy as np
 import pytest
 
 from lrpca import (LRPCA, InvalidInput, MissingGroundTruth, ParamSchedule,
-                   UnfoldingTrainer, gen_instance)
+                   TrainConfig, UnfoldingTrainer, gen_instance, train_schedule)
 
 
 class TestLRPCAEstimator:
@@ -85,6 +88,16 @@ class TestUnfoldingTrainer:
                   grid_instances=2, seed=9)
         assert UnfoldingTrainer(**kw).fit().schedule_ == \
             UnfoldingTrainer(**kw).fit().schedule_
+
+    def test_defaults_are_library_defaults(self):
+        params = UnfoldingTrainer().get_params()
+        cfg = TrainConfig()
+        for field in dataclasses.fields(TrainConfig):
+            assert params[field.name] == getattr(cfg, field.name)
+        assert UnfoldingTrainer()._config() == cfg
+        grid_default = inspect.signature(train_schedule).parameters[
+            "grid_instances"].default
+        assert params["grid_instances"] == grid_default
 
     def test_get_params_contract(self):
         tr = UnfoldingTrainer(n=100, rank=3)

@@ -132,7 +132,7 @@ class TestGramSolve:
     def test_diagonal_inverse(self):
         W = gram_solve(np.eye(2), np.diag([2.0, 4.0]))
         assert W == pytest.approx(np.diag([0.5, 0.25]))
-        # A pivot above pivot_rtol * max(diag G) is solved, not rejected.
+        # A pivot above _PIVOT_RTOL * max(diag G) is solved, not rejected.
         W = gram_solve(np.eye(2), np.diag([1.0, 1e-12]))
         assert W == pytest.approx(np.diag([1.0, 1e12]))
 

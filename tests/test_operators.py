@@ -21,6 +21,13 @@ class TestSoftThreshold:
         out = soft_threshold(M, np.abs(M).max())
         assert np.count_nonzero(out) == 0
 
+    def test_equals_sign_formula_across_magnitudes(self, rng):
+        M = (rng.choice([-1.0, 1.0], size=(400, 500))
+             * 10.0 ** rng.uniform(-8, 8, size=(400, 500)))
+        for zeta in (0.0, 1e-6, 0.3, 1e3, 1e7):
+            ref = np.sign(M) * np.maximum(np.abs(M) - zeta, 0.0)
+            assert np.array_equal(soft_threshold(M, zeta), ref)
+
     def test_negative_threshold_rejected(self):
         with pytest.raises(InvalidThreshold):
             soft_threshold([[1.0]], -0.1)
