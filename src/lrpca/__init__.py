@@ -9,8 +9,7 @@ from .estimators import LRPCA, UnfoldingTrainer
 from .linalg import TruncatedSVD, gram_solve, matrix_norm, truncated_svd
 from .operators import soft_threshold, sparsify_top_fraction
 from .schedule import (ParamSchedule, export_schedule, import_schedule,
-                       read_schedule, rescale_schedule, schedule_at,
-                       write_schedule)
+                       read_schedule, rescale_schedule, write_schedule)
 from .solver import (FactorPair, FixedSchedule, OracleSchedule, SolverState,
                      SolveTrace, StopRule, lrpca_step, residual_rel,
                      scaledgd_step, solve, solve_scaledgd, spectral_init)
@@ -27,7 +26,7 @@ __all__ = [
     "LRPCA", "UnfoldingTrainer",
     "TruncatedSVD", "matrix_norm", "truncated_svd", "gram_solve",
     "soft_threshold", "sparsify_top_fraction",
-    "ParamSchedule", "schedule_at", "rescale_schedule", "export_schedule",
+    "ParamSchedule", "rescale_schedule", "export_schedule",
     "import_schedule", "read_schedule", "write_schedule",
     "FactorPair", "SolverState", "StopRule", "SolveTrace",
     "FixedSchedule", "OracleSchedule", "spectral_init", "lrpca_step",

@@ -56,9 +56,8 @@ def scaledgd_spec(alpha_tilde, eta=0.5, name="scaledgd"):
 class BenchReport:
     rows: list
 
-    def success_count(self, solver=None):
-        return sum(r["success"] for r in self.rows
-                   if solver is None or r["solver"] == solver)
+    def success_count(self):
+        return sum(r["success"] for r in self.rows)
 
 
 def _row(spec, inst, trace, success):

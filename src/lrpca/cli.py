@@ -75,6 +75,10 @@ def _layer_config(sub, path):
         elif action.nargs is not None:  # several values, as on the command line
             flag_args = [action.option_strings[0], *text.split()]
             text = getattr(sub.parse_args(flag_args), key)
+        elif action.choices is not None and text not in action.choices:
+            # argparse checks choices only for values given as flags.
+            raise UsageError(f"{key} must be one of "
+                             f"{', '.join(action.choices)}, got {text!r}")
         defaults[key] = text
     sub.set_defaults(**defaults)
 
@@ -134,6 +138,14 @@ def _outdir(args):
     return args.out
 
 
+def _build(factory, **settings):
+    """A schedule source or TrainConfig, whose ValueError is a bad setting."""
+    try:
+        return factory(**settings)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+
+
 def _stop(args):
     return StopRule(mode=args.stop_mode, tolerance=args.tol, max_iters=args.max_iters)
 
@@ -155,14 +167,11 @@ def cmd_gen(args):
 
 def cmd_train(args):
     _fill(args, n2=args.n)
-    if args.K_bar < args.K:
-        raise UsageError(f"K_bar ({args.K_bar}) must be >= K ({args.K})")
+    cfg = _build(TrainConfig, K=args.K, K_bar=args.K_bar,
+                 sgd_steps_per_stage=args.sgd_steps_per_stage,
+                 learning_rate=args.learning_rate,
+                 grid=(args.grid_min, args.grid_max, args.grid_step))
     out = _outdir(args)
-
-    cfg = TrainConfig(K=args.K, K_bar=args.K_bar,
-                      sgd_steps_per_stage=args.sgd_steps_per_stage,
-                      learning_rate=args.learning_rate,
-                      grid=(args.grid_min, args.grid_max, args.grid_step))
     source = InstanceSource(args.n, args.n2, args.r, args.alpha,
                             base_seed=args.seed)
     with open(os.path.join(out, "training_log.csv"), "w",
@@ -185,9 +194,9 @@ def cmd_solve(args):
     if args.schedule is not None:
         schedule = read_schedule(_existing(args.schedule, "schedule"))
     elif args.fixed is not None:
-        schedule = FixedSchedule(zeta=args.fixed[0], eta=args.fixed[1])
+        schedule = _build(FixedSchedule, zeta=args.fixed[0], eta=args.fixed[1])
     else:
-        schedule = OracleSchedule(eta=args.eta)
+        schedule = _build(OracleSchedule, eta=args.eta)
     truth = None if args.truth is None else read_matrix(_existing(args.truth, "truth"))
     out = _outdir(args)
 
@@ -204,7 +213,7 @@ def _lrpca_spec(args):
     if args.schedule is not None:
         theta = read_schedule(_existing(args.schedule, "schedule"))
         return bench_mod.lrpca_spec(theta)
-    return bench_mod.lrpca_spec(OracleSchedule(eta=args.eta), name="lrpca-oracle")
+    return bench_mod.lrpca_spec(_build(OracleSchedule, eta=args.eta), "lrpca-oracle")
 
 
 def cmd_bench(args):

@@ -131,9 +131,6 @@ class _ListSource:
     def instance(self, i):
         return self._data[i % len(self._data)]
 
-    def batch(self, start, count):
-        return [self.instance(i) for i in range(start, start + count)]
-
 
 class UnfoldingTrainer(_ParamsMixin):
     """Learns iteration parameters from a family of corrupted matrices.

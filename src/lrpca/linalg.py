@@ -38,10 +38,6 @@ class TruncatedSVD:
     sigma: np.ndarray
     V: np.ndarray
 
-    @property
-    def rank(self):
-        return self.sigma.shape[0]
-
     def product(self):
         """Dense reconstruction ``U @ diag(sigma) @ V.T``."""
         return (self.U * self.sigma) @ self.V.T

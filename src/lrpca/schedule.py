@@ -7,14 +7,18 @@ the schedule to arbitrarily many iterations:
 
     k <= K:  (zeta_k, eta_k) as stored
     k >  K:  (phi**(k-K) * zeta_K, beta**(k-K) * eta_K)
+
+A schedule is checked once, when built: thresholds must be >= 0, step sizes
+and tail factors finite and > 0.
 """
 
 import io
+import math
 from dataclasses import dataclass
 
 from .errors import ParseError
 
-__all__ = ["ParamSchedule", "schedule_at", "rescale_schedule",
+__all__ = ["ParamSchedule", "rescale_schedule",
            "export_schedule", "import_schedule",
            "write_schedule", "read_schedule"]
 
@@ -33,12 +37,12 @@ class ParamSchedule:
         object.__setattr__(self, "etas", tuple(float(e) for e in self.etas))
         if len(self.zetas) != len(self.etas) + 1:
             raise ValueError("need len(zetas) == len(etas) + 1")
-        if any(z < 0 for z in self.zetas):
-            raise ValueError("thresholds must be >= 0")
-        if any(not e > 0 for e in self.etas):
-            raise ValueError("step sizes must be > 0")
-        if self.beta <= 0 or self.phi <= 0:
-            raise ValueError("tail factors must be > 0")
+        if not all(z >= 0 for z in self.zetas):
+            raise ValueError(f"thresholds must be >= 0, got {self.zetas}")
+        if not all(map(_positive, self.etas)):
+            raise ValueError(f"step sizes must be finite and > 0, got {self.etas}")
+        if not (_positive(self.beta) and _positive(self.phi)):
+            raise ValueError(f"need 0 < beta, phi < inf, got {self.beta}, {self.phi}")
 
     @property
     def K(self):
@@ -49,8 +53,17 @@ class ParamSchedule:
         return self.zetas[0]
 
     def at(self, k):
-        """(zeta_k, eta_k) for iteration ``k >= 1``."""
-        return schedule_at(self, k)
+        """(zeta_k, eta_k) for iteration ``k >= 1``: stored, then geometric."""
+        k = int(k)
+        if k < 1:
+            raise ValueError("iteration index must be >= 1; zeta_0 is zeta0")
+        K = self.K
+        if k <= K:
+            return self.zetas[k], self.etas[k - 1]
+        if K == 0:
+            raise ValueError("schedule with K=0 has no tail anchor")
+        step = k - K
+        return self.phi ** step * self.zetas[K], self.beta ** step * self.etas[K - 1]
 
     def replace(self, **kw):
         d = dict(zetas=self.zetas, etas=self.etas, beta=self.beta, phi=self.phi)
@@ -58,18 +71,8 @@ class ParamSchedule:
         return ParamSchedule(**d)
 
 
-def schedule_at(theta, k):
-    """Parameters for iteration ``k``: stored for k <= K, geometric beyond."""
-    k = int(k)
-    if k < 1:
-        raise ValueError("iteration index must be >= 1; zeta_0 is theta.zeta0")
-    K = theta.K
-    if k <= K:
-        return theta.zetas[k], theta.etas[k - 1]
-    if K == 0:
-        raise ValueError("schedule with K=0 has no tail anchor")
-    step = k - K
-    return theta.phi ** step * theta.zetas[K], theta.beta ** step * theta.etas[K - 1]
+def _positive(v):
+    return 0 < v < math.inf
 
 
 def rescale_schedule(theta, n_base, r_base, n_target, r_target):

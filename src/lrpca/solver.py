@@ -23,11 +23,12 @@ writes the new ``S`` and accumulates the two thin products ``W R`` and
 solve holds two ``S`` buffers (the stop rule may keep the previous one) and
 builds the returned ``X`` once, at the end.
 
-Thresholds and step sizes come from a schedule source: a learned
-:class:`~lrpca.schedule.ParamSchedule`, a :class:`FixedSchedule`, or an
-:class:`OracleSchedule` that recomputes the theoretical threshold
-``zeta_k = ||L_{k-1} R_{k-1}^T - X_true||_inf`` from ground truth at every
-iteration (useful to verify the guaranteed geometric contraction).
+Thresholds and step sizes come from one of two schedule sources, each
+checked when built: a :class:`~lrpca.schedule.ParamSchedule`, learned or
+fixed (see :func:`FixedSchedule`), or an :class:`OracleSchedule` that
+recomputes the theoretical threshold ``zeta_k = ||L_{k-1} R_{k-1}^T -
+X_true||_inf`` from ground truth at every iteration (useful to verify the
+guaranteed geometric contraction).
 """
 
 import time
@@ -41,7 +42,7 @@ from .errors import (InvalidDimensions, InvalidFraction, InvalidInput,
 from .linalg import (_SKETCH_OVERSAMPLE, _sketch_svd, gram_solve,
                      truncated_svd)
 from .operators import _sparsify_unchecked, soft_threshold
-from .schedule import ParamSchedule
+from .schedule import ParamSchedule, _positive
 from .validation import check_matrix, check_rank, check_same_shape
 
 __all__ = [
@@ -58,10 +59,6 @@ class FactorPair:
 
     L: np.ndarray
     R: np.ndarray
-
-    @property
-    def rank(self):
-        return self.L.shape[1]
 
     def product(self):
         return self.L @ self.R.T
@@ -142,12 +139,10 @@ class SolveTrace:
                         self.rel_errs, self.wall_ms))
 
 
-@dataclass(frozen=True)
-class FixedSchedule:
-    """Constant threshold and step size (zeta is also used for init)."""
-
-    zeta: float
-    eta: float
+def FixedSchedule(zeta, eta):
+    """Constant ``(zeta, eta)``, zeta also for init: the one-layer
+    :class:`ParamSchedule` whose unit tail repeats the pair exactly."""
+    return ParamSchedule(zetas=(zeta, zeta), etas=(eta,))
 
 
 @dataclass(frozen=True)
@@ -155,6 +150,10 @@ class OracleSchedule:
     """Theoretical thresholds computed from ground truth on the fly."""
 
     eta: float = 0.5
+
+    def __post_init__(self):
+        if not _positive(self.eta):
+            raise ValueError(f"step size must be finite and > 0, got {self.eta}")
 
 
 def residual_rel(Y, X, S):
@@ -439,10 +438,6 @@ def _resolve_schedule(schedule, truth):
     for iteration k, given the factors of iterate k - 1."""
     if isinstance(schedule, ParamSchedule):
         return schedule.zeta0, lambda k, f: schedule.at(k)
-    if isinstance(schedule, FixedSchedule):
-        if schedule.zeta < 0:
-            raise InvalidThreshold(f"threshold must be >= 0, got {schedule.zeta}")
-        return schedule.zeta, lambda k, f: (schedule.zeta, schedule.eta)
     if isinstance(schedule, OracleSchedule):
         if truth is None:
             raise MissingGroundTruth("oracle schedule requires the true low-rank matrix")
@@ -509,8 +504,9 @@ def solve(Y, r, schedule, stop=StopRule(), truth=None, seed=0):
         Observed matrix.
     r : int
         Target rank of the low-rank part.
-    schedule : ParamSchedule | FixedSchedule | OracleSchedule
-        Source of per-iteration (zeta, eta).  The oracle source requires
+    schedule : ParamSchedule | OracleSchedule
+        Source of per-iteration (zeta, eta); :func:`FixedSchedule` builds the
+        ``ParamSchedule`` of a constant pair.  The oracle source requires
         ``truth``.
     stop : StopRule
     truth : array_like, optional

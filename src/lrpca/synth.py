@@ -94,6 +94,3 @@ class InstanceSource:
     def instance(self, i):
         return gen_instance(self.n1, self.n2, self.r, self.alpha,
                             self.base_seed + int(i))
-
-    def batch(self, start, count):
-        return [self.instance(i) for i in range(start, start + count)]

@@ -50,10 +50,14 @@ class TrainConfig:
     grid: tuple = (0.1, 1.0, 0.1)  # (min, max, step) for both beta and phi
 
     def __post_init__(self):
-        if self.K < 0 or self.K_bar < self.K:
-            raise ValueError("need 0 <= K <= K_bar")
-        if self.grid[2] <= 0:
-            raise ValueError("grid step must be > 0")
+        if not 0 <= self.K <= self.K_bar or self.K == 0 < self.K_bar:
+            raise ValueError(f"need K_bar >= K >= 1 or K = K_bar = 0, got "
+                             f"K={self.K}, K_bar={self.K_bar}")
+        # Every grid value, rounded as grid_values rounds it, becomes a tail
+        # factor, which must be finite and > 0.
+        lo, hi, step = self.grid
+        if not (0 < round(lo, 12) <= hi < math.inf and 0 < step < math.inf):
+            raise ValueError(f"grid {self.grid} needs 0 < min <= max, step > 0, finite")
 
     def grid_values(self):
         lo, hi, step = self.grid
@@ -102,6 +106,8 @@ def _initial_schedule(source, cfg):
     # mirrors the geometric error contraction of the underlying iteration.
     probe = source.instance(0)
     z0 = 0.5 * float(np.abs(probe.Y).max())
+    if not math.isfinite(z0):
+        raise TrainingDiverged(0, "stage 0: the probe observation is not finite")
     zetas = tuple(z0 * _INIT_DECAY ** k for k in range(cfg.K + 1))
     etas = (_INIT_ETA,) * cfg.K
     return ParamSchedule(zetas=zetas, etas=etas, beta=1.0, phi=1.0)
@@ -240,5 +246,5 @@ def train_schedule(source, cfg, grid_instances=_GRID_INSTANCES, callback=None):
     """
     theta = layerwise_train(source, cfg, callback=callback)
     start = 1 + (cfg.K + 1) * cfg.sgd_steps_per_stage
-    dataset = source.batch(start, grid_instances)
+    dataset = [source.instance(i) for i in range(start, start + grid_instances)]
     return grid_search_tail(theta, dataset, cfg)

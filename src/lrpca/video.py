@@ -63,7 +63,9 @@ def read_pgm(path):
     if len(payload) != width * height:
         raise FormatError(f"{path}: truncated pixel data")
     img = np.frombuffer(payload, dtype=np.uint8).reshape(height, width)
-    return img.astype(np.float64) / 255.0
+    if maxval < 255 and img.max(initial=0) > maxval:
+        raise FormatError(f"{path}: sample {img.max()} exceeds maxval {maxval}")
+    return img.astype(np.float64) / maxval
 
 
 def _header_tokens(data, path):
@@ -146,20 +148,14 @@ def background_subtract(seq, r, schedule, stop=None, seed=0):
 
 
 def moving_blob_scene(height=24, width=32, n_frames=40, blob=5,
-                      background_kind="gradient", amplitude=0.85,
-                      phase=(3, 2)):
+                      amplitude=0.85, phase=(3, 2)):
     """Synthetic test scene: a static background plus one bright moving
     square blob.  Returns ``(FrameSequence, mask_sequence)`` where the mask
     marks the blob pixels of each frame.  ``phase`` offsets the blob track,
     giving distinct scenes from one geometry."""
     yy, xx = np.mgrid[0:height, 0:width]
-    if background_kind == "gradient":
-        # Rank-2 background (constant plus a separable ramp).
-        base = 0.2 + 0.4 * (xx / max(width - 1, 1)) * (yy / max(height - 1, 1))
-    elif background_kind == "flat":
-        base = np.full((height, width), 0.35)
-    else:
-        raise ValueError(f"unknown background kind {background_kind!r}")
+    # Rank-2 background (constant plus a separable ramp).
+    base = 0.2 + 0.4 * (xx / max(width - 1, 1)) * (yy / max(height - 1, 1))
     frames = []
     masks = []
     # Strides larger than the blob keep successive positions disjoint, so no

@@ -127,6 +127,34 @@ class TestSolveCommand:
                     "--fixed", "0.1", "0.5", "--out", tmp_path / "s5"])
         assert code == 2
 
+    @pytest.mark.parametrize("source", [
+        ["--fixed", "0.1", "-3"], ["--fixed", "-0.1", "0.5"],
+        ["--fixed", "nan", "0.5"], ["--oracle", "--eta", "0"],
+    ], ids=["fixed_eta", "fixed_zeta", "fixed_nan", "oracle_eta"])
+    def test_invalid_schedule_values_usage_error(self, instance_dir, tmp_path,
+                                                 source):
+        out = tmp_path / "bad"
+        code = run(["solve", "--y", instance_dir / "Y.lrpm", "--r", 2,
+                    "--truth", instance_dir / "X_star.lrpm", *source,
+                    "--out", out])
+        assert code == 2
+        assert not out.exists()
+
+    def test_config_choice_checked_like_flag(self, instance_dir, tmp_path,
+                                             capsys):
+        base = ["solve", "--y", instance_dir / "Y.lrpm", "--r", 2,
+                "--fixed", "0.1", "0.5", "--out", tmp_path / "c"]
+        with pytest.raises(SystemExit) as info:
+            run(base + ["--stop-mode", "bogus"])
+        assert info.value.code == 2
+        cfg = tmp_path / "c.txt"
+        cfg.write_text("stop_mode = bogus\n")
+        capsys.readouterr()
+        assert run(base + ["--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "stop_mode" in err
+        assert "residual_rel, iterate_change, fixed_iters" in err
+
     def test_manifest_reproduces_outputs(self, instance_dir, tmp_path):
         out = tmp_path / "s6"
         run(["solve", "--y", instance_dir / "Y.lrpm", "--r", 2,
@@ -170,6 +198,17 @@ class TestTrainCommand:
         code = run(["train", "--n", 20, "--r", 2, "--K", 3, "--K-bar", 2,
                     "--out", tmp_path / "t3"])
         assert code == 2
+
+    @pytest.mark.parametrize("grid", [
+        ["--grid-min", "0"], ["--grid-min", "1.0", "--grid-max", "0.5"],
+        ["--grid-step", "0"], ["--grid-max", "inf"],
+    ], ids=["min_zero", "min_above_max", "step_zero", "max_inf"])
+    def test_bad_grid_usage_error_before_training(self, tmp_path, grid):
+        out = tmp_path / "g"
+        code = run(["train", "--n", 20, "--r", 2, "--K", 1, "--K-bar", 2,
+                    *grid, "--out", out])
+        assert code == 2
+        assert not (out / "training_log.csv").exists()
 
     def test_same_pipeline_and_defaults_as_library(self, tmp_path):
         # No --sgd-steps-per-stage: the CLI takes TrainConfig's default and

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from lrpca import (ParamSchedule, ParseError, export_schedule, import_schedule,
-                   read_schedule, rescale_schedule, schedule_at, write_schedule)
+                   read_schedule, rescale_schedule, write_schedule)
 
 
 def make_schedule(K=10, beta=0.8, phi=0.6):
@@ -14,21 +14,21 @@ def make_schedule(K=10, beta=0.8, phi=0.6):
 class TestScheduleAt:
     def test_stored_lookup(self):
         theta = make_schedule()
-        zeta, eta = schedule_at(theta, 3)
+        zeta, eta = theta.at(3)
         assert zeta == theta.zetas[3]
         assert eta == theta.etas[2]
 
     def test_geometric_tail(self):
         theta = make_schedule()
         K = theta.K
-        zeta, eta = schedule_at(theta, K + 2)
+        zeta, eta = theta.at(K + 2)
         assert zeta == pytest.approx(theta.phi ** 2 * theta.zetas[K])
         assert eta == pytest.approx(theta.beta ** 2 * theta.etas[K - 1])
 
     def test_unit_tail_is_constant(self):
         theta = make_schedule(beta=1.0, phi=1.0)
         for k in (11, 20, 50):
-            zeta, eta = schedule_at(theta, k)
+            zeta, eta = theta.at(k)
             assert zeta == theta.zetas[-1]
             assert eta == theta.etas[-1]
 
@@ -36,16 +36,16 @@ class TestScheduleAt:
         theta = make_schedule(beta=0.7, phi=0.9)
         K = theta.K
         for j in range(2, 6):
-            _, eta_hi = schedule_at(theta, K + j)
-            _, eta_lo = schedule_at(theta, K + j - 1)
+            _, eta_hi = theta.at(K + j)
+            _, eta_lo = theta.at(K + j - 1)
             assert eta_hi / eta_lo == pytest.approx(theta.beta, rel=1e-15)
-            z_hi, _ = schedule_at(theta, K + j)
-            z_lo, _ = schedule_at(theta, K + j - 1)
+            z_hi, _ = theta.at(K + j)
+            z_lo, _ = theta.at(K + j - 1)
             assert z_hi / z_lo == pytest.approx(theta.phi, rel=1e-15)
 
     def test_k_zero_rejected(self):
         with pytest.raises(ValueError):
-            schedule_at(make_schedule(), 0)
+            make_schedule().at(0)
 
 
 class TestRescale:
@@ -135,7 +135,7 @@ class TestValidation:
         with pytest.raises(ValueError):
             ParamSchedule(zetas=(-1.0, 0.5), etas=(0.5,))
 
-    @pytest.mark.parametrize("eta", [-3.0, 0.0, float("nan")])
+    @pytest.mark.parametrize("eta", [-3.0, 0.0, float("nan"), float("inf")])
     def test_nonpositive_eta_rejected(self, eta):
         with pytest.raises(ValueError, match="step sizes"):
             ParamSchedule(zetas=(1.0, 0.5), etas=(eta,))
@@ -147,3 +147,23 @@ class TestValidation:
     def test_nonpositive_tail_rejected(self):
         with pytest.raises(ValueError):
             ParamSchedule(zetas=(1.0,), etas=(), beta=0.0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("zetas", (float("nan"), 1.0)), ("zetas", (1.0, float("nan"))),
+        ("beta", float("nan")), ("phi", float("nan")),
+        ("beta", float("inf")), ("phi", float("inf")),
+    ])
+    def test_non_finite_values_rejected(self, field, value):
+        kw = dict(zetas=(1.0, 0.5), etas=(0.5,), beta=0.8, phi=0.6)
+        kw[field] = value
+        with pytest.raises(ValueError):
+            ParamSchedule(**kw)
+
+    @pytest.mark.parametrize("kind, k", [("zeta", 0), ("zeta", 1),
+                                         ("beta", 0), ("phi", 0)])
+    def test_import_rejects_nan(self, kind, k):
+        records = {("zeta", 0): 1.0, ("zeta", 1): 0.5, ("eta", 1): 0.5,
+                   ("beta", 0): 0.8, ("phi", 0): 0.6}
+        records[(kind, k)] = "nan"
+        with pytest.raises(ParseError):
+            import_schedule([(kd, i, v) for (kd, i), v in records.items()])

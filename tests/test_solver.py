@@ -295,6 +295,25 @@ class TestSolve:
         with pytest.raises(InvalidInput):
             StopRule("bogus", 1e-4, 10)
 
+    def test_fixed_schedule_is_one_layer_param_schedule(self):
+        theta = FixedSchedule(zeta=0.3, eta=0.7)
+        assert theta == ParamSchedule(zetas=(0.3, 0.3), etas=(0.7,))
+        assert theta.zeta0 == 0.3
+        assert [theta.at(k) for k in (1, 2, 50)] == [(0.3, 0.7)] * 3
+
+    @pytest.mark.parametrize("zeta, eta", [
+        (-0.1, 0.5), (0.1, 0.0), (0.1, -3.0), (float("nan"), 0.5),
+        (0.1, float("nan")), (0.1, float("inf")),
+    ])
+    def test_invalid_fixed_pair_rejected_when_built(self, zeta, eta):
+        with pytest.raises(ValueError):
+            FixedSchedule(zeta, eta)
+
+    @pytest.mark.parametrize("eta", [0.0, -0.5, float("nan"), float("inf")])
+    def test_invalid_oracle_step_rejected_when_built(self, eta):
+        with pytest.raises(ValueError, match="step size"):
+            OracleSchedule(eta)
+
     @pytest.mark.parametrize("stop, reason", [
         (StopRule("residual_rel", 1e-6, 200), "converged"),
         (StopRule("residual_rel", 1e-6, 3), "max_iters"),
@@ -406,6 +425,55 @@ class TestSlabStreamedIteration:
         np.testing.assert_allclose(trace.residuals, res_ref, rtol=1e-10)
         assert np.linalg.norm(X - X_ref) <= 1e-12 * np.linalg.norm(X_ref)
         assert np.linalg.norm(S - S_ref) <= 1e-12 * np.linalg.norm(S_ref)
+
+
+def _edge_inputs():
+    """``(Y, r)`` for the edge shapes and degenerate inputs of ``solve``."""
+    zero_row = gen_instance(30, 40, 2, 0.1, 5).Y
+    zero_row[7] = 0.0
+    zero_col = gen_instance(30, 40, 2, 0.1, 6).Y
+    zero_col[:, 11] = 0.0
+    return {
+        "full_rank_12x12": (gen_instance(12, 12, 12, 0.1, 1).Y, 12),
+        "full_rank_200x6": (gen_instance(200, 6, 6, 0.1, 2).Y, 6),
+        "full_rank_6x200": (gen_instance(6, 200, 6, 0.1, 3).Y, 6),
+        "single_row_1x50": (gen_instance(1, 50, 1, 0.1, 4).Y, 1),
+        "all_zero": (np.zeros((20, 30)), 2),
+        "constant": (np.full((20, 30), 0.7), 1),
+        "zero_row": (zero_row, 2),
+        "zero_column": (zero_col, 2),
+        # Short side 22 = 2 (r + 10) gets the exact init SVD, 23 the sketch.
+        "exact_init_22x22": (gen_instance(22, 22, 1, 0.1, 7).Y, 1),
+        "sketch_init_23x23": (gen_instance(23, 23, 1, 0.1, 8).Y, 1),
+    }
+
+
+EDGE_INPUTS = _edge_inputs()
+
+
+class TestEdgeShapes:
+    @pytest.mark.parametrize("mode", ["residual_rel", "iterate_change",
+                                      "fixed_iters"])
+    @pytest.mark.parametrize("case", sorted(EDGE_INPUTS))
+    def test_finite_output_and_deterministic(self, case, mode):
+        Y, r = EDGE_INPUTS[case]
+        theta = FixedSchedule(0.5 * float(np.abs(Y).max()), 0.5)
+        stop = StopRule(mode, 1e-6, 30)
+        if case == "all_zero" and mode != "residual_rel":
+            # The residual stop ends at the init (X = S = 0); an update from
+            # the zero init factors meets a singular Gram, as a rank
+            # collapse does.
+            with pytest.raises(SingularGram, match="at iteration 1:"):
+                solve(Y, r, theta, stop, seed=3)
+            return
+        runs = [solve(Y, r, theta, stop, seed=3) for _ in range(2)]
+        X, S, trace = runs[0]
+        assert X.shape == S.shape == Y.shape
+        assert np.isfinite(X).all() and np.isfinite(S).all()
+        assert trace.stop_reason in ("converged", "max_iters")
+        X2, S2, trace2 = runs[1]
+        assert np.array_equal(X, X2) and np.array_equal(S, S2)
+        assert trace.residuals == trace2.residuals
 
 
 class TestSolveScaledgd:

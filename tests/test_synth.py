@@ -72,12 +72,10 @@ class TestInstanceSource:
         a = InstanceSource(20, 20, 2, 0.1, base_seed=5)
         b = InstanceSource(20, 20, 2, 0.1, base_seed=5)
         assert np.array_equal(a.instance(3).Y, b.instance(3).Y)
+        # Instance i is the instance of seed base_seed + i.
+        assert [a.instance(i).seed for i in (10, 11, 12)] == [15, 16, 17]
+        assert np.array_equal(a.instance(3).Y, gen_instance(20, 20, 2, 0.1, 8).Y)
 
     def test_instances_differ(self):
         src = InstanceSource(20, 20, 2, 0.1, base_seed=5)
         assert not np.array_equal(src.instance(0).Y, src.instance(1).Y)
-
-    def test_batch(self):
-        src = InstanceSource(15, 15, 2, 0.1, base_seed=2)
-        batch = src.batch(10, 3)
-        assert [inst.seed for inst in batch] == [12, 13, 14]

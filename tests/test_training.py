@@ -222,3 +222,20 @@ class TestTrainSchedule:
             TrainConfig(K=5, K_bar=4)
         with pytest.raises(ValueError):
             TrainConfig(grid=(0.1, 1.0, 0.0))
+
+    # Each grid value becomes a tail factor (beta or phi), which must be
+    # finite and > 0, so a grid that cannot give one fails before training.
+    @pytest.mark.parametrize("grid", [
+        (1.0, 0.5, 0.1), (0.0, 1.0, 0.5), (-0.5, 1.0, 0.5), (1e-13, 1.0, 0.5),
+        (float("nan"), 1.0, 0.1), (0.1, float("inf"), 0.1),
+        (0.1, 1.0, float("nan")), (0.1, 1.0, float("inf")),
+    ])
+    def test_grid_without_valid_tail_rejected(self, grid):
+        with pytest.raises(ValueError, match="grid"):
+            TrainConfig(grid=grid)
+
+    def test_tail_past_k_zero_rejected(self):
+        # A K = 0 schedule has no step size for the tail to extend.
+        with pytest.raises(ValueError, match="K_bar"):
+            TrainConfig(K=0, K_bar=2)
+        assert TrainConfig(K=0, K_bar=0).K_bar == 0

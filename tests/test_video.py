@@ -36,6 +36,17 @@ class TestPgmDecode:
         with pytest.raises(FormatError):
             read_pgm(path)
 
+    def test_samples_scaled_by_maxval(self, tmp_path):
+        path = minimal_pgm(tmp_path, header=b"P5\n2 1\n15\n",
+                           payload=bytes([15, 7]))
+        assert np.array_equal(read_pgm(path), [[1.0, 7 / 15]])
+
+    def test_sample_above_maxval_rejected(self, tmp_path):
+        path = minimal_pgm(tmp_path, header=b"P5\n2 1\n15\n",
+                           payload=bytes([15, 200]))
+        with pytest.raises(FormatError, match="maxval 15"):
+            read_pgm(path)
+
     def test_truncated_pixels(self, tmp_path):
         path = minimal_pgm(tmp_path, payload=bytes([0, 255]))
         with pytest.raises(FormatError):
