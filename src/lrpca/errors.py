@@ -26,7 +26,8 @@ class InvalidFraction(LrpcaError):
 
 
 class ConvergenceFailure(LrpcaError):
-    """An iterative routine hit its iteration cap without converging."""
+    """An iterative routine did not converge: a solve's residual became
+    NaN or infinite, so its iterates diverged."""
 
 
 class SingularGram(LrpcaError):

@@ -16,12 +16,15 @@ The Gram-scaled steps make the per-iteration progress insensitive to the
 conditioning of the low-rank part.  A baseline variant replaces the
 soft-threshold with top-fraction sparsification.
 
-One iteration makes a single pass over ``Y`` and ``S`` in row slabs (see
-:func:`_soft_pass`): each slab forms its rows of ``L R^T`` once, thresholds,
-writes the new ``S`` and accumulates the two thin products ``W R`` and
-``W^T L``; the rest is ``O(n r^2)`` work on the factors.  Besides ``Y``, a
-solve holds two ``S`` buffers (the stop rule may keep the previous one) and
-builds the returned ``X`` once, at the end.
+One iteration makes a single pass over ``Y`` in row slabs (see
+:func:`_soft_pass`): each slab forms its rows of ``L R^T`` once, thresholds
+and accumulates the thin products ``W R``, ``W^T L`` and ``W^T W R``; the
+rest is ``O(n r^2)`` work on the factors.  The next iterate's residual
+follows from those products (:func:`_next_resid_sq`), so the loop neither
+reads nor writes an ``S``: the returned ``S`` is built once, at the end,
+from the previous factors.  Besides ``Y``, a solve holds one ``S`` and the
+returned ``X``; the ``iterate_change`` stop, which compares consecutive
+``S``, holds two ``S`` buffers and writes one every iteration.
 
 Thresholds and step sizes come from one of two schedule sources, each
 checked when built: a :class:`~lrpca.schedule.ParamSchedule`, learned or
@@ -37,8 +40,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (InvalidDimensions, InvalidFraction, InvalidInput,
-                     InvalidThreshold, MissingGroundTruth, SingularGram)
+from .errors import (ConvergenceFailure, InvalidDimensions, InvalidFraction,
+                     InvalidInput, InvalidThreshold, MissingGroundTruth,
+                     SingularGram)
 from .linalg import (_SKETCH_OVERSAMPLE, _sketch_svd, gram_solve,
                      truncated_svd)
 from .operators import _sparsify_unchecked, soft_threshold
@@ -84,7 +88,8 @@ class StopRule:
     runs exactly ``max_iters`` iterations.  ``max_iters`` caps every mode.
     The change in X is computed from small Gram products of the factors,
     without forming X; it stays accurate far below the tolerances in use
-    (1e-3 to 1e-6).
+    (1e-3 to 1e-6).  So is the residual of every iterate but the first and
+    the returned one (see :class:`SolveTrace`).
     """
 
     mode: str = "residual_rel"
@@ -107,7 +112,17 @@ class SolveTrace:
     ``stop_reason`` says how the solve ended: ``"converged"`` when the stop
     rule's tolerance test passed (``residual_rel`` or ``iterate_change``),
     ``"max_iters"`` when the iteration cap ended it (always the case for
-    ``fixed_iters``).
+    ``fixed_iters``).  An init whose residual is exactly zero ends the solve
+    as ``"converged"`` after 0 iterations in every mode.
+
+    Rows 0 and the last are measured against the stored ``S``: the last row
+    describes exactly the returned ``(X, S)``.  The residuals of the rows in
+    between come from Gram products of the thin factors and the pass's
+    sums.  They differ from the dense ``||Y - X_k - S_k||_F / ||Y||_F`` by
+    about 1e-17 or less in absolute terms: about 1e-11 relative at a
+    residual of 1e-6, 1e-6 relative at 1e-12.  A row whose residual is not
+    finite means the iterates diverged: the solve raises
+    :class:`~lrpca.errors.ConvergenceFailure` naming the iteration.
     """
 
     iters: list = field(default_factory=list)
@@ -209,7 +224,7 @@ def _factor_state(Y, S0, r, seed):
 
 
 # Elements per row slab: a few slab-sized scratch buffers stay in a core's
-# L2 cache while Y and S stream through once per iteration.
+# L2 cache while Y streams through once per iteration.
 _SLAB_ELEMS = 1 << 16
 
 
@@ -218,14 +233,16 @@ def _block_rows(n_rows, n_cols):
 
 
 class _Pass(NamedTuple):
-    """Sums and factor products from one pass at the iterate (L, R, S)."""
+    """Sums and factor products from one pass at the iterate (L, R)."""
 
-    resid_sq: float  # ||Y - L R^T - S||_F^2
-    err_sq: float    # ||L R^T - truth||_F^2
-    dS_sq: float     # ||S' - S||_F^2
-    S_sq: float      # ||S||_F^2
-    WR: np.ndarray   # W R with W = L R^T + S' - Y
-    WtL: np.ndarray  # W^T L
+    resid_sq: float              # ||Y - L R^T - S||_F^2
+    err_sq: float                # ||L R^T - truth||_F^2
+    dS_sq: float = 0.0           # ||S' - prev||_F^2
+    S_sq: float = 0.0            # ||prev||_F^2
+    W_sq: float = 0.0            # ||W||_F^2 with W = L R^T + S' - Y
+    WR: np.ndarray = None        # W R
+    WtL: np.ndarray = None       # W^T L
+    WtWR: np.ndarray = None      # W^T W R
 
 
 def _sq(A):
@@ -240,31 +257,37 @@ def _product_rows(L_rows, RT, out):
     return np.matmul(L_rows, RT, out=out)
 
 
-def _soft_pass(Y, L, R, zeta, S=None, S_out=None, truth=None, track=False):
+def _soft_pass(Y, L, R, zeta, S=None, S_out=None, truth=None, prev=None,
+               resid_next=False):
     """One slab-streamed pass of the soft-threshold iteration.
 
     Every row slab forms ``X_sl = L_sl R^T`` once and ``T_sl = Y_sl - X_sl``,
     then adds ``||T_sl - S_sl||^2`` (when ``S`` is given) and
     ``||X_sl - truth_sl||^2`` (when ``truth`` is given).  With a threshold
-    ``zeta`` it also writes ``S'_sl = T_sl - clip(T_sl, +-zeta)`` into
-    ``S_out`` (when given), adds ``||S'_sl - S_sl||^2`` and ``||S_sl||^2``
-    (when ``track``), fills ``W_sl R`` and accumulates ``W_sl^T L_sl`` with
-    ``W_sl = -clip(T_sl, +-zeta)``.  So one iteration reads Y and S once,
-    writes S' once and never holds an n1 x n2 temporary; without ``zeta``
-    the pass only measures the iterate.
+    ``zeta`` it fills ``W_sl R`` and accumulates ``W_sl^T L_sl`` with
+    ``W_sl = -clip(T_sl, +-zeta)``; it writes ``S'_sl = T_sl + W_sl`` into
+    ``S_out`` (when given) and adds ``||S'_sl - prev_sl||^2`` and
+    ``||prev_sl||^2`` (when ``prev`` is given).  With ``resid_next`` it also
+    adds ``||W_sl||^2`` and accumulates ``W_sl^T W_sl R``, from which
+    :func:`_next_resid_sq` takes the residual of the next iterate.  So one
+    iteration reads Y once, and S only when asked to, and never holds an
+    n1 x n2 temporary; without ``zeta`` the pass only measures the iterate.
     """
     n1, n2 = Y.shape
+    r = L.shape[1]
     step = _block_rows(n1, n2)
     # Scratch is per call: concurrent solves on threads share nothing.
     X_buf = np.empty((step, n2))
     D_buf = np.empty((step, n2))
     C_buf = np.empty((step, n2))
     RT = R.T
-    resid_sq = err_sq = dS_sq = S_sq = 0.0
-    CR = CtL = None
+    resid_sq = err_sq = dS_sq = S_sq = C_sq = 0.0
+    CR = CtL = CtCR = None
     if zeta is not None:
-        CR = np.empty((n1, L.shape[1]))
-        CtL = np.zeros((n2, L.shape[1]))
+        CR = np.empty((n1, r))
+        CtL = np.zeros((n2, r))
+        if resid_next:
+            CtCR = np.zeros((n2, r))
     for i in range(0, n1, step):
         sl = slice(i, i + step)
         b = min(step, n1 - i)
@@ -280,15 +303,44 @@ def _soft_pass(Y, L, R, zeta, S=None, S_out=None, truth=None, track=False):
         np.clip(T, -zeta, zeta, out=C)
         if S_out is not None:
             np.subtract(T, C, out=S_out[sl])
-            if track:
-                dS_sq += _sq(np.subtract(S_out[sl], S[sl], out=D))
-                S_sq += _sq(S[sl])
+            if prev is not None:
+                dS_sq += _sq(np.subtract(S_out[sl], prev[sl], out=D))
+                S_sq += _sq(prev[sl])
         np.matmul(C, R, out=CR[sl])
         CtL += C.T @ L[sl]
+        if resid_next:
+            CtCR += C.T @ CR[sl]
+            C_sq += _sq(C)
     if zeta is not None:
         np.negative(CR, out=CR)
         np.negative(CtL, out=CtL)
-    return _Pass(resid_sq, err_sq, dS_sq, S_sq, CR, CtL)
+    return _Pass(resid_sq, err_sq, dS_sq, S_sq, C_sq, CR, CtL, CtCR)
+
+
+def _soft_last(Y, old, new, zeta, truth=None):
+    """The returned ``S' = soft_threshold(Y - L R^T, zeta)`` from the factors
+    ``old`` of the previous iterate, and the residual and error of the
+    iterate ``new`` measured against it, in the row slabs of
+    :func:`_soft_pass`.  Returns ``(S', pass)``."""
+    n1, n2 = Y.shape
+    step = _block_rows(n1, n2)
+    X_buf = np.empty((step, n2))
+    C_buf = np.empty((step, n2))
+    S = np.empty(Y.shape)
+    RT, RT_new = old.R.T, new.R.T
+    resid_sq = err_sq = 0.0
+    for i in range(0, n1, step):
+        sl = slice(i, i + step)
+        b = min(step, n1 - i)
+        X, C = X_buf[:b], C_buf[:b]
+        T = np.subtract(Y[sl], _product_rows(old.L[sl], RT, X), out=X)
+        np.subtract(T, np.clip(T, -zeta, zeta, out=C), out=S[sl])
+        X = _product_rows(new.L[sl], RT_new, X)
+        if truth is not None:
+            err_sq += _sq(np.subtract(X, truth[sl], out=C))
+        T = np.subtract(Y[sl], X, out=X)
+        resid_sq += _sq(np.subtract(T, S[sl], out=X))
+    return S, _Pass(resid_sq, err_sq)
 
 
 def _soft_backward(Y, L, R, zeta, eta, L_bar, R_bar):
@@ -341,7 +393,7 @@ def _soft_backward(Y, L, R, zeta, eta, L_bar, R_bar):
 
 
 def _sparsify_pass(Y, L, R, alpha_tilde, S=None, S_out=None, truth=None,
-                   track=False):
+                   prev=None, resid_next=False):
     """:func:`_soft_pass` for top-fraction sparsification.  Its row and
     column cutoffs need the whole residual, so ``T`` is materialized."""
     X = L @ R.T
@@ -349,14 +401,22 @@ def _sparsify_pass(Y, L, R, alpha_tilde, S=None, S_out=None, truth=None,
     T = np.subtract(Y, X, out=X)
     resid_sq = _sq(T - S) if S is not None else 0.0
     if alpha_tilde is None:
-        return _Pass(resid_sq, err_sq, 0.0, 0.0, None, None)
+        return _Pass(resid_sq, err_sq)
     S_new = _sparsify_unchecked(T, alpha_tilde)
-    dS_sq = _sq(S_new - S) if track else 0.0
-    S_sq = _sq(S) if track else 0.0
+    dS_sq = _sq(S_new - prev) if prev is not None else 0.0
+    S_sq = _sq(prev) if prev is not None else 0.0
     if S_out is not None:
         np.copyto(S_out, S_new)
     W = np.subtract(S_new, T, out=T)
-    return _Pass(resid_sq, err_sq, dS_sq, S_sq, W @ R, W.T @ L)
+    WR = W @ R
+    WtWR = W.T @ WR if resid_next else None
+    return _Pass(resid_sq, err_sq, dS_sq, S_sq, _sq(W), WR, W.T @ L, WtWR)
+
+
+def _sparsify_last(Y, old, new, alpha_tilde, truth=None):
+    """:func:`_soft_last` for top-fraction sparsification."""
+    S = _sparsify_unchecked(Y - old.product(), alpha_tilde)
+    return S, _sparsify_pass(Y, new.L, new.R, None, S=S, truth=truth)
 
 
 def _scaled_update(factors, p, eta):
@@ -380,7 +440,7 @@ def _ratio(num_sq, den_sq):
 
 
 def _low_rank_change(old, new):
-    """``||L' R'^T - L R^T||_F / ||L R^T||_F`` from Gram products of the
+    """``(||L' R'^T - L R^T||_F^2, ||L R^T||_F^2)`` from Gram products of the
     thin factors, without forming either product.
 
     The difference is ``A B^T`` with ``A = [L' - L, L]`` and
@@ -391,7 +451,29 @@ def _low_rank_change(old, new):
     A = np.hstack((new.L - L, L))
     B = np.hstack((new.R, new.R - R))
     diff_sq = max(float(np.sum((A.T @ A) * (B.T @ B))), 0.0)
-    return _ratio(diff_sq, float(np.sum((L.T @ L) * (R.T @ R))))
+    return diff_sq, float(np.sum((L.T @ L) * (R.T @ R)))
+
+
+def _next_resid_sq(p, old, new, eta, dX_sq):
+    """``||Y - L' R'^T - S'||_F^2`` of the iterate ``new`` that one step of
+    size ``eta`` took from ``old``, from the sums of the pass ``p`` that made
+    the step, so neither ``S'`` nor ``L' R'^T`` is read or formed.
+
+    The residual is ``-(W + dX)`` with ``W = L R^T + S' - Y`` and
+    ``dX = dL R'^T + L dR^T``, hence
+
+        ||W + dX||^2 = ||W||^2 + 2 (<W R, dL> + <W^T dL, dR> + <W^T L, dR>)
+                       + ||dX||^2,
+
+    where ``W^T dL = -eta (W^T W R)(R^T R)^{-1}`` and ``dX_sq = ||dX||^2``
+    comes from :func:`_low_rank_change`.  The terms cancel as the residual
+    falls, so its rounding error stays near a fixed ``1e-17 ||Y||_F``
+    rather than shrinking with it (see :class:`SolveTrace`).
+    """
+    dL, dR = new.L - old.L, new.R - old.R
+    WtdL = -eta * gram_solve(p.WtWR, old.R.T @ old.R)
+    cross = float(np.vdot(p.WR, dL) + np.vdot(WtdL + p.WtL, dR))
+    return max(p.W_sq + 2.0 * cross + dX_sq, 0.0)
 
 
 def _max_abs_err(factors, truth):
@@ -433,10 +515,13 @@ def scaledgd_step(state, Y, alpha_tilde, eta):
     return SolverState(factors, S, state.iteration + 1)
 
 
-def _resolve_schedule(schedule, truth):
+def _resolve_schedule(schedule, truth, max_iters):
     """Return (zeta0, params_fn) where params_fn(k, factors) -> (zeta, eta)
     for iteration k, given the factors of iterate k - 1."""
     if isinstance(schedule, ParamSchedule):
+        if schedule.K == 0 and max_iters > 0:
+            raise InvalidInput("a schedule with K=0 has only zeta_0: it gives "
+                               "no threshold or step size for iteration 1")
         return schedule.zeta0, lambda k, f: schedule.at(k)
     if isinstance(schedule, OracleSchedule):
         if truth is None:
@@ -446,39 +531,58 @@ def _resolve_schedule(schedule, truth):
     raise InvalidInput(f"unsupported schedule source {type(schedule).__name__}")
 
 
-def _run(Y, stop, truth, init_fn, params_fn, pass_fn):
+def _run(Y, stop, truth, init_fn, params_fn, pass_fn, last_fn):
     """The iteration loop shared by both solvers.
 
-    The pass that thresholds for iteration k + 1 also measures iterate k, so
-    trace row k is written once that pass returns; the stop rule then either
-    keeps iterate k (its S is still in the other buffer) or commits the
-    factor update.  ``wall_ms[k]`` is the time since the previous row.
+    Row 0 of the trace is measured against the init's ``S_0`` by the pass
+    that thresholds for iteration 1.  The pass at iterate k measures its
+    error against ``truth`` and returns the sums from which, once the factor
+    update is made, iterate k + 1's residual follows (:func:`_next_resid_sq`),
+    so the stop rule decides before the next pass.  The returned S is built
+    once, by ``last_fn`` from the previous factors, which also measures the
+    returned iterate directly; only ``iterate_change``, whose stop needs both
+    ``S_k`` and ``S_{k+1}``, writes S' into a double buffer every pass.  An
+    init whose residual is exactly zero ends the solve in every mode.
+    ``wall_ms[k]`` is the time since the previous row.
     """
     trace = SolveTrace()
     ny = np.linalg.norm(Y)
     nt = np.linalg.norm(truth) if truth is not None else 0.0
     track = stop.mode == "iterate_change"
+    by_residual = stop.mode == "residual_rel"
     t0 = time.perf_counter()
-    state, zeta = init_fn()
-    factors, S = state.factors, state.S
-    S_next = np.empty(Y.shape)
-    eta, change = float("nan"), float("inf")
-    k = 0
-    while True:
-        converged = track and change < stop.tolerance
-        stepping = k < stop.max_iters and not converged
-        nxt = params_fn(k + 1, factors) if stepping else (None, None)
-        p = pass_fn(Y, factors.L, factors.R, nxt[0], S,
-                    S_next if stepping else None, truth, track)
-        res = float(np.sqrt(p.resid_sq) / ny) if ny > 0 else 0.0
-        rel = float(np.sqrt(p.err_sq) / nt) if nt > 0 else float("nan")
+
+    def append(k, zeta, eta, res, err_sq):
+        nonlocal t0
+        rel = float(np.sqrt(err_sq) / nt) if nt > 0 else float("nan")
         t1 = time.perf_counter()
         trace.append(k, zeta, eta, res, rel, (t1 - t0) * 1e3)
         t0 = t1
-        if stop.mode == "residual_rel" and res < stop.tolerance:
-            converged = True
-        if converged or not stepping:
-            break
+
+    def residual(k, resid_sq):
+        res = float(np.sqrt(resid_sq) / ny) if ny > 0 else 0.0
+        if not np.isfinite(res):
+            raise ConvergenceFailure(
+                f"residual is {res} at iteration {k}: the iterates diverged")
+        return res
+
+    state, zeta = init_fn()
+    factors, S = state.factors, state.S
+    del state
+    eta, k = float("nan"), 0
+    nxt = params_fn(1, factors) if stop.max_iters > 0 else (None, None)
+    S_next = np.empty(Y.shape) if track and stop.max_iters > 0 else None
+    p = pass_fn(Y, factors.L, factors.R, nxt[0], S=S, S_out=S_next,
+                truth=truth, prev=S if track else None, resid_next=True)
+    res = residual(0, p.resid_sq)
+    append(0, zeta, eta, res, p.err_sq)
+    converged = res == 0.0 or (by_residual and res < stop.tolerance)
+    if converged or stop.max_iters == 0:
+        trace.stop_reason = "converged" if converged else "max_iters"
+        return factors.product(), S, trace
+    if not track:
+        S = None
+    while True:
         k += 1
         zeta, eta = nxt
         try:
@@ -486,11 +590,29 @@ def _run(Y, stop, truth, init_fn, params_fn, pass_fn):
         except SingularGram as exc:
             raise SingularGram(
                 f"Gram factorization collapsed at iteration {k}: {exc}") from exc
+        # Diverging factors overflow here; residual() then raises.
+        with np.errstate(over="ignore", invalid="ignore"):
+            dX_sq, X_sq = _low_rank_change(factors, new)
+            resid_sq = _next_resid_sq(p, factors, new, eta, dX_sq)
+        res = residual(k, resid_sq)
         if track:
-            change = max(_low_rank_change(factors, new),
-                         _ratio(p.dS_sq, p.S_sq))
-        factors = new
-        S, S_next = S_next, S
+            change = max(_ratio(dX_sq, X_sq), _ratio(p.dS_sq, p.S_sq))
+            converged = change < stop.tolerance
+            S, S_next = S_next, S
+        else:
+            converged = by_residual and res < stop.tolerance
+        old, factors = factors, new
+        if converged or k == stop.max_iters:
+            break
+        nxt = params_fn(k + 1, factors)
+        p = pass_fn(Y, factors.L, factors.R, nxt[0], S_out=S_next,
+                    truth=truth, prev=S, resid_next=True)
+        append(k, zeta, eta, res, p.err_sq)
+    if track:
+        p = pass_fn(Y, factors.L, factors.R, None, S=S, truth=truth)
+    else:
+        S, p = last_fn(Y, old, factors, zeta, truth)
+    append(k, zeta, eta, residual(k, p.resid_sq), p.err_sq)
     trace.stop_reason = "converged" if converged else "max_iters"
     return factors.product(), S, trace
 
@@ -525,12 +647,12 @@ def solve(Y, r, schedule, stop=StopRule(), truth=None, seed=0):
     if truth is not None:
         truth = check_matrix(truth, "truth")
         check_same_shape(Ym, truth)
-    zeta0, params_fn = _resolve_schedule(schedule, truth)
+    zeta0, params_fn = _resolve_schedule(schedule, truth, stop.max_iters)
 
     def init():
         return spectral_init(Ym, r, zeta0, seed=seed), zeta0
 
-    return _run(Ym, stop, truth, init, params_fn, _soft_pass)
+    return _run(Ym, stop, truth, init, params_fn, _soft_pass, _soft_last)
 
 
 def solve_scaledgd(Y, r, alpha_tilde, eta, stop=StopRule(), truth=None, seed=0):
@@ -553,4 +675,4 @@ def solve_scaledgd(Y, r, alpha_tilde, eta, stop=StopRule(), truth=None, seed=0):
         return _factor_state(Ym, S0, r, seed), alpha_tilde
 
     return _run(Ym, stop, truth, init,
-                lambda k, f: (alpha_tilde, eta), _sparsify_pass)
+                lambda k, f: (alpha_tilde, eta), _sparsify_pass, _sparsify_last)

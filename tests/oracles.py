@@ -84,6 +84,21 @@ def brute_force_sparsify(M, alpha_tilde):
     return out
 
 
+def sort_sparsify(M, alpha_tilde):
+    """Top-fraction sparsification with its row and column cutoffs read from
+    full sorts of ``|M|`` (ties at a cutoff are kept)."""
+    M = np.asarray(M, dtype=np.float64)
+    n1, n2 = M.shape
+    k_row = int(np.floor(alpha_tilde * n2))
+    k_col = int(np.floor(alpha_tilde * n1))
+    if k_row == 0 or k_col == 0:
+        return np.zeros_like(M)
+    mag = np.abs(M)
+    row_cut = np.sort(mag, axis=1)[:, n2 - k_row][:, None]
+    col_cut = np.sort(mag, axis=0)[n1 - k_col][None, :]
+    return np.where((mag >= row_cut) & (mag >= col_cut), M, 0.0)
+
+
 def scalar_lrpca_step(L, R, Y, zeta, eta):
     """Plain-loop evaluation of one iteration for tiny problems."""
     L = [row[:] for row in L]
@@ -113,15 +128,16 @@ def scalar_lrpca_step(L, R, Y, zeta, eta):
 
 
 def dense_reference_solve(Y, L, R, S, params, mode, tol, max_iters,
-                          truth=None):
+                          truth=None, outlier=None):
     """Dense reference for the solver loop from the initial (L, R, S).
 
     Every iteration forms ``X = L R^T``, ``T = Y - X``, the soft threshold
-    ``S' = sign(T) max(|T| - zeta, 0)`` and ``W = X + S' - Y`` as full
-    matrices, and updates both factors by solving against the pre-step Gram
-    matrices with ``np.linalg.solve``.  The stop modes follow
-    :class:`lrpca.StopRule`, with the iterate changes taken from dense
-    differences.  ``params(k, X)`` gives ``(zeta, eta)`` for iteration k
+    ``S' = sign(T) max(|T| - zeta, 0)`` (or ``outlier(T, zeta)`` when given)
+    and ``W = X + S' - Y`` as full matrices, and updates both factors by
+    solving against the pre-step Gram matrices with ``np.linalg.solve``.
+    The stop modes follow :class:`lrpca.StopRule`, with the iterate changes
+    taken from dense differences and every residual from the dense
+    ``Y - X - S``.  ``params(k, X)`` gives ``(zeta, eta)`` for iteration k
     from the previous iterate's X.  Returns ``(X, S, residuals, rel_errs)``
     with one entry per iterate, the initial one included.
     """
@@ -148,7 +164,10 @@ def dense_reference_solve(Y, L, R, S, params, mode, tol, max_iters,
         k += 1
         zeta, eta = params(k, X)
         T = Y - X
-        S_new = np.sign(T) * np.maximum(np.abs(T) - zeta, 0.0)
+        if outlier is None:
+            S_new = np.sign(T) * np.maximum(np.abs(T) - zeta, 0.0)
+        else:
+            S_new = outlier(T, zeta)
         W = X + S_new - Y
         L_new = L - eta * np.linalg.solve(R.T @ R, (W @ R).T).T
         R_new = R - eta * np.linalg.solve(L.T @ L, (W.T @ L).T).T

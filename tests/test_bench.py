@@ -51,9 +51,9 @@ class TestRecoverabilitySweep:
         assert seeds == [7, 8]
 
     def test_solver_failure_counts_as_miss(self):
-        # alpha_tilde = 1 absorbs Y entirely; the zero factors collapse.
+        # A step of 1e150 diverges at once, and the solve raises.
         report = recoverability_sweep(
-            [0.2], 2, lambda a: [scaledgd_spec(1.0)],
+            [0.2], 2, lambda a: [scaledgd_spec(0.1, eta=1e150)],
             success_tol=1e-3, n=30, r=2, base_seed=3, max_iters=5)
         assert report.success_count() == 0
         assert all(row["iters"] == -1 for row in report.rows)

@@ -121,6 +121,17 @@ class TestSolveCommand:
         assert float(trace[1].split(",")[3]) == 0.0
         assert np.count_nonzero(read_matrix(out / "X_hat.lrpm")) == 0
 
+    def test_k0_schedule_solver_error(self, instance_dir, tmp_path, capsys):
+        # K = 0 stores only zeta_0, so the schedule has nothing for a step.
+        sched = tmp_path / "k0.csv"
+        write_schedule(ParamSchedule(zetas=(1.0,), etas=()), sched)
+        code = run(["solve", "--y", instance_dir / "Y.lrpm", "--r", 2,
+                    "--schedule", sched, "--out", tmp_path / "k0"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "K=0" in err
+        assert "Traceback" not in err
+
     def test_conflicting_sources_usage_error(self, instance_dir, tmp_path):
         code = run(["solve", "--y", instance_dir / "Y.lrpm", "--r", 2,
                     "--oracle", "--truth", instance_dir / "X_star.lrpm",

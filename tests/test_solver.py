@@ -1,15 +1,18 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from lrpca import (FactorPair, FixedSchedule, InvalidInput, MissingGroundTruth,
-                   OracleSchedule, ParamSchedule, SingularGram, SolverState,
-                   StopRule, gen_instance, lrpca_step, residual_rel,
-                   scaledgd_step, solve, solve_scaledgd, spectral_init,
-                   truncated_svd)
+from lrpca import (ConvergenceFailure, FactorPair, FixedSchedule, InvalidInput,
+                   MissingGroundTruth, OracleSchedule, ParamSchedule,
+                   SingularGram, SolverState, StopRule, gen_instance,
+                   lrpca_step, residual_rel, scaledgd_step, solve,
+                   solve_scaledgd, spectral_init, truncated_svd)
 from lrpca import solver as solver_module
-from lrpca.solver import _block_rows, _low_rank_change, _soft_backward
+from lrpca.solver import (_block_rows, _factor_state, _low_rank_change,
+                          _soft_backward)
 from oracles import (dense_layer_vjp, dense_reference_solve,
-                     scalar_lrpca_step)
+                     scalar_lrpca_step, sort_sparsify)
 
 
 def rank_r_instance(rng, n1=30, n2=24, r=3, noise=0.0):
@@ -277,19 +280,49 @@ class TestSolve:
             assert errs[k] <= errs[k - 1] * (1 + 1e-10)
 
     def test_rank_collapse_raises_singular_gram(self, rng):
+        # S_0 = 0 leaves the rank-1 Y to a rank-3 init, whose two spare
+        # factor columns are rounding noise.
         Y = np.outer(rng.standard_normal(10), rng.standard_normal(10))
         with pytest.raises(SingularGram, match="at iteration 1:"):
-            solve(Y, 3, FixedSchedule(0.0, 0.5),
+            solve(Y, 3, FixedSchedule(float(np.abs(Y).max()), 0.5),
                   StopRule("fixed_iters", max_iters=3))
 
     def test_zero_threshold_absorbs_everything(self, rng):
         X = rank_r_instance(rng, 12, 12, 2)
-        Xh, Sh, trace = solve(X, 2, FixedSchedule(0.0, 0.5),
-                              StopRule("residual_rel", 1e-6, 20))
-        # S_0 = Y leaves nothing for the factors; residual is exactly zero.
+        # S_0 = Y leaves nothing for the factors; residual is exactly zero,
+        # which ends the solve in every mode before a step from the zero
+        # factors could meet a singular Gram.
+        for mode in ("residual_rel", "iterate_change", "fixed_iters"):
+            Xh, Sh, trace = solve(X, 2, FixedSchedule(0.0, 0.5),
+                                  StopRule(mode, 1e-6, 20))
+            assert trace.iterations == 0
+            assert trace.residuals == [0.0]
+            assert trace.stop_reason == "converged"
+            assert np.count_nonzero(Xh) == 0
+            assert np.array_equal(Sh, X)
+
+    def test_diverged_solve_raises(self):
+        # A huge step throws the factors to about 1e150, where the residual
+        # overflows: the solve must not report the iterate as converged.
+        Y = gen_instance(60, 50, 2, 0.1, 1).Y
+        theta = FixedSchedule(0.5 * float(np.abs(Y).max()), 1e150)
+        with pytest.raises(ConvergenceFailure, match="at iteration 1:"):
+            solve(Y, 2, theta, StopRule("residual_rel", 1e-6, 60))
+        with pytest.raises(ConvergenceFailure, match="at iteration 1:"):
+            solve_scaledgd(Y, 2, 0.1, 1e150, StopRule("residual_rel", 1e-6, 60))
+
+    def test_k0_schedule_rejected_before_init(self, monkeypatch):
+        Y = gen_instance(20, 20, 2, 0.1, 1).Y
+        theta = ParamSchedule(zetas=(1.0,), etas=())
+        X, S, trace = solve(Y, 2, theta, StopRule("residual_rel", 1e-6, 0))
         assert trace.iterations == 0
-        assert trace.residuals == [0.0]
-        assert np.count_nonzero(Xh) == 0
+
+        def no_init(*args, **kwargs):
+            raise AssertionError("solve reached the init")
+
+        monkeypatch.setattr(solver_module, "spectral_init", no_init)
+        with pytest.raises(InvalidInput, match="K=0"):
+            solve(Y, 2, theta, StopRule("residual_rel", 1e-6, 5))
 
     def test_invalid_stop_mode(self):
         with pytest.raises(InvalidInput):
@@ -401,15 +434,73 @@ class TestSlabStreamedIteration:
                    / np.linalg.norm(inst.X_star))
         assert trace.rel_errs[-1] == pytest.approx(rel_err, rel=1e-12)
 
+    @pytest.mark.parametrize("n1, n2, r, alpha", MULTI_SLAB)
+    @pytest.mark.parametrize("stop", [
+        StopRule("residual_rel", 1e-6, 60),
+        StopRule("iterate_change", 1e-6, 60),
+        StopRule("fixed_iters", max_iters=20),
+    ], ids=["residual", "change", "fixed"])
+    @pytest.mark.parametrize("solver", ["lrpca", "scaledgd"])
+    def test_every_trace_residual_matches_dense_reference(
+            self, n1, n2, r, alpha, stop, solver):
+        # Only rows 0 and last are measured against a stored S; the rows in
+        # between come from the pass's thin products.
+        inst = gen_instance(n1, n2, r, alpha, 3)
+        if solver == "lrpca":
+            _, _, trace = solve(inst.Y, r, OracleSchedule(0.5), stop,
+                                truth=inst.X_star, seed=1)
+            _, _, res_ref, err_ref = _dense_run(inst, OracleSchedule(0.5),
+                                                stop)
+            np.testing.assert_allclose(trace.rel_errs, err_ref, rtol=1e-10)
+        else:
+            a = 2 * alpha
+            stop = StopRule(stop.mode, stop.tolerance, 25)
+            _, _, trace = solve_scaledgd(inst.Y, r, a, 0.5, stop, seed=1)
+            init = _factor_state(inst.Y, sort_sparsify(inst.Y, a), r, 1)
+            _, _, res_ref, _ = dense_reference_solve(
+                inst.Y, init.factors.L, init.factors.R, init.S,
+                lambda k, X: (a, 0.5), stop.mode, stop.tolerance,
+                stop.max_iters, outlier=sort_sparsify)
+        assert trace.iterations == len(res_ref) - 1 > 1
+        np.testing.assert_allclose(trace.residuals, res_ref, rtol=1e-10)
+
+    @pytest.mark.parametrize("n1, n2, r, alpha", MULTI_SLAB)
+    def test_residual_stop_holds_one_S(self, n1, n2, r, alpha):
+        # Besides its input Y, a residual-stop solve holds one S and the
+        # returned X at a time, never a second S buffer.  The init holds S_0
+        # and Y - S_0 plus its sketch, whose n1 x (r + 10) temporaries are
+        # a fifth of Y each on the tall shape; the solve may reach that
+        # peak but not pass it.
+        inst = gen_instance(n1, n2, r, alpha, 3)
+        z0 = float(np.abs(inst.X_star).max())
+        theta = ParamSchedule(zetas=(z0, 0.3 * z0), etas=(0.5,), phi=0.7)
+        stop = StopRule("residual_rel", 1e-5, 100)
+
+        def peak_of(run):
+            tracemalloc.start()
+            try:
+                out = run()
+                return out, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        _, init_peak = peak_of(lambda: spectral_init(inst.Y, r, z0, seed=1))
+        (_, _, trace), peak = peak_of(
+            lambda: solve(inst.Y, r, theta, stop, seed=1))
+        assert trace.iterations > 1
+        assert peak < max(2.5 * inst.Y.nbytes,
+                          init_peak + 0.05 * inst.Y.nbytes)
+
     @pytest.mark.parametrize("scale", [1e-1, 1e-6, 1e-10])
     def test_low_rank_change_from_grams(self, rng, scale):
         L, R = rng.standard_normal((50, 3)), rng.standard_normal((40, 3))
         L2 = L + scale * rng.standard_normal(L.shape)
         R2 = R + scale * rng.standard_normal(R.shape)
         dense = np.linalg.norm((L2 - L) @ R2.T + L @ (R2 - R).T)
-        got = _low_rank_change(FactorPair(L, R), FactorPair(L2, R2))
-        assert got == pytest.approx(dense / np.linalg.norm(L @ R.T),
-                                    rel=1e-9)
+        diff_sq, base_sq = _low_rank_change(FactorPair(L, R),
+                                            FactorPair(L2, R2))
+        assert np.sqrt(diff_sq / base_sq) == pytest.approx(
+            dense / np.linalg.norm(L @ R.T), rel=1e-9)
 
     @pytest.mark.parametrize("n1, n2, r, alpha", MULTI_SLAB)
     def test_learned_schedule_matches_dense_reference(self, n1, n2, r, alpha):
@@ -459,12 +550,13 @@ class TestEdgeShapes:
         Y, r = EDGE_INPUTS[case]
         theta = FixedSchedule(0.5 * float(np.abs(Y).max()), 0.5)
         stop = StopRule(mode, 1e-6, 30)
-        if case == "all_zero" and mode != "residual_rel":
-            # The residual stop ends at the init (X = S = 0); an update from
-            # the zero init factors meets a singular Gram, as a rank
-            # collapse does.
-            with pytest.raises(SingularGram, match="at iteration 1:"):
-                solve(Y, r, theta, stop, seed=3)
+        if case == "all_zero":
+            # The init (X = S = 0) leaves a zero residual, which ends the
+            # solve in every mode before a step from the zero factors.
+            X, S, trace = solve(Y, r, theta, stop, seed=3)
+            assert not X.any() and not S.any()
+            assert trace.iterations == 0
+            assert trace.stop_reason == "converged"
             return
         runs = [solve(Y, r, theta, stop, seed=3) for _ in range(2)]
         X, S, trace = runs[0]
