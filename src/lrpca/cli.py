@@ -176,11 +176,11 @@ def cmd_train(args):
                             base_seed=args.seed)
     with open(os.path.join(out, "training_log.csv"), "w",
               encoding="utf-8", newline="\n") as log:
-        log.write("stage,step,loss\n")
+        log.write("stage,step,loss,grad_norm\n")
         theta = train_schedule(
             source, cfg, args.grid_instances,
-            callback=lambda stage, step, loss: log.write(
-                f"{stage},{step},{loss:.17g}\n"))
+            callback=lambda stage, step, loss, grad_norm: log.write(
+                f"{stage},{step},{loss:.17g},{grad_norm:.17g}\n"))
     write_schedule(theta, os.path.join(out, "schedule.csv"))
     print(f"train: wrote schedule (K={args.K}, K_bar={args.K_bar}, "
           f"beta={theta.beta}, phi={theta.phi}) to {out}")

@@ -143,7 +143,7 @@ class UnfoldingTrainer(_ParamsMixin):
     ----------
     schedule_ : ParamSchedule
         Learned parameters including the geometric tail.
-    stage_losses_ : list of (stage, step, loss)
+    stage_losses_ : list of (stage, step, loss, grad_norm)
     """
 
     def __init__(self, n=500, n2=None, rank=5, alpha=0.1, K=TrainConfig.K,
@@ -178,7 +178,7 @@ class UnfoldingTrainer(_ParamsMixin):
         losses = []
         self.schedule_ = train_schedule(
             source, cfg, self.grid_instances,
-            callback=lambda stage, step, loss: losses.append((stage, step, loss)))
+            callback=lambda *row: losses.append(row))
         self.stage_losses_ = losses
         return self
 

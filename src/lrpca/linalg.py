@@ -86,13 +86,50 @@ def truncated_svd(M, r):
         If ``r`` exceeds ``min(M.shape)``.
     """
     A = check_matrix(M, "M")
-    r = check_rank(r, *A.shape)
+    return _exact_svd(A, check_rank(r, *A.shape))[0]
+
+
+def _exact_svd(A, r, dA=None):
+    """:func:`truncated_svd` of a checked ``A``, and the tangent of
+    :func:`_rank_r_tangent` along ``dA`` (None without ``dA``)."""
     U, s, Vt = np.linalg.svd(A, full_matrices=False)
-    return TruncatedSVD(np.ascontiguousarray(U[:, :r]), s[:r].copy(),
-                        np.ascontiguousarray(Vt[:r].T))
+    f = TruncatedSVD(np.ascontiguousarray(U[:, :r]), s[:r].copy(),
+                     np.ascontiguousarray(Vt[:r].T))
+    return f, None if dA is None else _rank_r_tangent(U, s, Vt, dA, r)
 
 
-def _sketch_svd(A, r, seed):
+def _rank_r_tangent(U, s, Vt, dB, r):
+    """``(dB_r V_r, dB_r^T U_r)`` for the rank-r truncation ``B_r`` of
+    ``B = U diag(s) Vt`` (thin SVD) moving along ``dB``.  Only the gaps
+    ``s_i^2 - s_j^2`` with i <= r < j enter, so kept values may tie; raises
+    :class:`SingularGram` when ``s_r <= _PIVOT_RTOL s_1``."""
+    if not s[r - 1] > _PIVOT_RTOL * s[0]:
+        raise SingularGram(f"numerical rank below {r}: s_{r} = {s[r - 1]:.3e}")
+    dBV, dBtU = dB @ Vt[:r].T, dB.T @ U[:, :r]
+    Ud, Vd = U[:, r:], Vt[r:].T
+    D, E = Ud.T @ dBV, Vd.T @ dBtU  # U_j^T dB V_i and U_i^T dB V_j, j > r >= i
+    sd, sk = s[r:, None], s[None, :r]
+    gap = (sk - sd) * (sk + sd)
+    return (dBV + Ud @ (sd * (sd * D + sk * E) / gap),
+            dBtU + Vd @ (sd * (sd * E + sk * D) / gap))
+
+
+def _qr(M, dM=None):
+    """``Q`` of the thin QR ``M = Q R`` and, given ``dM``, its tangent
+    ``dM R^{-1} - Q (X - O)``, with ``X = Q^T dM R^{-1}`` and ``O`` the skew
+    matrix sharing the strict lower triangle of ``X``.  The tangent is None
+    when ``min R_ii^2 <= _PIVOT_RTOL max R_ii^2`` (``M`` rank deficient)."""
+    Q, R = np.linalg.qr(M)
+    d = R.diagonal() ** 2
+    if dM is None or not d.min() > _PIVOT_RTOL * d.max():
+        return Q, None
+    dMRi = dM @ np.linalg.inv(R)
+    X = Q.T @ dMRi
+    low = np.tril(X, -1)
+    return Q, dMRi - Q @ (X - low + low.T)
+
+
+def _sketch_svd(A, r, seed, dA=None):
     """Rank-r SVD of ``A`` from a fixed-cost seeded range sketch.
 
     Randomized subspace iteration (Halko, Martinsson & Tropp 2011, Alg. 4.4):
@@ -102,16 +139,31 @@ def _sketch_svd(A, r, seed):
     spectrum.  No accuracy target is checked: the error is set by the
     spectral gap, see :func:`lrpca.solver.spectral_init` for the contract.
     ``A`` is taken as a validated float64 matrix.
+
+    Returns ``(svd, tangent)``: forward mode carries ``dA`` through every
+    product and QR to ``(dX V, dX^T U)`` for ``X = Q B_r``, ``B = Q^T A``.
+    Once a QR finds ``A`` of rank below the sketch width, ``X = A_r``.
     """
     ell = r + _SKETCH_OVERSAMPLE
     rng = np.random.default_rng(seed)
-    Q = np.linalg.qr(A @ rng.standard_normal((A.shape[1], ell)))[0]
+    G = rng.standard_normal((A.shape[1], ell))
+    Q, dQ = _qr(A @ G, None if dA is None else dA @ G)
+    del G  # no longer needed: keep it out of the passes' peak memory
     for _ in range(_SKETCH_PASSES):
-        Q = np.linalg.qr(A.T @ Q)[0]
-        Q = np.linalg.qr(A @ Q)[0]
+        Q, dQ = _qr(A.T @ Q, None if dQ is None else dA.T @ Q + A.T @ dQ)
+        Q, dQ = _qr(A @ Q, None if dQ is None else dA @ Q + A @ dQ)
     Ub, s, Vt = np.linalg.svd(Q.T @ A, full_matrices=False)
-    return TruncatedSVD(Q @ Ub[:, :r], s[:r].copy(),
-                        np.ascontiguousarray(Vt[:r].T))
+    f = TruncatedSVD(Q @ Ub[:, :r], s[:r].copy(),
+                     np.ascontiguousarray(Vt[:r].T))
+    if dA is None:
+        return f, None
+    if dQ is None:
+        return f, _rank_r_tangent(Q @ Ub, s, Vt, dA, r)
+    # dX = dQ B_r + Q dB_r with dB = dQ^T A + Q^T dA.
+    dBV, dBtU = _rank_r_tangent(Ub, s, Vt, dQ.T @ A + Q.T @ dA, r)
+    Ur = Ub[:, :r]
+    return f, (dQ @ (Ur * f.sigma) + Q @ dBV,
+               (f.V * f.sigma) @ (Ur.T @ (dQ.T @ Q) @ Ur) + dBtU)
 
 
 def gram_solve(V, G):
@@ -132,10 +184,15 @@ def gram_solve(V, G):
     """
     Vm = check_matrix(V, "V")
     Gm = check_matrix(G, "G")
-    r = Gm.shape[0]
-    if Gm.shape != (r, r) or Vm.shape[1] != r:
+    if Gm.shape != (Vm.shape[1],) * 2:
         raise InvalidInput(f"shape mismatch: V {Vm.shape}, G {Gm.shape}")
-    Gm = 0.5 * (Gm + Gm.T)
+    return _gram_solver(Gm)(Vm)
+
+
+def _gram_solver(G):
+    """:func:`gram_solve` for a checked square ``G``, factored once:
+    returns ``V -> W``, the product with ``G^{-1}`` and one refinement."""
+    Gm = 0.5 * (G + G.T)
     try:
         Lc = np.linalg.cholesky(Gm)
     except np.linalg.LinAlgError as exc:
@@ -146,6 +203,9 @@ def gram_solve(V, G):
         raise SingularGram(f"pivot {pivot:.3e} below {threshold:.3e}")
     Lc_inv = np.linalg.inv(Lc)
     G_inv = Lc_inv.T @ Lc_inv
-    W = Vm @ G_inv
-    W += (Vm - W @ Gm) @ G_inv
-    return W
+
+    def solve(V):
+        W = V @ G_inv
+        W += (V - W @ Gm) @ G_inv
+        return W
+    return solve

@@ -18,9 +18,8 @@ from dataclasses import dataclass
 
 from .errors import ParseError
 
-__all__ = ["ParamSchedule", "rescale_schedule",
-           "export_schedule", "import_schedule",
-           "write_schedule", "read_schedule"]
+__all__ = ["ParamSchedule", "rescale_schedule", "write_schedule",
+           "read_schedule"]
 
 
 @dataclass(frozen=True)
@@ -91,12 +90,9 @@ _KINDS = ("zeta", "eta", "beta", "phi")
 _HEADER = "kind,k,value"
 
 
-def export_schedule(theta):
-    """Schedule as ``(kind, k, value)`` records.
-
-    One row per zeta (k = 0..K), one per eta (k = 1..K), and one row each
-    for beta and phi.
-    """
+def _export_schedule(theta):
+    """Schedule as ``(kind, k, value)`` records: each zeta (k = 0..K), each
+    eta (k = 1..K), then beta and phi."""
     records = [("zeta", k, z) for k, z in enumerate(theta.zetas)]
     records += [("eta", k + 1, e) for k, e in enumerate(theta.etas)]
     records.append(("beta", 0, theta.beta))
@@ -104,7 +100,7 @@ def export_schedule(theta):
     return records
 
 
-def import_schedule(records):
+def _import_schedule(records):
     """Rebuild a :class:`ParamSchedule` from ``(kind, k, value)`` records."""
     records = list(records)
     if not records:
@@ -150,7 +146,7 @@ def write_schedule(theta, path):
     """Write the schedule CSV (``kind,k,value`` header, LF line endings)."""
     buf = io.StringIO()
     buf.write(_HEADER + "\n")
-    for kind, k, value in export_schedule(theta):
+    for kind, k, value in _export_schedule(theta):
         buf.write(f"{kind},{k},{_format_value(value)}\n")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(buf.getvalue())
@@ -170,4 +166,4 @@ def read_schedule(path):
         if len(parts) != 3:
             raise ParseError(f"{path}: malformed line {ln!r}")
         records.append((parts[0], parts[1], parts[2]))
-    return import_schedule(records)
+    return _import_schedule(records)

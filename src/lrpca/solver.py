@@ -43,8 +43,8 @@ import numpy as np
 from .errors import (ConvergenceFailure, InvalidDimensions, InvalidFraction,
                      InvalidInput, InvalidThreshold, MissingGroundTruth,
                      SingularGram)
-from .linalg import (_SKETCH_OVERSAMPLE, _sketch_svd, gram_solve,
-                     truncated_svd)
+from .linalg import (_SKETCH_OVERSAMPLE, _exact_svd, _gram_solver,
+                     _sketch_svd, gram_solve, truncated_svd)
 from .operators import _sparsify_unchecked, soft_threshold
 from .schedule import ParamSchedule, _positive
 from .validation import check_matrix, check_rank, check_same_shape
@@ -52,8 +52,7 @@ from .validation import check_matrix, check_rank, check_same_shape
 __all__ = [
     "FactorPair", "SolverState", "StopRule", "SolveTrace",
     "FixedSchedule", "OracleSchedule",
-    "spectral_init", "lrpca_step", "scaledgd_step",
-    "solve", "solve_scaledgd", "residual_rel",
+    "spectral_init", "lrpca_step", "solve", "solve_scaledgd", "residual_rel",
 ]
 
 
@@ -72,7 +71,6 @@ class FactorPair:
 class SolverState:
     factors: FactorPair
     S: np.ndarray
-    iteration: int
 
     def low_rank(self):
         return self.factors.product()
@@ -183,7 +181,7 @@ def residual_rel(Y, X, S):
     return float(np.linalg.norm(Ym - Xm - Sm) / ny)
 
 
-def spectral_init(Y, r, zeta0, seed=0):
+def spectral_init(Y, r, zeta0, seed=0, tangent=False):
     """Initial state: ``S_0 = soft_threshold(Y, zeta0)``, factors from a
     rank-r SVD of ``A = Y - S_0`` (L = U sqrt(Sigma), R = V sqrt(Sigma)).
 
@@ -204,23 +202,37 @@ def spectral_init(Y, r, zeta0, seed=0):
     inputs an exact LAPACK SVD costs no more, so they get
     :func:`~lrpca.linalg.truncated_svd` and ignore ``seed``.  Either way
     the factors are fixed bit for bit.
+
+    With ``tangent``, returns ``(state, FactorPair(dL, dR))``: forward mode
+    through the branch taken, from ``dA/dzeta0 = sign(S_0)``, gives
+    ``dX = d(L R^T)``, all the Gram-scaled iteration sees, and
+    ``dL = (I - U U^T / 2) dX V Sigma^{-1/2}``, ``dR`` likewise.  If ``A``
+    has numerical rank below r, it raises :class:`~lrpca.errors.SingularGram`.
     """
     Ym = check_matrix(Y, "Y")
     r = check_rank(r, *Ym.shape)
     S0 = soft_threshold(Ym, zeta0)
-    return _factor_state(Ym, S0, r, seed)
+    return _factor_state(Ym, S0, r, seed, np.sign(S0) if tangent else None)
 
 
-def _factor_state(Y, S0, r, seed):
+def _factor_state(Y, S0, r, seed, dA=None):
     A = Y - S0
     # Below a short side of twice the sketch width an exact SVD costs no
     # more than the sketch, so small inputs keep the exact truncation.
     if min(A.shape) > 2 * (r + _SKETCH_OVERSAMPLE):
-        f = _sketch_svd(A, r, seed)
+        f, dX = _sketch_svd(A, r, seed, dA)
+    elif dA is None:
+        f, dX = truncated_svd(A, r), None
     else:
-        f = truncated_svd(A, r)
+        f, dX = _exact_svd(A, r, dA)
     root = np.sqrt(f.sigma)
-    return SolverState(FactorPair(f.U * root, f.V * root), S0, 0)
+    state = SolverState(FactorPair(f.U * root, f.V * root), S0)
+    if dX is None:
+        return state
+    dXV, dXtU = dX
+    dL = (dXV - 0.5 * f.U @ (f.U.T @ dXV)) / root
+    dR = (dXtU - 0.5 * f.V @ (f.V.T @ dXtU)) / root
+    return state, FactorPair(dL, dR)
 
 
 # Elements per row slab: a few slab-sized scratch buffers stay in a core's
@@ -360,8 +372,8 @@ def _soft_backward(Y, L, R, zeta, eta, L_bar, R_bar):
     step = _block_rows(n1, n2)
     T_buf, C_buf, G_buf = (np.empty((step, n2)) for _ in range(3))
     RT = R.T
-    GR, GL = R.T @ R, L.T @ L
-    P_bar, Q_bar = eta * gram_solve(L_bar, GR), eta * gram_solve(R_bar, GL)
+    solve_R, solve_L = _gram_solver(R.T @ R), _gram_solver(L.T @ L)
+    P_bar, Q_bar = eta * solve_R(L_bar), eta * solve_L(R_bar)
     # C_bar = left right^T; C right = [C R, C Q_bar] and C^T left =
     # [C^T P_bar, C^T L] give the forward products and the factor adjoints.
     left, right = np.hstack((P_bar, L)), np.hstack((R, Q_bar))
@@ -384,7 +396,7 @@ def _soft_backward(Y, L, R, zeta, eta, L_bar, R_bar):
         Ct_left += C.T @ left[sl]
         np.matmul(G, R, out=Tb_R[sl])
         Tbt_L += G.T @ L[sl]
-    P, Q = gram_solve(C_right[:, :r], GR), gram_solve(Ct_left[:, r:], GL)
+    P, Q = solve_R(C_right[:, :r]), solve_L(Ct_left[:, r:])
     eta_bar = float(np.vdot(L_bar, P) + np.vdot(R_bar, Q))
     GR_nbar, GL_nbar = P.T @ P_bar, Q.T @ Q_bar  # minus the Gram adjoints
     L_in_bar = L_bar + C_right[:, r:] - Tb_R - L @ (GL_nbar + GL_nbar.T)
@@ -498,21 +510,7 @@ def lrpca_step(state, Y, zeta, eta):
         raise InvalidDimensions(f"factors give shape {shape}, Y has {Ym.shape}")
     S = np.empty(Ym.shape)
     factors = _soft_step(Ym, state.factors, zeta, eta, S_out=S)
-    return SolverState(factors, S, state.iteration + 1)
-
-
-def scaledgd_step(state, Y, alpha_tilde, eta):
-    """One baseline iteration using top-fraction sparsification."""
-    Ym = check_matrix(Y, "Y")
-    if not 0.0 <= alpha_tilde <= 1.0:
-        raise InvalidFraction(f"fraction must be in [0, 1], got {alpha_tilde}")
-    S = np.empty(Ym.shape)
-    factors = _scaled_update(
-        state.factors,
-        _sparsify_pass(Ym, state.factors.L, state.factors.R, alpha_tilde,
-                       S_out=S),
-        eta)
-    return SolverState(factors, S, state.iteration + 1)
+    return SolverState(factors, S)
 
 
 def _resolve_schedule(schedule, truth, max_iters):

@@ -10,10 +10,12 @@ by stochastic gradient descent with batch size one (a fresh instance per
 step) and gradients by backpropagation through the unrolled layers (deep
 unfolding): one forward pass keeps the factors entering every layer, and one
 backward sweep gives the gradients in every threshold and step size that
-acts on the stage output.  Only ``zeta_0``, which acts through the initial
-SVD, takes central finite differences.  The second phase fixes the learned
-per-iteration parameters and grid-searches the geometric tail factors
-(beta, phi) to minimize the same loss after K_bar > K iterations.
+acts on the stage output; for ``zeta_0``, which acts through the init SVD,
+the sweep's adjoints of the init's factors meet their forward-mode tangent
+(:func:`~lrpca.solver.spectral_init` with ``tangent``).  The second phase
+fixes the learned per-iteration parameters and grid-searches the geometric
+tail factors (beta, phi) to minimize the same loss after K_bar > K
+iterations.
 """
 
 import math
@@ -25,11 +27,8 @@ from .errors import LrpcaError, TrainingDiverged
 from .schedule import ParamSchedule
 from .solver import _soft_backward, _soft_step, spectral_init
 
-__all__ = ["TrainConfig", "stage_loss", "layerwise_train", "grid_search_tail",
+__all__ = ["TrainConfig", "layerwise_train", "grid_search_tail",
            "train_schedule"]
-
-# Finite-difference step for zeta_0, in the units of Y.
-_ZETA0_STEP = 1e-5
 
 # Step size and per-iteration threshold decay of the schedule SGD starts from.
 _INIT_ETA = 0.65
@@ -70,35 +69,17 @@ class TrainConfig:
 
 
 def _advance(factors, Y, theta, j0, k):
-    """Factors after each of the iterations j0..k from ``factors``.
+    """``factors``, then the factors after each of the iterations j0..k
+    from them.
 
     Only the factors carry state from one iteration to the next: the soft
     threshold reads ``Y - L R^T``, never the previous S.
     """
-    states = []
+    states = [factors]
     for j in range(j0, k + 1):
         zeta, eta = theta.at(j)
-        factors = _soft_step(Y, factors, zeta, eta)
-        states.append(factors)
+        states.append(_soft_step(Y, states[-1], zeta, eta))
     return states
-
-
-def _forward(theta, inst, k):
-    """Factors of the unrolled solver on one instance: the init's, then
-    those after each of the first k iterations."""
-    init = spectral_init(inst.Y, inst.r, theta.zeta0, seed=inst.seed)
-    return [init.factors] + _advance(init.factors, inst.Y, theta, 1, k)
-
-
-def stage_loss(theta, k, batch):
-    """Mean of ``||L_k R_k^T - X_star||_F^2`` over a batch of instances."""
-    if not batch:
-        raise ValueError("batch must be nonempty")
-    total = 0.0
-    for inst in batch:
-        X = _forward(theta, inst, k)[-1].product()
-        total += float(np.linalg.norm(X - inst.X_star) ** 2)
-    return total / len(batch)
 
 
 def _initial_schedule(source, cfg):
@@ -113,47 +94,24 @@ def _initial_schedule(source, cfg):
     return ParamSchedule(zetas=zetas, etas=etas, beta=1.0, phi=1.0)
 
 
-def _norm_loss(X, inst):
-    scale = float(np.linalg.norm(inst.X_star) ** 2)
-    return float(np.linalg.norm(X - inst.X_star) ** 2) / max(scale, 1e-300)
-
-
-def _fd_zeta0(theta, inst, k, center):
-    """Derivative of the stage-k loss in zeta_0, which acts through the init
-    SVD: central differences over two inits and replays, one-sided where
-    zeta_0 - h would leave [0, inf) or a probe fails to evaluate."""
-    z0, h = theta.zeta0, _ZETA0_STEP
-
-    def probe(v):
-        cand = theta.replace(zetas=(v,) + theta.zetas[1:])
-        try:
-            loss = _norm_loss(_forward(cand, inst, k)[-1].product(), inst)
-        except LrpcaError:
-            return None
-        return loss if math.isfinite(loss) else None
-
-    hi, lo = z0 + h, max(z0 - h, 0.0)
-    f_hi, f_lo = probe(hi), (probe(lo) if lo != z0 else center)
-    if f_hi is None:
-        hi, f_hi = z0, center
-    if f_lo is None:
-        lo, f_lo = z0, center
-    return (f_hi - f_lo) / (hi - lo) if hi != lo else 0.0
-
-
 def _stage_gradient(theta, inst, k):
     """``(loss, zeta_grad, eta_grad)`` of the normalized stage-k loss.
 
     The backward sweep starts from ``X_bar = 2 (L_k R_k^T - X_star) /
     ||X_star||^2`` and runs through :func:`~lrpca.solver._soft_backward` for
-    layers k..1; zeta_0 comes from :func:`_fd_zeta0`.  Parameters past
-    iteration k get zero.
+    layers k..1.  Its adjoints ``(L_bar_0, R_bar_0)`` of the init's factors
+    give ``zeta_bar_0 = <L_bar_0, dL_0> + <R_bar_0, dR_0>`` with the init's
+    tangent in zeta_0.  Parameters past iteration k get zero.
     """
-    states = _forward(theta, inst, k)
+    init, d_init = spectral_init(inst.Y, inst.r, theta.zeta0, seed=inst.seed,
+                                 tangent=True)
+    states = _advance(init.factors, inst.Y, theta, 1, k)
+    del init  # S_0 is not needed past the init
+    scale = max(float(np.linalg.norm(inst.X_star) ** 2), 1e-300)
     X = states[-1].product()
-    loss = _norm_loss(X, inst)
     X_bar = np.subtract(X, inst.X_star, out=X)
-    X_bar *= 2.0 / max(float(np.linalg.norm(inst.X_star) ** 2), 1e-300)
+    loss = float(np.linalg.norm(X_bar) ** 2) / scale
+    X_bar *= 2.0 / scale
     L_bar, R_bar = X_bar @ states[-1].R, X_bar.T @ states[-1].L
     zeta_grad, eta_grad = np.zeros(theta.K + 1), np.zeros(theta.K)
     for j in range(k, 0, -1):
@@ -161,7 +119,7 @@ def _stage_gradient(theta, inst, k):
         f = states[j - 1]
         L_bar, R_bar, zeta_grad[j], eta_grad[j - 1] = _soft_backward(
             inst.Y, f.L, f.R, zeta, eta, L_bar, R_bar)
-    zeta_grad[0] = _fd_zeta0(theta, inst, k, loss)
+    zeta_grad[0] = float(np.vdot(L_bar, d_init.L) + np.vdot(R_bar, d_init.R))
     return loss, zeta_grad, eta_grad
 
 
@@ -178,7 +136,8 @@ def layerwise_train(source, cfg, callback=None):
 
     Returns a :class:`ParamSchedule` with ``beta = phi = 1`` (the tail is
     fit separately by :func:`grid_search_tail`).  ``callback(stage, step,
-    loss)``, when given, observes the per-step training loss.
+    loss, grad_norm)``, when given, observes each SGD step's training loss
+    and the norm of its gradient in all the thresholds and step sizes.
 
     Raises
     ------
@@ -196,7 +155,8 @@ def layerwise_train(source, cfg, callback=None):
                 loss, g_zeta, g_eta = _stage_gradient(theta, inst, stage)
             except LrpcaError as exc:
                 raise TrainingDiverged(stage, f"stage {stage}: {exc}") from exc
-            if not np.isfinite(np.r_[loss, g_zeta, g_eta]).all():
+            grad = np.r_[g_zeta, g_eta]
+            if not np.isfinite(np.r_[loss, grad]).all():
                 raise TrainingDiverged(stage)
             # Thresholds may reach 0 but not cross it; the step-size cap has
             # no floor, so every eta stays above 3/4 of its value.
@@ -205,7 +165,7 @@ def layerwise_train(source, cfg, callback=None):
             etas = _capped_step(np.array(theta.etas), g_eta, lr, 0.0)
             theta = theta.replace(zetas=tuple(zetas), etas=tuple(etas))
             if callback is not None:
-                callback(stage, step, loss)
+                callback(stage, step, loss, float(np.linalg.norm(grad)))
     return theta
 
 
@@ -220,14 +180,16 @@ def grid_search_tail(theta, dataset, cfg):
         raise ValueError("dataset must be nonempty")
     K, K_bar = theta.K, cfg.K_bar
     # The first K iterations do not depend on (beta, phi); cache them.
-    cached = [(inst, _forward(theta, inst, K)[-1]) for inst in dataset]
+    cached = []
+    for inst in dataset:
+        f = spectral_init(inst.Y, inst.r, theta.zeta0, seed=inst.seed).factors
+        cached.append((inst, _advance(f, inst.Y, theta, 1, K)[-1]))
 
     def tail_loss(beta, phi):
         cand = theta.replace(beta=beta, phi=phi)
         total = 0.0
         for inst, factors in cached:
-            states = _advance(factors, inst.Y, cand, K + 1, K_bar)
-            X_final = (states[-1] if states else factors).product()
+            X_final = _advance(factors, inst.Y, cand, K + 1, K_bar)[-1].product()
             total += float(np.linalg.norm(X_final - inst.X_star) ** 2)
         return total / len(cached)
 

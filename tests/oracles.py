@@ -1,10 +1,14 @@
 """Independent reference implementations used only by the tests.
 
 These deliberately avoid the code paths of the package (and of LAPACK's
-divide-and-conquer SVD) so that agreement is a genuine cross-check.
+divide-and-conquer SVD) so that agreement is a genuine cross-check.  The
+one exception, :func:`stage_loss`, reads training's loss off the public
+``solve``, so that it checks training's own forward and backward passes.
 """
 
 import numpy as np
+
+from lrpca import StopRule, solve
 
 
 def jacobi_svd(M, sweeps=60, tol=1e-15):
@@ -224,3 +228,17 @@ def central_difference_gradient(f, values, h):
         lo[i] -= h
         grad[i] = (f(hi) - f(lo)) / (2.0 * h)
     return grad
+
+
+def stage_loss(theta, k, batch):
+    """Mean of ``||X_k - X_star||_F^2`` over a batch of instances, where
+    ``X_k`` is what a ``fixed_iters`` solve returns after k iterations of
+    ``theta`` from the instance's seeded init: the loss that training's
+    stage k minimizes, through the public solve rather than training's
+    forward pass."""
+    total = 0.0
+    for inst in batch:
+        X = solve(inst.Y, inst.r, theta, stop=StopRule("fixed_iters", 0.0, k),
+                  seed=inst.seed)[0]
+        total += float(np.linalg.norm(X - inst.X_star) ** 2)
+    return total / len(batch)

@@ -190,8 +190,20 @@ class TestTrainCommand:
         theta = read_schedule(out / "schedule.csv")
         assert theta.K == 1
         log = read_lines(out / "training_log.csv")
-        assert log[0] == "stage,step,loss"
+        assert log[0] == "stage,step,loss,grad_norm"
         assert len(log) == 1 + 2 * 2
+        rows = [ln.split(",") for ln in log[1:]]
+        assert [row[:2] for row in rows] == [["0", "0"], ["0", "1"],
+                                             ["1", "0"], ["1", "1"]]
+        # loss and grad_norm: finite, >= 0, written with 17 digits.  The
+        # gradient is 0 where zeta_0 thresholds no entry at stage 0, as at
+        # stage 0, step 1 here.
+        for row in rows:
+            assert len(row) == 4
+            for field in row[2:]:
+                value = float(field)
+                assert 0 <= value < float("inf")
+                assert f"{value:.17g}" == field
 
     def test_schedule_row_cardinality(self, tmp_path):
         out = tmp_path / "t2"

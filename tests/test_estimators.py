@@ -73,6 +73,11 @@ class TestUnfoldingTrainer:
         tr.fit()
         assert tr.schedule_.K == 1
         assert len(tr.stage_losses_) == 2 * 2
+        # (stage, step, loss, grad_norm) per SGD step.
+        assert [row[:2] for row in tr.stage_losses_] == [(0, 0), (0, 1),
+                                                         (1, 0), (1, 1)]
+        assert all(np.isfinite(row[3]) and row[3] >= 0
+                   for row in tr.stage_losses_)
         assert tr.schedule_.phi in (0.5, 1.0)
 
     def test_fit_on_instance_list(self):

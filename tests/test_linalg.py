@@ -3,6 +3,7 @@ import pytest
 
 from lrpca import (InvalidDimensions, InvalidInput, InvalidRank,
                    SingularGram, gram_solve, matrix_norm, truncated_svd)
+from lrpca.linalg import _gram_solver
 from oracles import jacobi_rank_r, jacobi_svd
 
 
@@ -166,6 +167,17 @@ class TestGramSolve:
         # cond(G) = 1e6, the edge of the documented 1e-10 residual range.
         Q = np.linalg.qr(rng.standard_normal((5, 5)))[0]
         check(Q @ np.diag(np.logspace(0, -6, 5)) @ Q.T)
+
+    @pytest.mark.parametrize("cond", [1e1, 1e6, 1e10])
+    def test_factor_once_apply_many_is_gram_solve(self, rng, cond):
+        # One factor serves several right-hand sides, each bit for bit what
+        # gram_solve returns, also at and beyond the 1e6 residual range.
+        Q = np.linalg.qr(rng.standard_normal((5, 5)))[0]
+        G = Q @ np.diag(np.logspace(0, -np.log10(cond), 5)) @ Q.T
+        solve = _gram_solver(G)
+        for V in (rng.standard_normal((30, 5)),
+                  rng.standard_normal((40, 10))[:, 3:8]):
+            assert np.array_equal(solve(V), gram_solve(V, G))
 
     def test_round_trip_property(self, rng):
         V = rng.standard_normal((9, 4))

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from lrpca import (ParamSchedule, ParseError, export_schedule, import_schedule,
-                   read_schedule, rescale_schedule, write_schedule)
+from lrpca import (ParamSchedule, ParseError, read_schedule, rescale_schedule,
+                   write_schedule)
+from lrpca.schedule import _export_schedule, _import_schedule
 
 
 def make_schedule(K=10, beta=0.8, phi=0.6):
@@ -76,10 +77,10 @@ class TestRescale:
 class TestSerialization:
     def test_round_trip_exact(self):
         theta = make_schedule(beta=0.73456789012345678, phi=0.91234567890123456)
-        assert import_schedule(export_schedule(theta)) == theta
+        assert _import_schedule(_export_schedule(theta)) == theta
 
     def test_cardinality(self):
-        records = export_schedule(make_schedule(K=10))
+        records = _export_schedule(make_schedule(K=10))
         kinds = [r[0] for r in records]
         assert kinds.count("zeta") == 11
         assert kinds.count("eta") == 10
@@ -88,24 +89,24 @@ class TestSerialization:
 
     def test_empty_records_rejected(self):
         with pytest.raises(ParseError):
-            import_schedule([])
+            _import_schedule([])
 
     def test_malformed_record_rejected(self):
         with pytest.raises(ParseError):
-            import_schedule([("zeta", 0, "not-a-number")])
+            _import_schedule([("zeta", 0, "not-a-number")])
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ParseError):
-            import_schedule([("gamma", 0, 1.0)])
+            _import_schedule([("gamma", 0, 1.0)])
 
     def test_gap_in_indices_rejected(self):
         with pytest.raises(ParseError):
-            import_schedule([("zeta", 0, 1.0), ("zeta", 2, 0.5)])
+            _import_schedule([("zeta", 0, 1.0), ("zeta", 2, 0.5)])
 
     @pytest.mark.parametrize("eta", [-3.0, 0.0])
     def test_nonpositive_eta_rejected(self, eta):
         with pytest.raises(ParseError, match="step sizes"):
-            import_schedule([("zeta", 0, 1.0), ("zeta", 1, 0.5),
+            _import_schedule([("zeta", 0, 1.0), ("zeta", 1, 0.5),
                              ("eta", 1, eta)])
 
     def test_file_round_trip(self, tmp_path):
@@ -166,4 +167,4 @@ class TestValidation:
                    ("beta", 0): 0.8, ("phi", 0): 0.6}
         records[(kind, k)] = "nan"
         with pytest.raises(ParseError):
-            import_schedule([(kd, i, v) for (kd, i), v in records.items()])
+            _import_schedule([(kd, i, v) for (kd, i), v in records.items()])

@@ -6,11 +6,11 @@ import pytest
 from lrpca import (ConvergenceFailure, FactorPair, FixedSchedule, InvalidInput,
                    MissingGroundTruth, OracleSchedule, ParamSchedule,
                    SingularGram, SolverState, StopRule, gen_instance,
-                   lrpca_step, residual_rel, scaledgd_step, solve,
-                   solve_scaledgd, spectral_init, truncated_svd)
+                   lrpca_step, residual_rel, solve, solve_scaledgd,
+                   spectral_init, truncated_svd)
 from lrpca import solver as solver_module
 from lrpca.solver import (_block_rows, _factor_state, _low_rank_change,
-                          _soft_backward)
+                          _scaled_update, _soft_backward, _sparsify_pass)
 from oracles import (dense_layer_vjp, dense_reference_solve,
                      scalar_lrpca_step, sort_sparsify)
 
@@ -42,10 +42,6 @@ class TestSpectralInit:
         assert np.count_nonzero(state.S) == 0
         ref = truncated_svd(Y, 4).product()
         assert np.linalg.norm(state.low_rank() - ref) <= 1e-9 * np.linalg.norm(ref)
-
-    def test_iteration_counter_starts_at_zero(self, rng):
-        Y = rng.standard_normal((6, 6))
-        assert spectral_init(Y, 2, 0.1).iteration == 0
 
     # Wide and tall shapes whose short side exceeds 2 (r + 10), so the init
     # takes the range sketch, each at a loose and a tight threshold (the
@@ -79,12 +75,11 @@ class TestSpectralInit:
 class TestLrpcaStep:
     def test_scalar_hand_example(self):
         state = SolverState(FactorPair(np.array([[1.0]]), np.array([[1.0]])),
-                            np.zeros((1, 1)), 0)
+                            np.zeros((1, 1)))
         new = lrpca_step(state, np.array([[2.0]]), zeta=2.0, eta=0.5)
         assert new.S == pytest.approx(np.array([[0.0]]))
         assert new.factors.L == pytest.approx(np.array([[1.5]]))
         assert new.factors.R == pytest.approx(np.array([[1.5]]))
-        assert new.iteration == 1
 
     def test_matches_plain_loop_reference(self, rng):
         L = rng.standard_normal((4, 2))
@@ -92,7 +87,7 @@ class TestLrpcaStep:
         S_true = np.zeros((4, 5))
         Y = L @ R.T + S_true
         Y[1, 3] += 2.0
-        state = SolverState(FactorPair(L, R), np.zeros((4, 5)), 0)
+        state = SolverState(FactorPair(L, R), np.zeros((4, 5)))
         new = lrpca_step(state, Y, zeta=0.3, eta=0.7)
         L_ref, R_ref, S_ref = scalar_lrpca_step(L.tolist(), R.tolist(),
                                                 Y.tolist(), 0.3, 0.7)
@@ -107,7 +102,7 @@ class TestLrpcaStep:
         Y = X + S_star
         f = truncated_svd(X, 3)
         root = np.sqrt(f.sigma)
-        state = SolverState(FactorPair(f.U * root, f.V * root), S_star, 0)
+        state = SolverState(FactorPair(f.U * root, f.V * root), S_star)
         new = lrpca_step(state, Y, zeta=0.0, eta=0.5)
         np.testing.assert_allclose(new.S, S_star, atol=1e-10)
         np.testing.assert_allclose(new.factors.L, state.factors.L, atol=1e-10)
@@ -127,7 +122,7 @@ class TestLrpcaStep:
         gauged = SolverState(
             FactorPair(state.factors.L @ Q,
                        state.factors.R @ np.linalg.inv(Q).T),
-            state.S, 0)
+            state.S)
         a = lrpca_step(state, inst.Y, zeta=0.01, eta=0.5).low_rank()
         b = lrpca_step(gauged, inst.Y, zeta=0.01, eta=0.5).low_rank()
         assert np.linalg.norm(a - b) <= 1e-10 * np.linalg.norm(a)
@@ -136,7 +131,7 @@ class TestLrpcaStep:
         inst = gen_instance(40, 40, 3, 0.05, 2)
         f = truncated_svd(inst.X_star, 3)
         root = np.sqrt(f.sigma)
-        state = SolverState(FactorPair(f.U * root, f.V * root), inst.S_star, 0)
+        state = SolverState(FactorPair(f.U * root, f.V * root), inst.S_star)
         zeta = np.abs(inst.X_star - state.low_rank()).max()
         new = lrpca_step(state, inst.Y, zeta=zeta, eta=0.5)
         move = (np.linalg.norm(new.low_rank() - state.low_rank())
@@ -148,6 +143,15 @@ class TestLrpcaStep:
         state = spectral_init(Y, 2, 0.1)
         with pytest.raises(Exception):
             lrpca_step(state, Y, zeta=-1.0, eta=0.5)
+
+
+def scaledgd_step(state, Y, alpha_tilde, eta):
+    """One iteration of the top-fraction baseline, as ``solve_scaledgd``
+    makes it."""
+    S = np.empty(Y.shape)
+    p = _sparsify_pass(Y, state.factors.L, state.factors.R, alpha_tilde,
+                       S_out=S)
+    return SolverState(_scaled_update(state.factors, p, eta), S)
 
 
 class TestScaledgdStep:
@@ -169,7 +173,7 @@ class TestScaledgdStep:
         L = np.array([[1.0], [0.0]])
         R = np.array([[1.0], [1.0]])
         Y = np.array([[2.0, 0.5], [1.0, 0.2]])
-        state = SolverState(FactorPair(L, R), np.zeros((2, 2)), 0)
+        state = SolverState(FactorPair(L, R), np.zeros((2, 2)))
         new = scaledgd_step(state, Y, alpha_tilde=0.5, eta=0.5)
         # X = [[1,1],[0,0]]; residual Y-X = [[1,-0.5],[1,0.2]].
         # Keep count 1 per row and column: row cuts (1, 1), column cuts

@@ -3,12 +3,11 @@ import pytest
 
 from lrpca import (InstanceSource, ParamSchedule, ProblemInstance,
                    TrainConfig, TrainingDiverged, gen_instance,
-                   grid_search_tail, layerwise_train, stage_loss,
-                   train_schedule)
+                   grid_search_tail, layerwise_train, train_schedule)
 from lrpca import training
 from lrpca.solver import spectral_init
 from lrpca.training import _advance, _stage_gradient
-from oracles import central_difference_gradient
+from oracles import central_difference_gradient, stage_loss
 
 
 def small_source(alpha=0.1, seed=0, n=40, r=2):
@@ -36,10 +35,6 @@ class TestStageLoss:
         doubled = stage_loss(theta, 1, [inst, inst])
         assert doubled == pytest.approx(single, rel=1e-14)
 
-    def test_empty_batch_rejected(self):
-        with pytest.raises(ValueError):
-            stage_loss(ParamSchedule(zetas=(0.1,), etas=()), 0, [])
-
 
 def _with_params(theta, values):
     """``theta`` with zeta_0..zeta_K, eta_1..eta_K replaced by ``values``."""
@@ -61,7 +56,7 @@ def _kink_gap(theta, inst, k):
         zeta, _ = theta.at(j)
         T = inst.Y - factors.product()
         gap = min(gap, float(np.abs(np.abs(T) - zeta).min()))
-        factors = _advance(factors, inst.Y, theta, j, j)[0]
+        factors = _advance(factors, inst.Y, theta, j, j)[-1]
     return gap
 
 
@@ -74,7 +69,9 @@ class TestReverseModeGradient:
         # (measured: at most 5e-9).  The instances are picked so that every
         # layer's threshold lies more than 50 FD steps from each of its
         # residual entries: a probe that crossed a clip kink would differ by
-        # about 1e-3.  zeta_0 is itself a central difference (step 1e-5).
+        # about 1e-3.  Every parameter's gradient is exact, zeta_0's too: the
+        # backward sweep's adjoints of the init's factors meet the init's
+        # forward-mode tangent.
         inst = gen_instance(n1, n2, r, alpha, seed)
         z0 = 0.5 * float(np.abs(inst.Y).max())
         theta = ParamSchedule(zetas=tuple(z0 * 0.6 ** k for k in range(5)),
@@ -94,6 +91,92 @@ class TestReverseModeGradient:
             np.testing.assert_array_less(np.abs(got - fd), tol)
             # Layers past k do not act on the stage-k loss.
             assert not g_zeta[k + 1:].any() and not g_eta[k:].any()
+
+
+def _off_kinks(Y, z):
+    """A threshold near ``z`` midway between the two entries of ``|Y|`` that
+    are farthest apart among the 200 around ``z``."""
+    a = np.sort(np.abs(Y).ravel())
+    i = int(np.searchsorted(a, z))
+    w = a[max(i - 100, 0):i + 100]
+    j = int(np.argmax(np.diff(w)))
+    return 0.5 * (w[j] + w[j + 1])
+
+
+def _check_init_tangent(Y, r, zeta0, seed):
+    """The init's tangent in zeta_0 against central differences.
+
+    Only ``d(L_0 R_0^T)`` is fixed (the tangent picks one gauge of the
+    factors), so both sides are read through a random probe ``W``:
+    ``<W, dL R^T + L dR^T>`` against differences of ``<W, L_0 R_0^T>``.
+    Tolerance 1e-6 relative (measured: at most 5e-8); every entry of ``Y``
+    lies more than 50 steps from ``zeta0``.
+    """
+    h = 1e-7
+    assert np.abs(np.abs(Y) - zeta0).min() > 50 * h
+    W = np.random.default_rng(0).standard_normal(Y.shape)
+    state, d = spectral_init(Y, r, zeta0, seed=seed, tangent=True)
+    L, R = state.factors.L, state.factors.R
+    got = float(np.vdot(W, d.L @ R.T + L @ d.R.T))
+    fd = central_difference_gradient(
+        lambda v: float(np.vdot(W, spectral_init(Y, r, v[0],
+                                                 seed=seed).low_rank())),
+        [zeta0], h)[0]
+    assert np.isfinite(got)
+    assert abs(got - fd) <= 1e-6 * abs(fd)
+
+
+def _block_twins(n, eps):
+    """``diag(B, (1 + eps) B)`` for one corrupted rank-1 n/2 x n/2 ``B``:
+    every singular value appears twice, so at r = 2 the kept pair ties
+    (``eps = 0``) or nearly ties, while sigma_2 and sigma_3 stay apart."""
+    b = gen_instance(n // 2, n // 2, 1, 0.1, 9)
+    out = []
+    for M in (b.Y, b.X_star):
+        D = np.zeros((n, n))
+        D[:n // 2, :n // 2], D[n // 2:, n // 2:] = M, (1 + eps) * M
+        out.append(D)
+    return ProblemInstance(Y=out[0], X_star=out[1], S_star=out[0] - out[1],
+                           r=2, alpha=0.1, seed=1)
+
+
+class TestInitTangent:
+    # A short side up to 2 (r + 10) takes the exact SVD, a longer one the
+    # range sketch; one square, one wide and one tall shape for each, at a
+    # loose and a tight threshold.
+    @pytest.mark.parametrize("n1, n2, r, seed", [
+        (20, 20, 2, 1), (24, 60, 3, 1), (120, 20, 2, 2),
+        (40, 40, 2, 15), (40, 150, 3, 3), (150, 40, 2, 3)])
+    @pytest.mark.parametrize("frac", [1.0, 0.3])
+    def test_matches_central_differences(self, n1, n2, r, seed, frac):
+        inst = gen_instance(n1, n2, r, 0.1, seed)
+        zeta0 = _off_kinks(inst.Y, frac * 0.5 * np.abs(inst.Y).max())
+        _check_init_tangent(inst.Y, r, zeta0, seed)
+
+    @pytest.mark.parametrize("clipped", [1, 3, 8])
+    def test_sketch_of_rank_below_its_width(self, clipped):
+        # Clean rank-2 data with a few entries clipped: A = Y - S_0 has rank
+        # at most 2 + clipped < r + 10, so the sketch spans its range.
+        inst = gen_instance(40, 40, 2, 0.0, 4)
+        a = np.sort(np.abs(inst.Y).ravel())[::-1]
+        zeta0 = 0.5 * (a[clipped - 1] + a[clipped])
+        _check_init_tangent(inst.Y, 2, zeta0, 1)
+
+    @pytest.mark.parametrize("n", [20, 60])
+    @pytest.mark.parametrize("eps", [0.0, 1e-10])
+    def test_tied_top_singular_values(self, n, eps):
+        inst = _block_twins(n, eps)
+        zeta0 = _off_kinks(inst.Y, 0.4 * np.abs(inst.Y).max())
+        _check_init_tangent(inst.Y, 2, zeta0, inst.seed)
+        # The stage-1 gradient in zeta_0 stays finite and exact as well.
+        theta = ParamSchedule(zetas=(zeta0, 0.5 * zeta0), etas=(0.5,))
+        assert _kink_gap(theta, inst, 1) > 50e-6
+        g = _stage_gradient(theta, inst, 1)[1][0]
+        fd = central_difference_gradient(
+            lambda v: _norm_stage_loss(_with_params(theta, v), 1, inst),
+            theta.zetas + theta.etas, 1e-6)[0]
+        assert np.isfinite(g)
+        assert abs(g - fd) <= 1e-6 * abs(fd) + 1e-12
 
 
 class TestLayerwiseTrain:
@@ -142,6 +225,37 @@ class TestLayerwiseTrain:
         with pytest.raises(TrainingDiverged) as info:
             layerwise_train(BadSource(), cfg)
         assert info.value.stage == 0
+
+    @pytest.mark.parametrize("n", [20, 30])
+    def test_rank_deficient_init_reported_with_stage(self, n):
+        # A = Y - S_0 = ones / 2 has rank 1 < r: its rank-2 factors have no
+        # derivative in zeta_0, so stage 0 raises rather than stepping to
+        # NaN thresholds.  n = 20 takes the exact SVD, n = 30 the sketch.
+        ones = ProblemInstance(Y=np.ones((n, n)), X_star=np.ones((n, n)),
+                               S_star=np.zeros((n, n)), r=2, alpha=0.0,
+                               seed=0)
+
+        class OnesSource:
+            def instance(self, i):
+                return ones
+
+        cfg = TrainConfig(K=0, K_bar=0, sgd_steps_per_stage=1)
+        with pytest.raises(TrainingDiverged, match="rank") as info:
+            layerwise_train(OnesSource(), cfg)
+        assert info.value.stage == 0
+
+    def test_callback_gets_loss_and_gradient_norm(self, monkeypatch):
+        def fixed(theta, inst, k):
+            return 0.5, np.full(theta.K + 1, 3.0), np.full(theta.K, 4.0)
+
+        monkeypatch.setattr(training, "_stage_gradient", fixed)
+        rows = []
+        cfg = TrainConfig(K=1, K_bar=1, sgd_steps_per_stage=2)
+        layerwise_train(small_source(seed=2), cfg,
+                        callback=lambda *row: rows.append(row))
+        # |(3, 3, 4)| = sqrt(34) for the K = 1 gradient (zeta_0, zeta_1, eta_1).
+        assert rows == [(stage, step, 0.5, np.sqrt(34.0))
+                        for stage in (0, 1) for step in (0, 1)]
 
     def test_nan_gradient_reported_with_stage(self, monkeypatch):
         # Stage 0 has no layer to backpropagate through; stage 1 is the
