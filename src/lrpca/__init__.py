@@ -5,7 +5,6 @@ from .errors import (ConvergenceFailure, FormatError, InvalidDimensions,
                      InvalidFraction, InvalidInput, InvalidRank,
                      InvalidThreshold, LrpcaError, MissingGroundTruth,
                      ParseError, SingularGram, TrainingDiverged)
-from .estimators import LRPCA, UnfoldingTrainer
 from .linalg import TruncatedSVD, gram_solve, matrix_norm, truncated_svd
 from .operators import soft_threshold, sparsify_top_fraction
 from .schedule import (ParamSchedule, read_schedule, rescale_schedule,
@@ -23,7 +22,6 @@ from .video import (FrameSequence, background_subtract, frames_to_matrix,
 __version__ = "0.1.0"
 
 __all__ = [
-    "LRPCA", "UnfoldingTrainer",
     "TruncatedSVD", "matrix_norm", "truncated_svd", "gram_solve",
     "soft_threshold", "sparsify_top_fraction",
     "ParamSchedule", "rescale_schedule", "read_schedule", "write_schedule",

@@ -103,24 +103,22 @@ def recoverability_sweep(alphas, trials_per_alpha, spec_factory, success_tol,
     if trials_per_alpha < 1:
         raise InvalidInput("need at least one trial per alpha")
     stop = StopRule(mode="fixed_iters", max_iters=max_iters)
-    tasks = []
-    for alpha in alphas:
-        specs = spec_factory(alpha)
-        if not specs:
-            raise InvalidInput("spec factory returned no solvers")
-        for t in range(trials_per_alpha):
-            for spec in specs:
-                tasks.append((alpha, t, spec))
+    specs_by_alpha = [(alpha, spec_factory(alpha)) for alpha in alphas]
+    if not all(specs for _, specs in specs_by_alpha):
+        raise InvalidInput("spec factory returned no solvers")
 
     rows = []
-    for alpha, t, spec in tasks:
-        inst = gen_instance(n, n, r, alpha, base_seed + t)
-        try:
-            X, S, trace = spec.run(inst, stop)
-        except LrpcaError:
-            rows.append(_row(spec, inst, None, False))
-            continue
-        rows.append(_row(spec, inst, trace, trace.rel_errs[-1] < success_tol))
+    for alpha, specs in specs_by_alpha:
+        for t in range(trials_per_alpha):
+            inst = gen_instance(n, n, r, alpha, base_seed + t)
+            for spec in specs:
+                try:
+                    X, S, trace = spec.run(inst, stop)
+                except LrpcaError:
+                    rows.append(_row(spec, inst, None, False))
+                    continue
+                rows.append(_row(spec, inst, trace,
+                                 trace.rel_errs[-1] < success_tol))
     return BenchReport(rows)
 
 

@@ -22,7 +22,7 @@ import os
 import sys
 
 from . import bench as bench_mod
-from .errors import LrpcaError
+from .errors import InvalidFraction, InvalidRank, LrpcaError
 from .matrixio import read_matrix, write_matrix
 from .schedule import read_schedule, write_schedule
 from .solver import FixedSchedule, OracleSchedule, StopRule, solve
@@ -139,10 +139,11 @@ def _outdir(args):
 
 
 def _build(factory, **settings):
-    """A schedule source or TrainConfig, whose ValueError is a bad setting."""
+    """A schedule source, TrainConfig or InstanceSource, whose ValueError,
+    InvalidRank or InvalidFraction is a bad setting."""
     try:
         return factory(**settings)
-    except ValueError as exc:
+    except (ValueError, InvalidRank, InvalidFraction) as exc:
         raise UsageError(str(exc)) from exc
 
 
@@ -155,10 +156,10 @@ def cmd_gen(args):
     if args.n1 is None or args.n2 is None:
         raise UsageError("need --n or both --n1/--n2")
     _require(args, "r", "alpha")
-    if not 0.0 <= args.alpha <= 1.0:
-        raise UsageError(f"alpha must be in [0, 1], got {args.alpha}")
+    source = _build(InstanceSource, n1=args.n1, n2=args.n2, r=args.r,
+                    alpha=args.alpha, base_seed=args.seed)
     out = _outdir(args)
-    inst = gen_instance(args.n1, args.n2, args.r, args.alpha, args.seed)
+    inst = source.instance(0)
     for name in ("Y", "X_star", "S_star"):
         write_matrix(getattr(inst, name), os.path.join(out, f"{name}.lrpm"))
     print(f"gen: wrote {args.n1}x{args.n2} instance (r={args.r}, "
@@ -171,9 +172,9 @@ def cmd_train(args):
                  sgd_steps_per_stage=args.sgd_steps_per_stage,
                  learning_rate=args.learning_rate,
                  grid=(args.grid_min, args.grid_max, args.grid_step))
+    source = _build(InstanceSource, n1=args.n, n2=args.n2, r=args.r,
+                    alpha=args.alpha, base_seed=args.seed)
     out = _outdir(args)
-    source = InstanceSource(args.n, args.n2, args.r, args.alpha,
-                            base_seed=args.seed)
     with open(os.path.join(out, "training_log.csv"), "w",
               encoding="utf-8", newline="\n") as log:
         log.write("stage,step,loss,grad_norm\n")

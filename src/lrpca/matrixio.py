@@ -2,16 +2,14 @@
 
 Binary format: magic bytes ``LRPM``, little-endian uint64 rows and cols,
 then rows*cols little-endian float64 values in row-major order.  Round
-trips are bit-exact.  The CSV format is one row per line with
-comma-separated decimal values (17 significant digits, so float64 values
-also round-trip exactly).
+trips are bit-exact.
 """
 
 import struct
 
 import numpy as np
 
-from .errors import FormatError, ParseError
+from .errors import FormatError
 from .validation import check_matrix
 
 __all__ = ["read_matrix", "write_matrix"]
@@ -19,32 +17,17 @@ __all__ = ["read_matrix", "write_matrix"]
 _MAGIC = b"LRPM"
 
 
-def write_matrix(M, path, format="binary"):
-    """Write ``M`` to ``path`` in the requested format."""
+def write_matrix(M, path):
+    """Write ``M`` to ``path`` in the binary format."""
     A = check_matrix(M, "M")
-    if format == "binary":
-        with open(path, "wb") as fh:
-            fh.write(_MAGIC)
-            fh.write(struct.pack("<QQ", A.shape[0], A.shape[1]))
-            fh.write(A.astype("<f8", copy=False).tobytes(order="C"))
-    elif format == "csv":
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            for row in A:
-                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
-    else:
-        raise ValueError(f"unknown matrix format {format!r}")
+    with open(path, "wb") as fh:
+        fh.write(_MAGIC)
+        fh.write(struct.pack("<QQ", A.shape[0], A.shape[1]))
+        fh.write(A.astype("<f8", copy=False).tobytes(order="C"))
 
 
-def read_matrix(path, format="binary"):
+def read_matrix(path):
     """Read a matrix written by :func:`write_matrix`."""
-    if format == "binary":
-        return _read_binary(path)
-    if format == "csv":
-        return _read_csv(path)
-    raise ValueError(f"unknown matrix format {format!r}")
-
-
-def _read_binary(path):
     with open(path, "rb") as fh:
         head = fh.read(4)
         if head != _MAGIC:
@@ -62,25 +45,3 @@ def _read_binary(path):
     data = np.frombuffer(payload, dtype="<f8").astype(np.float64)
     return data.reshape(rows, cols)
 
-
-def _read_csv(path):
-    rows = []
-    width = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            fields = line.split(",")
-            try:
-                rows.append([float(f) for f in fields])
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: non-numeric field") from exc
-            if width is None:
-                width = len(fields)
-            elif len(fields) != width:
-                raise ParseError(f"{path}:{lineno}: expected {width} fields, "
-                                 f"got {len(fields)}")
-    if not rows:
-        raise ParseError(f"{path}: no data rows")
-    return np.asarray(rows, dtype=np.float64)

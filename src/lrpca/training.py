@@ -134,6 +134,12 @@ def _capped_step(values, grad, lr, floor):
 def layerwise_train(source, cfg, callback=None):
     """Phase one: curriculum training of the per-iteration parameters.
 
+    ``source`` is any object whose ``instance(i)`` returns the i-th
+    :class:`~lrpca.synth.ProblemInstance`, such as an
+    :class:`~lrpca.synth.InstanceSource`; instance 0 is the probe that sets
+    the starting schedule and SGD step ``j`` of the run reads instance
+    ``1 + j``.
+
     Returns a :class:`ParamSchedule` with ``beta = phi = 1`` (the tail is
     fit separately by :func:`grid_search_tail`).  ``callback(stage, step,
     loss, grad_norm)``, when given, observes each SGD step's training loss
@@ -202,7 +208,10 @@ def grid_search_tail(theta, dataset, cfg):
 def train_schedule(source, cfg, grid_instances=_GRID_INSTANCES, callback=None):
     """Run both phases; returns the complete schedule.
 
-    The grid phase uses ``grid_instances`` fresh instances drawn after the
+    ``source`` is any object whose ``instance(i)`` returns the i-th
+    :class:`~lrpca.synth.ProblemInstance` (an
+    :class:`~lrpca.synth.InstanceSource`, or an adapter over a fixed list).
+    The grid phase uses the ``grid_instances`` instances that follow the
     ones consumed by SGD.  ``callback`` is passed to
     :func:`layerwise_train`.
     """

@@ -22,6 +22,20 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             terminalreporter.write_line(line)
 
 
+class ListSource:
+    """A fixed instance list as a training source: ``instance(i)`` is entry
+    ``i`` modulo the list's length."""
+
+    def __init__(self, instances):
+        from lrpca import InvalidInput
+        self._data = list(instances)
+        if not self._data:
+            raise InvalidInput("instance list must be nonempty")
+
+    def instance(self, i):
+        return self._data[i % len(self._data)]
+
+
 # --- expensive trained schedules shared by the acceptance criteria ---------
 
 def _train(n, r, alpha, seed, steps, grid=(0.1, 1.0, 0.1), grid_instances=20,
@@ -84,13 +98,12 @@ def make_scene_instance(phase, amplitude, n_frames=30, height=20, width=26,
 def trained_video_schedule():
     """Video-style schedule (K=5, K_bar=10) trained on blob scenes."""
     from lrpca import TrainConfig, grid_search_tail, layerwise_train
-    from lrpca.estimators import _ListSource
 
     instances = [make_scene_instance(phase=(p, q), amplitude=a, seed=i)[0]
                  for i, (p, q, a) in enumerate(
                      [(3, 2, 0.85), (5, 7, 0.8), (1, 4, 0.9), (7, 1, 0.75),
                       (2, 9, 0.85), (6, 5, 0.8), (4, 3, 0.9), (0, 6, 0.82)])]
-    source = _ListSource(instances)
+    source = ListSource(instances)
     cfg = TrainConfig(K=5, K_bar=10, sgd_steps_per_stage=8)
     t0 = time.perf_counter()
     theta = layerwise_train(source, cfg)

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from lrpca import InvalidInput, OracleSchedule, StopRule, gen_instance
-from lrpca.bench import (BenchReport, REPORT_COLUMNS, convergence_bench,
-                         generalization_bench, lrpca_spec, recoverability_sweep,
-                         runtime_scaling_bench, scaledgd_spec, write_report,
-                         write_trace)
+from lrpca import InvalidInput, OracleSchedule, StopRule, bench, gen_instance
+from lrpca.bench import (BenchReport, REPORT_COLUMNS, SolverSpec,
+                         convergence_bench, generalization_bench, lrpca_spec,
+                         recoverability_sweep, runtime_scaling_bench,
+                         scaledgd_spec, write_report, write_trace)
 from lrpca.schedule import ParamSchedule
 
 
@@ -61,6 +61,32 @@ class TestRecoverabilitySweep:
     def test_needs_trials(self):
         with pytest.raises(InvalidInput):
             recoverability_sweep([0.1], 0, lambda a: [], 1e-3)
+
+    def test_one_instance_per_trial_shared_by_solvers(self, monkeypatch):
+        seeds = []
+
+        def counting_gen(*args):
+            seeds.append(args[-1])
+            return gen_instance(*args)
+
+        monkeypatch.setattr(bench, "gen_instance", counting_gen)
+        specs = [lrpca_spec(OracleSchedule(0.5)), scaledgd_spec(0.2)]
+        report = recoverability_sweep([0.0, 0.1], 2, lambda a: specs,
+                                      success_tol=1e-3, n=20, r=2,
+                                      base_seed=5, max_iters=3)
+        assert seeds == [5, 6, 5, 6]
+        assert [(row["alpha"], row["seed"], row["solver"])
+                for row in report.rows] == [
+            (alpha, seed, name) for alpha in (0.0, 0.1) for seed in (5, 6)
+            for name in ("lrpca", "scaledgd")]
+
+    def test_empty_spec_list_rejected_before_any_solve(self):
+        def run(inst, stop):
+            raise AssertionError("solved before the spec lists were checked")
+
+        factory = {0.0: [SolverSpec("never", run)], 0.1: []}.get
+        with pytest.raises(InvalidInput):
+            recoverability_sweep([0.0, 0.1], 1, factory, 1e-3, n=20, r=2)
 
     def test_success_monotone_in_alpha_soft_property(self, capsys):
         # Success counts should not increase with the outlier level on

@@ -270,6 +270,19 @@ class TestTrainCommand:
         assert (a / "schedule.csv").read_bytes() == (b / "schedule.csv").read_bytes()
 
 
+# The instance family is built, and its rank and alpha checked, before the
+# output directory exists.
+@pytest.mark.parametrize("args", [
+    ["gen", "--n", 20, "--r", 30, "--alpha", "0.1"],
+    ["train", "--n", 20, "--r", 30],
+    ["train", "--n", 20, "--r", 2, "--alpha", "1.5"],
+], ids=["gen_rank", "train_rank", "train_alpha"])
+def test_bad_instance_family_usage_error_before_output(tmp_path, args):
+    out = tmp_path / "o"
+    assert run(args + ["--out", out]) == 2
+    assert not out.exists()
+
+
 class TestBenchCommand:
     def test_convergence_kind(self, tmp_path):
         out = tmp_path / "b"

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lrpca import FormatError, ParseError, read_matrix, write_matrix
+from lrpca import FormatError, read_matrix, write_matrix
 
 
 class TestBinaryFormat:
@@ -41,39 +41,3 @@ class TestBinaryFormat:
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(FormatError):
             read_matrix(path)
-
-
-class TestCsvFormat:
-    def test_parse_two_by_two(self, tmp_path):
-        path = tmp_path / "m.csv"
-        path.write_text("1,2\n3,4\n")
-        assert np.array_equal(read_matrix(path, format="csv"),
-                              [[1.0, 2.0], [3.0, 4.0]])
-
-    def test_round_trip_exact(self, rng, tmp_path):
-        M = rng.standard_normal((5, 9))
-        path = tmp_path / "m.csv"
-        write_matrix(M, path, format="csv")
-        assert np.array_equal(read_matrix(path, format="csv"), M)
-
-    def test_non_numeric_field(self, tmp_path):
-        path = tmp_path / "m.csv"
-        path.write_text("1,2\n3,oops\n")
-        with pytest.raises(ParseError):
-            read_matrix(path, format="csv")
-
-    def test_ragged_rows(self, tmp_path):
-        path = tmp_path / "m.csv"
-        path.write_text("1,2\n3\n")
-        with pytest.raises(ParseError):
-            read_matrix(path, format="csv")
-
-    def test_empty_file(self, tmp_path):
-        path = tmp_path / "m.csv"
-        path.write_text("")
-        with pytest.raises(ParseError):
-            read_matrix(path, format="csv")
-
-    def test_unknown_format(self, tmp_path):
-        with pytest.raises(ValueError):
-            write_matrix(np.eye(2), tmp_path / "m.x", format="json")

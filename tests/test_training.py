@@ -7,6 +7,7 @@ from lrpca import (InstanceSource, ParamSchedule, ProblemInstance,
 from lrpca import training
 from lrpca.solver import spectral_init
 from lrpca.training import _advance, _stage_gradient
+from conftest import ListSource
 from oracles import central_difference_gradient, stage_loss
 
 
@@ -330,6 +331,18 @@ class TestTrainSchedule:
         assert theta.beta in (0.5, 1.0)
         assert theta.phi in (0.5, 1.0)
         assert all(z >= 0 for z in theta.zetas)
+
+    def test_instance_list_source(self):
+        # Any object with instance(i) is a source: here a fixed list of four,
+        # which SGD and the grid phase cycle through.
+        data = [gen_instance(25, 25, 2, 0.1, s) for s in range(4)]
+        cfg = TrainConfig(K=1, K_bar=1, sgd_steps_per_stage=2,
+                          grid=(1.0, 1.0, 0.5))
+        a, b = (train_schedule(ListSource(data), cfg, grid_instances=2)
+                for _ in range(2))
+        assert a == b
+        assert a.K == cfg.K
+        assert np.isfinite(a.zetas + a.etas + (a.beta, a.phi)).all()
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
