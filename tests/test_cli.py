@@ -3,8 +3,9 @@ import os
 import numpy as np
 import pytest
 
-from lrpca import (InstanceSource, ParamSchedule, TrainConfig, read_matrix,
-                   read_schedule, train_schedule, write_pgm, write_schedule)
+from lrpca import (InstanceSource, ParamSchedule, TrainConfig, gen_instance,
+                   read_matrix, read_schedule, train_schedule, write_pgm,
+                   write_schedule)
 from lrpca.cli import main, parse_config
 from lrpca.video import moving_blob_scene
 
@@ -41,6 +42,15 @@ class TestGen:
         run(["gen", "--n", 25, "--r", 2, "--alpha", "0.2", "--seed", 9, "--out", a])
         run(["gen", "--n", 25, "--r", 2, "--alpha", "0.2", "--seed", 9, "--out", b])
         assert (a / "Y.lrpm").read_bytes() == (b / "Y.lrpm").read_bytes()
+
+    def test_files_are_instance_of_seed(self, tmp_path):
+        out = tmp_path / "g"
+        assert run(["gen", "--n1", 20, "--n2", 24, "--r", 3, "--alpha", "0.15",
+                    "--seed", 11, "--out", out]) == 0
+        inst = gen_instance(20, 24, 3, 0.15, 11)
+        for name in ("Y", "X_star", "S_star"):
+            assert np.array_equal(read_matrix(out / f"{name}.lrpm"),
+                                  getattr(inst, name))
 
     def test_bad_alpha_usage_error(self, tmp_path):
         assert run(["gen", "--n", 10, "--r", 2, "--alpha", "1.5",
@@ -137,6 +147,26 @@ class TestSolveCommand:
                     "--oracle", "--truth", instance_dir / "X_star.lrpm",
                     "--fixed", "0.1", "0.5", "--out", tmp_path / "s5"])
         assert code == 2
+
+    def test_no_schedule_source_usage_error(self, instance_dir, tmp_path,
+                                            capsys):
+        out = tmp_path / "none"
+        code = run(["solve", "--y", instance_dir / "Y.lrpm", "--r", 2,
+                    "--truth", instance_dir / "X_star.lrpm", "--out", out])
+        assert code == 2
+        assert "exactly one" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_text_matrix_is_format_error(self, tmp_path, capsys):
+        # .lrpm is the only matrix format; a CSV file fails on its magic.
+        y = tmp_path / "Y.csv"
+        y.write_text("1,2\n3,4\n")
+        out = tmp_path / "csv"
+        code = run(["solve", "--y", y, "--r", 1, "--fixed", "0.1", "0.5",
+                    "--out", out])
+        assert code == 1
+        assert "bad magic" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("source", [
         ["--fixed", "0.1", "-3"], ["--fixed", "-0.1", "0.5"],

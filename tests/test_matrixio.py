@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from lrpca import FormatError, read_matrix, write_matrix
+from lrpca import (FormatError, InvalidDimensions, InvalidInput, read_matrix,
+                   write_matrix)
 
 
 class TestBinaryFormat:
@@ -41,3 +42,38 @@ class TestBinaryFormat:
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(FormatError):
             read_matrix(path)
+
+    def test_empty_matrix_rejected(self, tmp_path):
+        path = tmp_path / "m.lrpm"
+        path.write_bytes(b"LRPM" + (0).to_bytes(8, "little")
+                         + (3).to_bytes(8, "little"))
+        with pytest.raises(FormatError, match="empty"):
+            read_matrix(path)
+
+    def test_non_contiguous_input_written_row_major(self, rng, tmp_path):
+        M = rng.standard_normal((9, 5)).T  # Fortran-ordered view
+        path = tmp_path / "m.lrpm"
+        write_matrix(M, path)
+        assert np.array_equal(read_matrix(path), M)
+
+    def test_integer_input_read_back_as_float64(self, tmp_path):
+        path = tmp_path / "m.lrpm"
+        write_matrix(np.arange(6).reshape(2, 3), path)
+        back = read_matrix(path)
+        assert back.dtype == np.float64
+        assert np.array_equal(back, [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]])
+
+    # The input is checked before the file is opened, so a rejected matrix
+    # leaves no file behind.
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected_before_writing(self, tmp_path, bad):
+        path = tmp_path / "m.lrpm"
+        with pytest.raises(InvalidInput):
+            write_matrix(np.array([[1.0, bad]]), path)
+        assert not path.exists()
+
+    def test_non_2d_rejected_before_writing(self, tmp_path):
+        path = tmp_path / "m.lrpm"
+        with pytest.raises(InvalidDimensions):
+            write_matrix(np.ones(4), path)
+        assert not path.exists()

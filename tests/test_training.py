@@ -344,6 +344,39 @@ class TestTrainSchedule:
         assert a.K == cfg.K
         assert np.isfinite(a.zetas + a.etas + (a.beta, a.phi)).all()
 
+    def test_callback_sees_every_sgd_step(self):
+        rows = []
+        cfg = TrainConfig(K=1, K_bar=2, sgd_steps_per_stage=2,
+                          grid=(0.5, 1.0, 0.5))
+        theta = train_schedule(small_source(n=30, seed=4), cfg,
+                               grid_instances=2,
+                               callback=lambda *row: rows.append(row))
+        assert theta.K == 1
+        assert theta.phi in (0.5, 1.0)
+        # (stage, step, loss, grad_norm) per SGD step, in order.
+        assert [row[:2] for row in rows] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+        assert all(np.isfinite(row[2:]).all() and row[3] >= 0 for row in rows)
+
+    # The source protocol: instance 0 is the probe, SGD reads the next
+    # (K + 1) * steps instances in order and the grid phase the
+    # grid_instances (20 by default) that follow.
+    @pytest.mark.parametrize("grid_instances", [2, None])
+    def test_reads_probe_then_sgd_then_grid_instances(self, grid_instances):
+        family = small_source(n=20, seed=5)
+        read = []
+
+        class CountingSource:
+            def instance(self, i):
+                read.append(i)
+                return family.instance(i)
+
+        cfg = TrainConfig(K=1, K_bar=1, sgd_steps_per_stage=2,
+                          grid=(1.0, 1.0, 0.5))
+        kw = {} if grid_instances is None else {"grid_instances": grid_instances}
+        train_schedule(CountingSource(), cfg, **kw)
+        n_grid = 20 if grid_instances is None else grid_instances
+        assert read == list(range(1 + 2 * 2 + n_grid))
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             TrainConfig(K=5, K_bar=4)
