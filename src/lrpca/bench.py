@@ -60,9 +60,9 @@ class BenchReport:
         return sum(r["success"] for r in self.rows)
 
 
-def _row(spec, inst, trace, success):
+def _row(name, inst, trace, success):
     return {
-        "solver": spec.name,
+        "solver": name,
         "seed": inst.seed,
         "alpha": inst.alpha,
         "n": max(inst.shape),
@@ -84,7 +84,7 @@ def convergence_bench(solver_specs, instance, stop):
         X, S, trace = spec.run(instance, stop)
         ok = trace.residuals[-1] < stop.tolerance if stop.mode == "residual_rel" \
             else math.isfinite(trace.rel_errs[-1])
-        rows.append(_row(spec, instance, trace, ok))
+        rows.append(_row(spec.name, instance, trace, ok))
         traces[spec.name] = trace
     return BenchReport(rows), traces
 
@@ -115,9 +115,9 @@ def recoverability_sweep(alphas, trials_per_alpha, spec_factory, success_tol,
                 try:
                     X, S, trace = spec.run(inst, stop)
                 except LrpcaError:
-                    rows.append(_row(spec, inst, None, False))
+                    rows.append(_row(spec.name, inst, None, False))
                     continue
-                rows.append(_row(spec, inst, trace,
+                rows.append(_row(spec.name, inst, trace,
                                  trace.rel_errs[-1] < success_tol))
     return BenchReport(rows)
 
@@ -146,13 +146,16 @@ def runtime_scaling_bench(n_list, r_list, iters, alpha=0.1, base_seed=50):
 
 def generalization_bench(theta_base, base_dims, target_dims_list, tol,
                          trials=5, alpha=0.1, base_seed=700, max_iters=200):
-    """Mean iterations for the rescaled base schedule to reach the residual
-    tolerance on fresh instances of each target size."""
+    """Iterations for the rescaled base schedule to reach the residual
+    tolerance on fresh instances of each target size: per target, the
+    trials' ``counts`` and report ``rows`` (success: the solve converged)."""
+    if trials < 1:
+        raise InvalidInput("need at least one trial per target")
     n_base, r_base = base_dims
     out = []
     for n_t, r_t in target_dims_list:
         theta = rescale_schedule(theta_base, n_base, r_base, n_t, r_t)
-        counts = []
+        counts, rows = [], []
         for t in range(trials):
             inst = gen_instance(n_t, n_t, r_t, alpha, base_seed + t)
             stop = StopRule(mode="residual_rel", tolerance=tol,
@@ -160,9 +163,9 @@ def generalization_bench(theta_base, base_dims, target_dims_list, tol,
             _, _, trace = solve(inst.Y, r_t, theta, stop=stop,
                                 truth=inst.X_star, seed=inst.seed)
             counts.append(trace.iterations)
-        out.append({"n": n_t, "r": r_t, "counts": counts,
-                    "mean_iters": float(np.mean(counts)),
-                    "max_iters_hit": int(max(counts) >= max_iters)})
+            rows.append(_row("lrpca-rescaled", inst, trace,
+                             trace.stop_reason == "converged"))
+        out.append({"n": n_t, "r": r_t, "counts": counts, "rows": rows})
     return out
 
 

@@ -14,7 +14,10 @@ error (``command``, which manifests carry, is allowed).  Every run writes a
 ``--config`` reads, so ``--config manifest.txt`` reproduces the outputs
 (modulo wall-clock columns).
 
-Exit codes: 0 success, 1 runtime/solver failure, 2 usage or config error.
+Exit codes: 0 success, 1 runtime/solver failure, 2 for any
+:class:`~lrpca.errors.InvalidInput`: a usage or config error, or a setting
+or input that cannot be run.  ``--out`` is created with the first output,
+so a run that exits 2 leaves none.
 """
 
 import argparse
@@ -22,7 +25,7 @@ import os
 import sys
 
 from . import bench as bench_mod
-from .errors import InvalidFraction, InvalidRank, LrpcaError
+from .errors import InvalidInput, LrpcaError
 from .matrixio import read_matrix, write_matrix
 from .schedule import read_schedule, write_schedule
 from .solver import FixedSchedule, OracleSchedule, StopRule, solve
@@ -33,14 +36,10 @@ from .video import background_subtract, read_pgm_sequence, write_pgm
 __all__ = ["main"]
 
 
-class UsageError(Exception):
-    pass
-
-
 def parse_config(path):
     """Flat ``key = value`` file; '#' starts a comment."""
     if not os.path.isfile(path):
-        raise UsageError(f"config file not found: {path}")
+        raise InvalidInput(f"config file not found: {path}")
     out = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -48,7 +47,7 @@ def parse_config(path):
             if not line:
                 continue
             if "=" not in line:
-                raise UsageError(f"{path}:{lineno}: expected 'key = value'")
+                raise InvalidInput(f"{path}:{lineno}: expected 'key = value'")
             key, value = line.split("=", 1)
             out[key.strip()] = value.strip()
     return out
@@ -62,7 +61,7 @@ def _layer_config(sub, path):
     actions = {a.dest: a for a in sub._actions if a.dest not in ("help", "config")}
     unknown = sorted(set(values) - set(actions) - {"command"})
     if unknown:
-        raise UsageError(f"unknown config keys in {path}: {', '.join(unknown)}")
+        raise InvalidInput(f"unknown config keys in {path}: {', '.join(unknown)}")
     defaults = {}
     for key, text in values.items():
         action = actions.get(key)
@@ -70,22 +69,22 @@ def _layer_config(sub, path):
             continue
         if action.nargs == 0:  # a switch; manifests write True or False
             if text not in ("True", "False"):
-                raise UsageError(f"{key} must be True or False, got {text!r}")
+                raise InvalidInput(f"{key} must be True or False, got {text!r}")
             text = text == "True"
         elif action.nargs is not None:  # several values, as on the command line
             flag_args = [action.option_strings[0], *text.split()]
             text = getattr(sub.parse_args(flag_args), key)
         elif action.choices is not None and text not in action.choices:
             # argparse checks choices only for values given as flags.
-            raise UsageError(f"{key} must be one of "
-                             f"{', '.join(action.choices)}, got {text!r}")
+            raise InvalidInput(f"{key} must be one of "
+                               f"{', '.join(action.choices)}, got {text!r}")
         defaults[key] = text
     sub.set_defaults(**defaults)
 
 
 def _write_manifest(args):
     """Every setting of the run, in the syntax ``--config`` reads."""
-    with open(os.path.join(args.out, "manifest.txt"), "w", encoding="utf-8",
+    with open(_path(args, "manifest.txt"), "w", encoding="utf-8",
               newline="\n") as fh:
         for key, value in vars(args).items():
             if key in ("config", "func"):
@@ -116,7 +115,7 @@ def pair_list(text):
 def _require(args, *keys):
     for key in keys:
         if getattr(args, key) is None:
-            raise UsageError(f"missing required setting {key!r}")
+            raise InvalidInput(f"missing required setting {key!r}")
 
 
 def _fill(args, **defaults):
@@ -128,23 +127,14 @@ def _fill(args, **defaults):
 
 def _existing(path, what):
     if not os.path.isfile(path):
-        raise UsageError(f"{what} file not found: {path}")
+        raise InvalidInput(f"{what} file not found: {path}")
     return path
 
 
-def _outdir(args):
-    _require(args, "out")
+def _path(args, name):
+    """Output file ``name`` in ``--out``, which the first output creates."""
     os.makedirs(args.out, exist_ok=True)
-    return args.out
-
-
-def _build(factory, **settings):
-    """A schedule source, TrainConfig or InstanceSource, whose ValueError,
-    InvalidRank or InvalidFraction is a bad setting."""
-    try:
-        return factory(**settings)
-    except (ValueError, InvalidRank, InvalidFraction) as exc:
-        raise UsageError(str(exc)) from exc
+    return os.path.join(args.out, name)
 
 
 def _stop(args):
@@ -154,72 +144,73 @@ def _stop(args):
 def cmd_gen(args):
     _fill(args, n1=args.n, n2=args.n)
     if args.n1 is None or args.n2 is None:
-        raise UsageError("need --n or both --n1/--n2")
+        raise InvalidInput("need --n or both --n1/--n2")
     _require(args, "r", "alpha")
-    source = _build(InstanceSource, n1=args.n1, n2=args.n2, r=args.r,
-                    alpha=args.alpha, base_seed=args.seed)
-    out = _outdir(args)
-    inst = source.instance(0)
+    inst = gen_instance(args.n1, args.n2, args.r, args.alpha, args.seed)
     for name in ("Y", "X_star", "S_star"):
-        write_matrix(getattr(inst, name), os.path.join(out, f"{name}.lrpm"))
+        write_matrix(getattr(inst, name), _path(args, f"{name}.lrpm"))
     print(f"gen: wrote {args.n1}x{args.n2} instance (r={args.r}, "
-          f"alpha={args.alpha}) to {out}")
+          f"alpha={args.alpha}) to {args.out}")
 
 
 def cmd_train(args):
     _fill(args, n2=args.n)
-    cfg = _build(TrainConfig, K=args.K, K_bar=args.K_bar,
-                 sgd_steps_per_stage=args.sgd_steps_per_stage,
-                 learning_rate=args.learning_rate,
-                 grid=(args.grid_min, args.grid_max, args.grid_step))
-    source = _build(InstanceSource, n1=args.n, n2=args.n2, r=args.r,
-                    alpha=args.alpha, base_seed=args.seed)
-    out = _outdir(args)
-    with open(os.path.join(out, "training_log.csv"), "w",
-              encoding="utf-8", newline="\n") as log:
-        log.write("stage,step,loss,grad_norm\n")
-        theta = train_schedule(
-            source, cfg, args.grid_instances,
-            callback=lambda stage, step, loss, grad_norm: log.write(
-                f"{stage},{step},{loss:.17g},{grad_norm:.17g}\n"))
-    write_schedule(theta, os.path.join(out, "schedule.csv"))
+    cfg = TrainConfig(K=args.K, K_bar=args.K_bar,
+                      sgd_steps_per_stage=args.sgd_steps_per_stage,
+                      learning_rate=args.learning_rate,
+                      grid=(args.grid_min, args.grid_max, args.grid_step))
+    source = InstanceSource(args.n, args.n2, args.r, args.alpha, args.seed)
+    log = []  # opened at the first SGD step, once train_schedule checked its settings
+
+    def record(*row):  # (stage, step, loss, grad_norm)
+        if not log:
+            log.append(open(_path(args, "training_log.csv"), "w",
+                            encoding="utf-8", newline="\n"))
+            log[0].write("stage,step,loss,grad_norm\n")
+        if row:
+            log[0].write("{},{},{:.17g},{:.17g}\n".format(*row))
+
+    try:
+        theta = train_schedule(source, cfg, args.grid_instances, callback=record)
+        record()  # a run without SGD steps still writes the header
+    finally:
+        for fh in log:
+            fh.close()
+    write_schedule(theta, _path(args, "schedule.csv"))
     print(f"train: wrote schedule (K={args.K}, K_bar={args.K_bar}, "
-          f"beta={theta.beta}, phi={theta.phi}) to {out}")
+          f"beta={theta.beta}, phi={theta.phi}) to {args.out}")
 
 
 def cmd_solve(args):
     _require(args, "y", "r")
     Y = read_matrix(_existing(args.y, "matrix"))
     if (args.schedule is not None) + args.oracle + (args.fixed is not None) != 1:
-        raise UsageError("choose exactly one of --schedule, --oracle, --fixed")
+        raise InvalidInput("choose exactly one of --schedule, --oracle, --fixed")
     if args.schedule is not None:
         schedule = read_schedule(_existing(args.schedule, "schedule"))
     elif args.fixed is not None:
-        schedule = _build(FixedSchedule, zeta=args.fixed[0], eta=args.fixed[1])
+        schedule = FixedSchedule(*args.fixed)
     else:
-        schedule = _build(OracleSchedule, eta=args.eta)
+        schedule = OracleSchedule(args.eta)
     truth = None if args.truth is None else read_matrix(_existing(args.truth, "truth"))
-    out = _outdir(args)
-
     X, S, trace = solve(Y, args.r, schedule, stop=_stop(args), truth=truth,
                         seed=args.seed)
-    write_matrix(X, os.path.join(out, "X_hat.lrpm"))
-    write_matrix(S, os.path.join(out, "S_hat.lrpm"))
-    bench_mod.write_trace(trace, os.path.join(out, "trace.csv"))
+    write_matrix(X, _path(args, "X_hat.lrpm"))
+    write_matrix(S, _path(args, "S_hat.lrpm"))
+    bench_mod.write_trace(trace, _path(args, "trace.csv"))
     print(f"solve: {trace.iterations} iterations, final residual "
-          f"{trace.residuals[-1]:.3e}; outputs in {out}")
+          f"{trace.residuals[-1]:.3e}; outputs in {args.out}")
 
 
 def _lrpca_spec(args):
     if args.schedule is not None:
         theta = read_schedule(_existing(args.schedule, "schedule"))
         return bench_mod.lrpca_spec(theta)
-    return bench_mod.lrpca_spec(_build(OracleSchedule, eta=args.eta), "lrpca-oracle")
+    return bench_mod.lrpca_spec(OracleSchedule(args.eta), "lrpca-oracle")
 
 
 def cmd_bench(args):
     _require(args, "kind")
-    out = _outdir(args)
     seed, kind = args.seed, args.kind
 
     if kind == "convergence":
@@ -230,7 +221,7 @@ def cmd_bench(args):
                                          args.scaledgd_eta)]
         report, traces = bench_mod.convergence_bench(specs, inst, _stop(args))
         for spec_name, trace in traces.items():
-            bench_mod.write_trace(trace, os.path.join(out, f"trace_{spec_name}.csv"))
+            bench_mod.write_trace(trace, _path(args, f"trace_{spec_name}.csv"))
     elif kind == "recoverability":
         _require(args, "alphas")
         _fill(args, max_iters=150, trials=10)
@@ -261,37 +252,29 @@ def cmd_bench(args):
             theta, (args.base_n, args.base_r), args.targets, args.tol,
             trials=args.trials, alpha=args.alpha, base_seed=seed,
             max_iters=args.max_iters)
-        report = bench_mod.BenchReport([
-            {"solver": "lrpca-rescaled", "seed": seed + t, "alpha": args.alpha,
-             "n": row["n"], "r": row["r"], "iters": count,
-             "final_rel_err": float("nan"), "wall_ms": 0.0, "success": 1}
-            for row in rows for t, count in enumerate(row["counts"])])
-    else:
-        raise UsageError(f"unknown bench kind {kind!r}")
+        report = bench_mod.BenchReport([trial for row in rows
+                                        for trial in row["rows"]])
 
-    bench_mod.write_report(report, os.path.join(out, "report.csv"))
-    print(f"bench[{kind}]: wrote report.csv with {len(report.rows)} rows to {out}")
+    bench_mod.write_report(report, _path(args, "report.csv"))
+    print(f"bench[{kind}]: wrote report.csv with {len(report.rows)} rows "
+          f"to {args.out}")
 
 
 def cmd_bgsub(args):
     _require(args, "frames", "r", "schedule")
     if not os.path.isdir(args.frames):
-        raise UsageError(f"frames directory not found: {args.frames}")
-    if not any(name.lower().endswith(".pgm") for name in os.listdir(args.frames)):
-        raise UsageError(f"no PGM frames in {args.frames}")
+        raise InvalidInput(f"frames directory not found: {args.frames}")
     theta = read_schedule(_existing(args.schedule, "schedule"))
-    out = _outdir(args)
-
     seq = read_pgm_sequence(args.frames)
     bg, fg, trace = background_subtract(seq, args.r, theta, stop=_stop(args),
                                         seed=args.seed)
     for i, frame in enumerate(bg.frames):
-        write_pgm(frame, os.path.join(out, f"bg_{i:05d}.pgm"))
+        write_pgm(frame, _path(args, f"bg_{i:05d}.pgm"))
     for i, frame in enumerate(fg.frames):
-        write_pgm(frame, os.path.join(out, f"fg_{i:05d}.pgm"))
-    bench_mod.write_trace(trace, os.path.join(out, "trace.csv"))
+        write_pgm(frame, _path(args, f"fg_{i:05d}.pgm"))
+    bench_mod.write_trace(trace, _path(args, "trace.csv"))
     print(f"bgsub: processed {len(seq)} frames in {trace.iterations} iterations; "
-          f"outputs in {out}")
+          f"outputs in {args.out}")
 
 
 def build_parser():
@@ -388,10 +371,11 @@ def main(argv=None):
         if args.config:
             _layer_config(commands[args.command], args.config)
             args = parser.parse_args(argv)
+        _require(args, "out")
         args.func(args)
-    except (UsageError, LrpcaError) as exc:
+    except LrpcaError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2 if isinstance(exc, UsageError) else 1
+        return 2 if isinstance(exc, InvalidInput) else 1
     _write_manifest(args)
     return 0
 

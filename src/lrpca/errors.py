@@ -1,27 +1,30 @@
-"""Exception types raised by the public API."""
+"""Exception types raised by the public API.  A caller's mistake raises
+:class:`InvalidInput` (a ``ValueError``) or a subclass; every other
+:class:`LrpcaError` is a failure found while the work runs."""
 
 
 class LrpcaError(Exception):
     """Base class for all package errors."""
 
 
-class InvalidInput(LrpcaError):
-    """Input violates a documented precondition (shape, finiteness, emptiness)."""
+class InvalidInput(LrpcaError, ValueError):
+    """A setting or input violates a documented precondition (shape,
+    finiteness, emptiness, range); ``lrpca`` exits 2 on it."""
 
 
 class InvalidDimensions(InvalidInput):
     """Matrix is empty or shapes are inconsistent."""
 
 
-class InvalidRank(LrpcaError):
+class InvalidRank(InvalidInput):
     """Requested rank exceeds what the matrix dimensions admit."""
 
 
-class InvalidThreshold(LrpcaError):
+class InvalidThreshold(InvalidInput):
     """Negative soft-threshold level."""
 
 
-class InvalidFraction(LrpcaError):
+class InvalidFraction(InvalidInput):
     """Sparsity fraction outside [0, 1]."""
 
 

@@ -9,14 +9,15 @@ the schedule to arbitrarily many iterations:
     k >  K:  (phi**(k-K) * zeta_K, beta**(k-K) * eta_K)
 
 A schedule is checked once, when built: thresholds must be >= 0, step sizes
-and tail factors finite and > 0.
+and tail factors finite and > 0, or it raises
+:class:`~lrpca.errors.InvalidInput`.
 """
 
 import io
 import math
 from dataclasses import dataclass
 
-from .errors import ParseError
+from .errors import InvalidInput, ParseError
 
 __all__ = ["ParamSchedule", "rescale_schedule", "write_schedule",
            "read_schedule"]
@@ -35,13 +36,13 @@ class ParamSchedule:
         object.__setattr__(self, "zetas", tuple(float(z) for z in self.zetas))
         object.__setattr__(self, "etas", tuple(float(e) for e in self.etas))
         if len(self.zetas) != len(self.etas) + 1:
-            raise ValueError("need len(zetas) == len(etas) + 1")
+            raise InvalidInput("need len(zetas) == len(etas) + 1")
         if not all(z >= 0 for z in self.zetas):
-            raise ValueError(f"thresholds must be >= 0, got {self.zetas}")
+            raise InvalidInput(f"thresholds must be >= 0, got {self.zetas}")
         if not all(map(_positive, self.etas)):
-            raise ValueError(f"step sizes must be finite and > 0, got {self.etas}")
+            raise InvalidInput(f"step sizes must be finite and > 0, got {self.etas}")
         if not (_positive(self.beta) and _positive(self.phi)):
-            raise ValueError(f"need 0 < beta, phi < inf, got {self.beta}, {self.phi}")
+            raise InvalidInput(f"need 0 < beta, phi < inf, got {self.beta}, {self.phi}")
 
     @property
     def K(self):
@@ -55,12 +56,12 @@ class ParamSchedule:
         """(zeta_k, eta_k) for iteration ``k >= 1``: stored, then geometric."""
         k = int(k)
         if k < 1:
-            raise ValueError("iteration index must be >= 1; zeta_0 is zeta0")
+            raise InvalidInput("iteration index must be >= 1; zeta_0 is zeta0")
         K = self.K
         if k <= K:
             return self.zetas[k], self.etas[k - 1]
         if K == 0:
-            raise ValueError("schedule with K=0 has no tail anchor")
+            raise InvalidInput("schedule with K=0 has no tail anchor")
         step = k - K
         return self.phi ** step * self.zetas[K], self.beta ** step * self.etas[K - 1]
 
@@ -81,12 +82,11 @@ def rescale_schedule(theta, n_base, r_base, n_target, r_target):
     r_base)``; step sizes and the tail factors transfer unchanged.
     """
     if min(n_base, r_base, n_target, r_target) <= 0:
-        raise ValueError("sizes and ranks must be positive")
+        raise InvalidInput("sizes and ranks must be positive")
     factor = (n_base / n_target) * (r_target / r_base)
     return theta.replace(zetas=tuple(z * factor for z in theta.zetas))
 
 
-_KINDS = ("zeta", "eta", "beta", "phi")
 _HEADER = "kind,k,value"
 
 
@@ -114,14 +114,13 @@ def _import_schedule(records):
             value = float(value)
         except (TypeError, ValueError) as exc:
             raise ParseError(f"malformed schedule record {rec!r}") from exc
-        if kind == "zeta":
-            zetas[k] = value
-        elif kind == "eta":
-            etas[k] = value
-        elif kind in ("beta", "phi"):
-            tail[kind] = value
-        else:
+        table = {"zeta": zetas, "eta": etas, "beta": tail, "phi": tail}.get(kind)
+        if table is None:
             raise ParseError(f"unknown schedule kind {kind!r}")
+        key = kind if table is tail else k
+        if key in table:
+            raise ParseError(f"repeated schedule row {kind!r} at k = {k}")
+        table[key] = value
     if not zetas or sorted(zetas) != list(range(len(zetas))):
         raise ParseError("zeta rows must cover k = 0..K exactly once")
     if sorted(etas) != list(range(1, len(zetas))):
@@ -133,7 +132,7 @@ def _import_schedule(records):
             beta=tail.get("beta", 1.0),
             phi=tail.get("phi", 1.0),
         )
-    except ValueError as exc:
+    except InvalidInput as exc:
         raise ParseError(str(exc)) from exc
 
 

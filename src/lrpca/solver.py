@@ -166,7 +166,7 @@ class OracleSchedule:
 
     def __post_init__(self):
         if not _positive(self.eta):
-            raise ValueError(f"step size must be finite and > 0, got {self.eta}")
+            raise InvalidInput(f"step size must be finite and > 0, got {self.eta}")
 
 
 def residual_rel(Y, X, S):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LrpcaError, TrainingDiverged
+from .errors import InvalidInput, LrpcaError, TrainingDiverged
 from .schedule import ParamSchedule
 from .solver import _soft_backward, _soft_step, spectral_init
 
@@ -50,13 +50,17 @@ class TrainConfig:
 
     def __post_init__(self):
         if not 0 <= self.K <= self.K_bar or self.K == 0 < self.K_bar:
-            raise ValueError(f"need K_bar >= K >= 1 or K = K_bar = 0, got "
-                             f"K={self.K}, K_bar={self.K_bar}")
+            raise InvalidInput(f"need K_bar >= K >= 1 or K = K_bar = 0, got "
+                               f"K={self.K}, K_bar={self.K_bar}")
+        if self.sgd_steps_per_stage < 0:
+            raise InvalidInput(f"need sgd_steps_per_stage >= 0, got "
+                               f"{self.sgd_steps_per_stage}")
         # Every grid value, rounded as grid_values rounds it, becomes a tail
         # factor, which must be finite and > 0.
         lo, hi, step = self.grid
         if not (0 < round(lo, 12) <= hi < math.inf and 0 < step < math.inf):
-            raise ValueError(f"grid {self.grid} needs 0 < min <= max, step > 0, finite")
+            raise InvalidInput(f"grid {self.grid} needs 0 < min <= max, "
+                               "step > 0, finite")
 
     def grid_values(self):
         lo, hi, step = self.grid
@@ -183,7 +187,7 @@ def grid_search_tail(theta, dataset, cfg):
     minimizing pair; ties break toward smaller phi, then smaller beta.
     """
     if not dataset:
-        raise ValueError("dataset must be nonempty")
+        raise InvalidInput("dataset must be nonempty")
     K, K_bar = theta.K, cfg.K_bar
     # The first K iterations do not depend on (beta, phi); cache them.
     cached = []
@@ -212,9 +216,12 @@ def train_schedule(source, cfg, grid_instances=_GRID_INSTANCES, callback=None):
     :class:`~lrpca.synth.ProblemInstance` (an
     :class:`~lrpca.synth.InstanceSource`, or an adapter over a fixed list).
     The grid phase uses the ``grid_instances`` instances that follow the
-    ones consumed by SGD.  ``callback`` is passed to
-    :func:`layerwise_train`.
+    ones consumed by SGD, and ``grid_instances < 1`` raises
+    :class:`~lrpca.errors.InvalidInput` before the first SGD step.
+    ``callback`` is passed to :func:`layerwise_train`.
     """
+    if grid_instances < 1:
+        raise InvalidInput(f"need grid_instances >= 1, got {grid_instances}")
     theta = layerwise_train(source, cfg, callback=callback)
     start = 1 + (cfg.K + 1) * cfg.sgd_steps_per_stage
     dataset = [source.instance(i) for i in range(start, start + grid_instances)]

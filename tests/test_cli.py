@@ -3,9 +3,9 @@ import os
 import numpy as np
 import pytest
 
-from lrpca import (InstanceSource, ParamSchedule, TrainConfig, gen_instance,
-                   read_matrix, read_schedule, train_schedule, write_pgm,
-                   write_schedule)
+from lrpca import (FixedSchedule, InstanceSource, ParamSchedule, TrainConfig,
+                   gen_instance, read_matrix, read_schedule, train_schedule,
+                   write_matrix, write_pgm, write_schedule)
 from lrpca.cli import main, parse_config
 from lrpca.video import moving_blob_scene
 
@@ -132,15 +132,18 @@ class TestSolveCommand:
         assert np.count_nonzero(read_matrix(out / "X_hat.lrpm")) == 0
 
     def test_k0_schedule_solver_error(self, instance_dir, tmp_path, capsys):
-        # K = 0 stores only zeta_0, so the schedule has nothing for a step.
+        # K = 0 stores only zeta_0, so the schedule has nothing for a step:
+        # InvalidInput, a schedule that cannot be run, exits 2.
         sched = tmp_path / "k0.csv"
         write_schedule(ParamSchedule(zetas=(1.0,), etas=()), sched)
+        out = tmp_path / "k0"
         code = run(["solve", "--y", instance_dir / "Y.lrpm", "--r", 2,
-                    "--schedule", sched, "--out", tmp_path / "k0"])
-        assert code == 1
+                    "--schedule", sched, "--out", out])
+        assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "K=0" in err
         assert "Traceback" not in err
+        assert not out.exists()
 
     def test_conflicting_sources_usage_error(self, instance_dir, tmp_path):
         code = run(["solve", "--y", instance_dir / "Y.lrpm", "--r", 2,
@@ -496,3 +499,79 @@ def test_rerun_from_own_manifest(tmp_path, name):
             assert strip_wall(a) == strip_wall(b), fname
         else:
             assert a.read_bytes() == b.read_bytes(), fname
+
+
+# Settings or inputs that cannot be run: each exits 2 with one error line
+# and creates no --out, whichever step finds the fault.
+BAD_SETTINGS = {
+    "solve_max_iters": ["solve", "--y", "{y}", "--r", 2, "--fixed", "0.1",
+                        "0.5", "--max-iters", -1],
+    "solve_tol": ["solve", "--y", "{y}", "--r", 2, "--fixed", "0.1", "0.5",
+                  "--stop-mode", "fixed_iters", "--tol", -1],
+    "solve_rank": ["solve", "--y", "{y}", "--r", 30, "--fixed", "0.1", "0.5"],
+    "bench_convergence_max_iters": ["bench", "--kind", "convergence", "--n", 30,
+                                    "--r", 2, "--max-iters", -3],
+    "bench_runtime_iters": ["bench", "--kind", "runtime", "--n-list", 40,
+                            "--r-list", 2, "--iters", 5],
+    "bench_recoverability_trials": ["bench", "--kind", "recoverability",
+                                    "--alphas", "0.1", "--trials", 0],
+    "bench_generalization_missing": ["bench", "--kind", "generalization",
+                                     "--schedule", "{missing}", "--base-n", 40,
+                                     "--base-r", 2, "--targets", "40:2"],
+    "bench_generalization_base_n": ["bench", "--kind", "generalization",
+                                    "--schedule", "{sched}", "--base-n", 0,
+                                    "--base-r", 2, "--targets", "40:2"],
+    "bench_generalization_trials": ["bench", "--kind", "generalization",
+                                    "--schedule", "{sched}", "--base-n", 40,
+                                    "--base-r", 2, "--targets", "40:2",
+                                    "--trials", 0],
+    "bgsub_max_iters": ["bgsub", "--frames", "{frames}", "--r", 1,
+                        "--schedule", "{sched}", "--max-iters", -1],
+    "bgsub_rank": ["bgsub", "--frames", "{frames}", "--r", 9,
+                   "--schedule", "{sched}"],
+    "train_grid_instances": ["train", "--n", 30, "--r", 2, "--K", 1,
+                             "--K-bar", 2, "--sgd-steps-per-stage", 1,
+                             "--grid-instances", 0],
+    "train_sgd_steps": ["train", "--n", 30, "--r", 2, "--K", 1, "--K-bar", 2,
+                        "--sgd-steps-per-stage", -1],
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_SETTINGS))
+def test_bad_setting_exits_2_before_output(tmp_path, capsys, name):
+    y, frames, sched = tmp_path / "Y.lrpm", tmp_path / "frames", tmp_path / "s.csv"
+    write_matrix(gen_instance(20, 20, 2, 0.1, 1).Y, y)
+    frames.mkdir()
+    for i, frame in enumerate(moving_blob_scene(height=8, width=10,
+                                                n_frames=8)[0].frames):
+        write_pgm(frame, frames / f"f{i:02d}.pgm")
+    write_schedule(FixedSchedule(0.1, 0.5), sched)
+    args = [str(a).format(y=y, frames=frames, sched=sched,
+                          missing=tmp_path / "missing.csv")
+            for a in BAD_SETTINGS[name]]
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run(args + ["--out", out]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert not out.exists()
+
+
+def test_generalization_rows_report_each_trial(tmp_path):
+    # A schedule that cannot reach tol 1e-8 in 5 iterations: each trial
+    # stops at max_iters, so it is no success, with its error and time.
+    sched = tmp_path / "fixed.csv"
+    write_schedule(FixedSchedule(0.1, 0.5), sched)
+    out = tmp_path / "gen"
+    assert run(["bench", "--kind", "generalization", "--schedule", sched,
+                "--base-n", 40, "--base-r", 2, "--targets", "40:2",
+                "--trials", 2, "--tol", "1e-8", "--max-iters", 5,
+                "--seed", 3, "--out", out]) == 0
+    lines = read_lines(out / "report.csv")
+    head = lines[0].split(",")
+    rows = [dict(zip(head, ln.split(","))) for ln in lines[1:]]
+    assert [row["seed"] for row in rows] == ["3", "4"]
+    for row in rows:
+        assert (row["iters"], row["success"]) == ("5", "0")
+        assert 0 < float(row["final_rel_err"]) < float("inf")
+        assert float(row["wall_ms"]) > 0

@@ -118,6 +118,19 @@ class TestSerialization:
         assert text.startswith("kind,k,value\n")
         assert text.endswith("\n")
 
+    # A repeated row would silently replace the earlier one.
+    @pytest.mark.parametrize("repeat", ["zeta,1,9.0", "eta,1,0.2", "beta,0,0.2"],
+                             ids=["zeta", "eta", "beta"])
+    def test_repeated_row_rejected(self, tmp_path, repeat):
+        path = tmp_path / "schedule.csv"
+        path.write_text("kind,k,value\nzeta,0,1.0\nzeta,1,0.5\nzeta,2,0.25\n"
+                        "eta,1,0.7\neta,2,0.7\nbeta,0,0.9\nphi,0,0.5\n"
+                        f"{repeat}\n")
+        kind, k, _ = repeat.split(",")
+        with pytest.raises(ParseError,
+                           match=f"repeated schedule row '{kind}' at k = {k}"):
+            read_schedule(path)
+
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "schedule.csv"
         path.write_text("a,b\n1,2\n")

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from lrpca import (InstanceSource, ParamSchedule, ProblemInstance,
-                   TrainConfig, TrainingDiverged, gen_instance,
-                   grid_search_tail, layerwise_train, train_schedule)
+from lrpca import (InstanceSource, InvalidInput, ParamSchedule,
+                   ProblemInstance, TrainConfig, TrainingDiverged,
+                   gen_instance, grid_search_tail, layerwise_train,
+                   train_schedule)
 from lrpca import training
 from lrpca.solver import spectral_init
 from lrpca.training import _advance, _stage_gradient
@@ -376,6 +377,15 @@ class TestTrainSchedule:
         train_schedule(CountingSource(), cfg, **kw)
         n_grid = 20 if grid_instances is None else grid_instances
         assert read == list(range(1 + 2 * 2 + n_grid))
+
+    def test_no_grid_instances_rejected_before_sgd(self, monkeypatch):
+        def no_step(*args):
+            raise AssertionError("an SGD step ran")
+
+        monkeypatch.setattr(training, "_stage_gradient", no_step)
+        cfg = TrainConfig(K=1, K_bar=2, sgd_steps_per_stage=1)
+        with pytest.raises(InvalidInput, match="grid_instances"):
+            train_schedule(small_source(n=20), cfg, grid_instances=0)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
