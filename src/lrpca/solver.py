@@ -24,7 +24,9 @@ follows from those products (:func:`_next_resid_sq`), so the loop neither
 reads nor writes an ``S``: the returned ``S`` is built once, at the end,
 from the previous factors.  Besides ``Y``, a solve holds one ``S`` and the
 returned ``X``; the ``iterate_change`` stop, which compares consecutive
-``S``, holds two ``S`` buffers and writes one every iteration.
+``S``, holds two ``S`` buffers and writes one every iteration.  The passes'
+three slab-sized scratch buffers are allocated once per solve, or once per
+training run, and reused by every pass (see :class:`_Scratch`).
 
 Thresholds and step sizes come from one of two schedule sources, each
 checked when built: a :class:`~lrpca.schedule.ParamSchedule`, learned or
@@ -99,8 +101,8 @@ class StopRule:
             raise InvalidInput(f"unknown stop mode {self.mode!r}")
         if self.max_iters < 0:
             raise InvalidInput("max_iters must be >= 0")
-        if self.tolerance < 0:
-            raise InvalidInput("tolerance must be >= 0")
+        if not self.tolerance >= 0:  # NaN fails this test too
+            raise InvalidInput(f"tolerance must be >= 0, got {self.tolerance}")
 
 
 @dataclass
@@ -244,6 +246,36 @@ def _block_rows(n_rows, n_cols):
     return max(1, min(n_rows, _SLAB_ELEMS // max(n_cols, 1)))
 
 
+class _Scratch:
+    """The three slab-sized buffers of the slab kernels.
+
+    One solve or one training run owns a set and hands it to each of its
+    passes, forward and backward alike, since no two passes are live at
+    once: buffers freed after every pass would be page-faulted back in by
+    the next one on small inputs.  The buffers are made at the first pass,
+    and again only when a pass needs another ``(rows per slab, n2)``, as
+    when a training source yields instances of different shapes.  A set is
+    never shared between solves, so concurrent solves on threads share
+    nothing.
+    """
+
+    def __init__(self):
+        self._bufs = ()
+
+    def slabs(self, n1, n2):
+        """``(rows per slab, (buffer, buffer, buffer))`` for an n1 x n2 pass."""
+        step = _block_rows(n1, n2)
+        if not self._bufs or self._bufs[0].shape != (step, n2):
+            self._bufs = ()  # free the old set before making the new one
+            self._bufs = tuple(np.empty((step, n2)) for _ in range(3))
+        return step, self._bufs
+
+
+def _slabs(Y, scratch):
+    # Callers that pass no set, such as lrpca_step, get buffers of their own.
+    return (scratch if scratch is not None else _Scratch()).slabs(*Y.shape)
+
+
 class _Pass(NamedTuple):
     """Sums and factor products from one pass at the iterate (L, R)."""
 
@@ -270,7 +302,7 @@ def _product_rows(L_rows, RT, out):
 
 
 def _soft_pass(Y, L, R, zeta, S=None, S_out=None, truth=None, prev=None,
-               resid_next=False):
+               resid_next=False, scratch=None):
     """One slab-streamed pass of the soft-threshold iteration.
 
     Every row slab forms ``X_sl = L_sl R^T`` once and ``T_sl = Y_sl - X_sl``,
@@ -287,11 +319,7 @@ def _soft_pass(Y, L, R, zeta, S=None, S_out=None, truth=None, prev=None,
     """
     n1, n2 = Y.shape
     r = L.shape[1]
-    step = _block_rows(n1, n2)
-    # Scratch is per call: concurrent solves on threads share nothing.
-    X_buf = np.empty((step, n2))
-    D_buf = np.empty((step, n2))
-    C_buf = np.empty((step, n2))
+    step, (X_buf, D_buf, C_buf) = _slabs(Y, scratch)
     RT = R.T
     resid_sq = err_sq = dS_sq = S_sq = C_sq = 0.0
     CR = CtL = CtCR = None
@@ -329,15 +357,13 @@ def _soft_pass(Y, L, R, zeta, S=None, S_out=None, truth=None, prev=None,
     return _Pass(resid_sq, err_sq, dS_sq, S_sq, C_sq, CR, CtL, CtCR)
 
 
-def _soft_last(Y, old, new, zeta, truth=None):
+def _soft_last(Y, old, new, zeta, truth=None, scratch=None):
     """The returned ``S' = soft_threshold(Y - L R^T, zeta)`` from the factors
     ``old`` of the previous iterate, and the residual and error of the
     iterate ``new`` measured against it, in the row slabs of
     :func:`_soft_pass`.  Returns ``(S', pass)``."""
-    n1, n2 = Y.shape
-    step = _block_rows(n1, n2)
-    X_buf = np.empty((step, n2))
-    C_buf = np.empty((step, n2))
+    n1 = Y.shape[0]
+    step, (X_buf, C_buf, _) = _slabs(Y, scratch)
     S = np.empty(Y.shape)
     RT, RT_new = old.R.T, new.R.T
     resid_sq = err_sq = 0.0
@@ -355,7 +381,7 @@ def _soft_last(Y, old, new, zeta, truth=None):
     return S, _Pass(resid_sq, err_sq)
 
 
-def _soft_backward(Y, L, R, zeta, eta, L_bar, R_bar):
+def _soft_backward(Y, L, R, zeta, eta, L_bar, R_bar, scratch=None):
     """Reverse mode through one soft-threshold iteration.
 
     The iteration maps ``(L, R)`` to ``(L + eta P, R + eta Q)``, where
@@ -369,8 +395,7 @@ def _soft_backward(Y, L, R, zeta, eta, L_bar, R_bar):
     """
     n1, n2 = Y.shape
     r = L.shape[1]
-    step = _block_rows(n1, n2)
-    T_buf, C_buf, G_buf = (np.empty((step, n2)) for _ in range(3))
+    step, (T_buf, C_buf, G_buf) = _slabs(Y, scratch)
     RT = R.T
     solve_R, solve_L = _gram_solver(R.T @ R), _gram_solver(L.T @ L)
     P_bar, Q_bar = eta * solve_R(L_bar), eta * solve_L(R_bar)
@@ -405,9 +430,10 @@ def _soft_backward(Y, L, R, zeta, eta, L_bar, R_bar):
 
 
 def _sparsify_pass(Y, L, R, alpha_tilde, S=None, S_out=None, truth=None,
-                   prev=None, resid_next=False):
+                   prev=None, resid_next=False, scratch=None):
     """:func:`_soft_pass` for top-fraction sparsification.  Its row and
-    column cutoffs need the whole residual, so ``T`` is materialized."""
+    column cutoffs need the whole residual, so ``T`` is materialized and
+    ``scratch`` goes unused."""
     X = L @ R.T
     err_sq = _sq(X - truth) if truth is not None else 0.0
     T = np.subtract(Y, X, out=X)
@@ -425,7 +451,7 @@ def _sparsify_pass(Y, L, R, alpha_tilde, S=None, S_out=None, truth=None,
     return _Pass(resid_sq, err_sq, dS_sq, S_sq, _sq(W), WR, W.T @ L, WtWR)
 
 
-def _sparsify_last(Y, old, new, alpha_tilde, truth=None):
+def _sparsify_last(Y, old, new, alpha_tilde, truth=None, scratch=None):
     """:func:`_soft_last` for top-fraction sparsification."""
     S = _sparsify_unchecked(Y - old.product(), alpha_tilde)
     return S, _sparsify_pass(Y, new.L, new.R, None, S=S, truth=truth)
@@ -439,10 +465,10 @@ def _scaled_update(factors, p, eta):
     return FactorPair(L_new, R_new)
 
 
-def _soft_step(Y, factors, zeta, eta, S_out=None):
+def _soft_step(Y, factors, zeta, eta, S_out=None, scratch=None):
     """Factors after one soft-threshold iteration (S' into ``S_out``)."""
-    return _scaled_update(
-        factors, _soft_pass(Y, factors.L, factors.R, zeta, S_out=S_out), eta)
+    p = _soft_pass(Y, factors.L, factors.R, zeta, S_out=S_out, scratch=scratch)
+    return _scaled_update(factors, p, eta)
 
 
 def _ratio(num_sq, den_sq):
@@ -541,6 +567,7 @@ def _run(Y, stop, truth, init_fn, params_fn, pass_fn, last_fn):
     returned iterate directly; only ``iterate_change``, whose stop needs both
     ``S_k`` and ``S_{k+1}``, writes S' into a double buffer every pass.  An
     init whose residual is exactly zero ends the solve in every mode.
+    Every pass reuses the solve's one set of slab buffers.
     ``wall_ms[k]`` is the time since the previous row.
     """
     trace = SolveTrace()
@@ -567,16 +594,19 @@ def _run(Y, stop, truth, init_fn, params_fn, pass_fn, last_fn):
     state, zeta = init_fn()
     factors, S = state.factors, state.S
     del state
+    scratch = _Scratch()
     eta, k = float("nan"), 0
     nxt = params_fn(1, factors) if stop.max_iters > 0 else (None, None)
     S_next = np.empty(Y.shape) if track and stop.max_iters > 0 else None
     p = pass_fn(Y, factors.L, factors.R, nxt[0], S=S, S_out=S_next,
-                truth=truth, prev=S if track else None, resid_next=True)
+                truth=truth, prev=S if track else None, resid_next=True,
+                scratch=scratch)
     res = residual(0, p.resid_sq)
     append(0, zeta, eta, res, p.err_sq)
     converged = res == 0.0 or (by_residual and res < stop.tolerance)
     if converged or stop.max_iters == 0:
         trace.stop_reason = "converged" if converged else "max_iters"
+        del scratch  # free the slab buffers before X is formed
         return factors.product(), S, trace
     if not track:
         S = None
@@ -604,14 +634,16 @@ def _run(Y, stop, truth, init_fn, params_fn, pass_fn, last_fn):
             break
         nxt = params_fn(k + 1, factors)
         p = pass_fn(Y, factors.L, factors.R, nxt[0], S_out=S_next,
-                    truth=truth, prev=S, resid_next=True)
+                    truth=truth, prev=S, resid_next=True, scratch=scratch)
         append(k, zeta, eta, res, p.err_sq)
     if track:
-        p = pass_fn(Y, factors.L, factors.R, None, S=S, truth=truth)
+        p = pass_fn(Y, factors.L, factors.R, None, S=S, truth=truth,
+                    scratch=scratch)
     else:
-        S, p = last_fn(Y, old, factors, zeta, truth)
+        S, p = last_fn(Y, old, factors, zeta, truth, scratch=scratch)
     append(k, zeta, eta, residual(k, p.resid_sq), p.err_sq)
     trace.stop_reason = "converged" if converged else "max_iters"
+    del scratch  # free the slab buffers before X is formed
     return factors.product(), S, trace
 
 

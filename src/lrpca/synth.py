@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidFraction
+from .errors import InvalidFraction, InvalidInput
 from .validation import check_rank
 
 __all__ = ["ProblemInstance", "gen_instance", "banded_sparse_matrix",
@@ -32,11 +32,17 @@ class ProblemInstance:
         return self.Y.shape
 
 
+def _check_seed(seed):
+    if seed < 0:
+        raise InvalidInput(f"seed must be >= 0, got {seed}")
+
+
 def gen_instance(n1, n2, r, alpha, seed):
-    """Generate one seeded problem instance (deterministic for a seed)."""
+    """Generate one seeded problem instance (deterministic for a seed >= 0)."""
     r = check_rank(r, n1, n2)
     if not 0.0 <= alpha <= 1.0:
         raise InvalidFraction(f"alpha must be in [0, 1], got {alpha}")
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     n = max(n1, n2)
     L = rng.normal(0.0, np.sqrt(1.0 / n), size=(n1, r))
@@ -78,8 +84,9 @@ def banded_sparse_matrix(n, alpha, seed, magnitude=1.0):
 class InstanceSource:
     """Deterministic stream of fresh instances from one problem family.
 
-    Instance ``i`` uses seed ``base_seed + i``, so a source is reproducible
-    and two sources with the same parameters yield identical streams.
+    Instance ``i`` uses seed ``base_seed + i`` (``base_seed >= 0``), so a
+    source is reproducible and two sources with the same parameters yield
+    identical streams.
     """
 
     def __init__(self, n1, n2, r, alpha, base_seed=0):
@@ -90,6 +97,7 @@ class InstanceSource:
             raise InvalidFraction(f"alpha must be in [0, 1], got {alpha}")
         self.alpha = float(alpha)
         self.base_seed = int(base_seed)
+        _check_seed(self.base_seed)
 
     def instance(self, i):
         return gen_instance(self.n1, self.n2, self.r, self.alpha,

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput, LrpcaError, TrainingDiverged
-from .schedule import ParamSchedule
-from .solver import _soft_backward, _soft_step, spectral_init
+from .schedule import ParamSchedule, _positive
+from .solver import _Scratch, _soft_backward, _soft_step, spectral_init
 
 __all__ = ["TrainConfig", "layerwise_train", "grid_search_tail",
            "train_schedule"]
@@ -55,6 +55,9 @@ class TrainConfig:
         if self.sgd_steps_per_stage < 0:
             raise InvalidInput(f"need sgd_steps_per_stage >= 0, got "
                                f"{self.sgd_steps_per_stage}")
+        if not _positive(self.learning_rate):
+            raise InvalidInput(f"learning_rate must be finite and > 0, got "
+                               f"{self.learning_rate}")
         # Every grid value, rounded as grid_values rounds it, becomes a tail
         # factor, which must be finite and > 0.
         lo, hi, step = self.grid
@@ -72,9 +75,9 @@ class TrainConfig:
         return vals
 
 
-def _advance(factors, Y, theta, j0, k):
+def _advance(factors, Y, theta, j0, k, scratch=None):
     """``factors``, then the factors after each of the iterations j0..k
-    from them.
+    from them, whose passes share the slab buffers ``scratch`` when given.
 
     Only the factors carry state from one iteration to the next: the soft
     threshold reads ``Y - L R^T``, never the previous S.
@@ -82,7 +85,7 @@ def _advance(factors, Y, theta, j0, k):
     states = [factors]
     for j in range(j0, k + 1):
         zeta, eta = theta.at(j)
-        states.append(_soft_step(Y, states[-1], zeta, eta))
+        states.append(_soft_step(Y, states[-1], zeta, eta, scratch=scratch))
     return states
 
 
@@ -98,18 +101,19 @@ def _initial_schedule(source, cfg):
     return ParamSchedule(zetas=zetas, etas=etas, beta=1.0, phi=1.0)
 
 
-def _stage_gradient(theta, inst, k):
+def _stage_gradient(theta, inst, k, scratch=None):
     """``(loss, zeta_grad, eta_grad)`` of the normalized stage-k loss.
 
     The backward sweep starts from ``X_bar = 2 (L_k R_k^T - X_star) /
     ||X_star||^2`` and runs through :func:`~lrpca.solver._soft_backward` for
     layers k..1.  Its adjoints ``(L_bar_0, R_bar_0)`` of the init's factors
     give ``zeta_bar_0 = <L_bar_0, dL_0> + <R_bar_0, dR_0>`` with the init's
-    tangent in zeta_0.  Parameters past iteration k get zero.
+    tangent in zeta_0.  Parameters past iteration k get zero.  The forward
+    and backward passes share the slab buffers ``scratch`` when given.
     """
     init, d_init = spectral_init(inst.Y, inst.r, theta.zeta0, seed=inst.seed,
                                  tangent=True)
-    states = _advance(init.factors, inst.Y, theta, 1, k)
+    states = _advance(init.factors, inst.Y, theta, 1, k, scratch)
     del init  # S_0 is not needed past the init
     scale = max(float(np.linalg.norm(inst.X_star) ** 2), 1e-300)
     X = states[-1].product()
@@ -122,7 +126,7 @@ def _stage_gradient(theta, inst, k):
         zeta, eta = theta.at(j)
         f = states[j - 1]
         L_bar, R_bar, zeta_grad[j], eta_grad[j - 1] = _soft_backward(
-            inst.Y, f.L, f.R, zeta, eta, L_bar, R_bar)
+            inst.Y, f.L, f.R, zeta, eta, L_bar, R_bar, scratch)
     zeta_grad[0] = float(np.vdot(L_bar, d_init.L) + np.vdot(R_bar, d_init.R))
     return loss, zeta_grad, eta_grad
 
@@ -157,12 +161,14 @@ def layerwise_train(source, cfg, callback=None):
     theta = _initial_schedule(source, cfg)
     counter = 1  # instance 0 was the probe
     lr = cfg.learning_rate
+    scratch = _Scratch()  # one set of slab buffers for the whole run
     for stage in range(cfg.K + 1):
         for step in range(cfg.sgd_steps_per_stage):
             inst = source.instance(counter)
             counter += 1
             try:
-                loss, g_zeta, g_eta = _stage_gradient(theta, inst, stage)
+                loss, g_zeta, g_eta = _stage_gradient(theta, inst, stage,
+                                                      scratch)
             except LrpcaError as exc:
                 raise TrainingDiverged(stage, f"stage {stage}: {exc}") from exc
             grad = np.r_[g_zeta, g_eta]
@@ -189,18 +195,25 @@ def grid_search_tail(theta, dataset, cfg):
     if not dataset:
         raise InvalidInput("dataset must be nonempty")
     K, K_bar = theta.K, cfg.K_bar
+    # Every init runs before the first pass allocates the run's one set of
+    # slab buffers, so the two never add up in memory.
+    inits = [spectral_init(inst.Y, inst.r, theta.zeta0, seed=inst.seed).factors
+             for inst in dataset]
+    scratch = _Scratch()
     # The first K iterations do not depend on (beta, phi); cache them.
-    cached = []
-    for inst in dataset:
-        f = spectral_init(inst.Y, inst.r, theta.zeta0, seed=inst.seed).factors
-        cached.append((inst, _advance(f, inst.Y, theta, 1, K)[-1]))
+    cached = [(inst, _advance(f, inst.Y, theta, 1, K, scratch)[-1])
+              for inst, f in zip(dataset, inits)]
+    del inits
 
     def tail_loss(beta, phi):
         cand = theta.replace(beta=beta, phi=phi)
         total = 0.0
         for inst, factors in cached:
-            X_final = _advance(factors, inst.Y, cand, K + 1, K_bar)[-1].product()
-            total += float(np.linalg.norm(X_final - inst.X_star) ** 2)
+            X_final = _advance(factors, inst.Y, cand, K + 1, K_bar,
+                               scratch)[-1].product()
+            X_final -= inst.X_star
+            total += float(np.linalg.norm(X_final) ** 2)
+            del X_final  # before the next instance's passes
         return total / len(cached)
 
     grid = cfg.grid_values()

@@ -1,4 +1,5 @@
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -34,6 +35,32 @@ class ListSource:
 
     def instance(self, i):
         return self._data[i % len(self._data)]
+
+
+def run_concurrently(calls, timeout=120.0):
+    """The results of the zero-argument ``calls``, each run on a thread of
+    its own; all start together, with a short switch interval so that their
+    Python code interleaves finely."""
+    results = [None] * len(calls)
+    start = threading.Barrier(len(calls))
+
+    def worker(i):
+        start.wait()
+        results[i] = calls[i]()
+
+    threads = [threading.Thread(target=worker, args=(i,))
+               for i in range(len(calls))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads), "a thread did not finish"
+    return results
 
 
 # --- expensive trained schedules shared by the acceptance criteria ---------

@@ -509,6 +509,22 @@ BAD_SETTINGS = {
     "solve_tol": ["solve", "--y", "{y}", "--r", 2, "--fixed", "0.1", "0.5",
                   "--stop-mode", "fixed_iters", "--tol", -1],
     "solve_rank": ["solve", "--y", "{y}", "--r", 30, "--fixed", "0.1", "0.5"],
+    # No residual passes a NaN tolerance, so the solve could never converge.
+    "solve_tol_nan": ["solve", "--y", "{y}", "--r", 2, "--fixed", "0.1", "0.5",
+                      "--tol", "nan"],
+    "gen_seed": ["gen", "--n", 10, "--r", 2, "--alpha", "0.1", "--seed", -1],
+    "train_seed": ["train", "--n", 20, "--r", 2, "--K", 1, "--K-bar", 2,
+                   "--seed", -1],
+    "bench_convergence_seed": ["bench", "--kind", "convergence", "--n", 30,
+                               "--r", 2, "--seed", -1],
+    "bench_recoverability_seed": ["bench", "--kind", "recoverability",
+                                  "--alphas", "0.1", "--trials", 1, "--n", 30,
+                                  "--r", 2, "--seed", -1],
+    # A step against the gradient, or none, would exit 0 with a schedule.
+    "train_learning_rate": ["train", "--n", 20, "--r", 2, "--K", 1,
+                            "--K-bar", 2, "--learning-rate", -5],
+    "train_learning_rate_nan": ["train", "--n", 20, "--r", 2, "--K", 1,
+                                "--K-bar", 2, "--learning-rate", "nan"],
     "bench_convergence_max_iters": ["bench", "--kind", "convergence", "--n", 30,
                                     "--r", 2, "--max-iters", -3],
     "bench_runtime_iters": ["bench", "--kind", "runtime", "--n-list", 40,

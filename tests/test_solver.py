@@ -10,7 +10,9 @@ from lrpca import (ConvergenceFailure, FactorPair, FixedSchedule, InvalidInput,
                    spectral_init, truncated_svd)
 from lrpca import solver as solver_module
 from lrpca.solver import (_block_rows, _factor_state, _low_rank_change,
-                          _scaled_update, _soft_backward, _sparsify_pass)
+                          _scaled_update, _Scratch, _soft_backward, _soft_last,
+                          _soft_pass, _sparsify_pass)
+from conftest import run_concurrently
 from oracles import (dense_layer_vjp, dense_reference_solve,
                      scalar_lrpca_step, sort_sparsify)
 
@@ -332,6 +334,11 @@ class TestSolve:
         with pytest.raises(InvalidInput):
             StopRule("bogus", 1e-4, 10)
 
+    @pytest.mark.parametrize("tol", [-1e-6, float("nan")])
+    def test_invalid_tolerance_rejected(self, tol):
+        with pytest.raises(InvalidInput, match="tolerance"):
+            StopRule("residual_rel", tol, 10)
+
     def test_fixed_schedule_is_one_layer_param_schedule(self):
         theta = FixedSchedule(zeta=0.3, eta=0.7)
         assert theta == ParamSchedule(zetas=(0.3, 0.3), etas=(0.7,))
@@ -611,3 +618,79 @@ class TestSoftBackward:
         assert got[2] == pytest.approx(ref[2], rel=1e-11)
         assert got[3] == pytest.approx(ref[3], rel=1e-11)
         assert ref[2] != 0.0
+
+
+def _slab_calls(inst, r, scratch):
+    """Every slab kernel once on ``inst``, through ``scratch`` when given;
+    the buffers are filled with NaN first, so a read of a value left over
+    from an earlier call would show."""
+    if scratch is not None:
+        for buf in scratch.slabs(*inst.Y.shape)[1]:
+            buf.fill(np.nan)
+    f = spectral_init(inst.Y, r, float(np.abs(inst.Y).max()), seed=1).factors
+    zeta = float(np.quantile(np.abs(inst.Y - f.product()), 0.7))
+    S_out = np.empty(inst.Y.shape)
+    p = _soft_pass(inst.Y, f.L, f.R, zeta, S=inst.S_star, S_out=S_out,
+                   truth=inst.X_star, prev=inst.S_star, resid_next=True,
+                   scratch=scratch)
+    new = _scaled_update(f, p, 0.6)
+    rng = np.random.default_rng(8)
+    L_bar, R_bar = rng.standard_normal(f.L.shape), rng.standard_normal(f.R.shape)
+    back = _soft_backward(inst.Y, f.L, f.R, zeta, 0.6, L_bar, R_bar,
+                          scratch=scratch)
+    S_last, last = _soft_last(inst.Y, f, new, zeta, truth=inst.X_star,
+                              scratch=scratch)
+    return [*p, S_out, *back, S_last, *last]
+
+
+def _bit_equal(a, b):
+    return len(a) == len(b) and all(
+        (x is None and y is None) or np.array_equal(x, y) for x, y in zip(a, b))
+
+
+class TestSlabScratch:
+    """One solve or training run reuses one set of slab buffers; the
+    results must not depend on it."""
+
+    @pytest.mark.parametrize("n1, n2, r, alpha", MULTI_SLAB)
+    def test_reused_set_bit_equal_to_fresh(self, n1, n2, r, alpha):
+        # MULTI_SLAB's shapes end in a partial slab, and each is the other
+        # shape for the other case, so the set is remade for this one.
+        inst = gen_instance(n1, n2, r, alpha, 6)
+        other = [s for s in MULTI_SLAB if s[:2] != (n1, n2)][0]
+        fresh = _slab_calls(inst, r, None)
+        scratch = _Scratch()
+        _slab_calls(gen_instance(*other, 7), other[2], scratch)
+        assert scratch.slabs(n1, n2)[1][0].shape == (_block_rows(n1, n2), n2)
+        assert _bit_equal(_slab_calls(inst, r, scratch), fresh)
+        # Reused at the same shape, after the calls above left their values.
+        assert _bit_equal(_slab_calls(inst, r, scratch), fresh)
+
+    def test_set_remade_only_for_a_new_shape(self):
+        scratch = _Scratch()
+        step, bufs = scratch.slabs(300, 2000)
+        assert step == _block_rows(300, 2000) and len(bufs) == 3
+        assert scratch.slabs(300, 2000)[1] is bufs
+        # Another row count with the same rows per slab keeps the set.
+        assert scratch.slabs(400, 2000)[1] is bufs
+        assert scratch.slabs(300, 1000)[1] is not bufs
+
+    def test_concurrent_solves_match_serial(self):
+        # Each solve owns its buffers, so solves on threads share nothing.
+        # Three solves (of two shapes) on a 2-core machine keep a thread
+        # waiting while the others run.
+        cases = [(gen_instance(300, 2000, 5, 0.1, 11), 5),
+                 (gen_instance(4000, 60, 1, 0.05, 12), 1),
+                 (gen_instance(300, 2000, 5, 0.1, 13), 5)]
+
+        def run(inst, r):
+            theta = FixedSchedule(0.3 * float(np.abs(inst.Y).max()), 0.6)
+            return solve(inst.Y, r, theta, StopRule("iterate_change", 1e-6, 30),
+                         truth=inst.X_star, seed=2)
+
+        serial = [run(*case) for case in cases]
+        results = run_concurrently([lambda c=c: run(*c) for c in cases])
+        for (X, S, trace), (X_s, S_s, trace_s) in zip(results, serial):
+            assert np.array_equal(X, X_s) and np.array_equal(S, S_s)
+            assert trace.residuals == trace_s.residuals
+            assert trace.rel_errs == trace_s.rel_errs

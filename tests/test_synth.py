@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lrpca import (InstanceSource, InvalidFraction, InvalidRank,
+from lrpca import (InstanceSource, InvalidFraction, InvalidInput, InvalidRank,
                    banded_sparse_matrix, gen_instance)
 
 
@@ -79,3 +79,13 @@ class TestInstanceSource:
     def test_instances_differ(self):
         src = InstanceSource(20, 20, 2, 0.1, base_seed=5)
         assert not np.array_equal(src.instance(0).Y, src.instance(1).Y)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: gen_instance(10, 10, 2, 0.1, -1),
+    lambda: gen_instance(10, 10, 2, 0.1, np.int64(-3)),
+    lambda: InstanceSource(10, 10, 2, 0.1, base_seed=-1),
+], ids=["gen_instance", "gen_instance_numpy_int", "instance_source"])
+def test_negative_seed_rejected(make):
+    with pytest.raises(InvalidInput, match="seed must be >= 0"):
+        make()

@@ -8,7 +8,7 @@ from lrpca import (InstanceSource, InvalidInput, ParamSchedule,
 from lrpca import training
 from lrpca.solver import spectral_init
 from lrpca.training import _advance, _stage_gradient
-from conftest import ListSource
+from conftest import ListSource, run_concurrently
 from oracles import central_difference_gradient, stage_loss
 
 
@@ -247,7 +247,7 @@ class TestLayerwiseTrain:
         assert info.value.stage == 0
 
     def test_callback_gets_loss_and_gradient_norm(self, monkeypatch):
-        def fixed(theta, inst, k):
+        def fixed(theta, inst, k, scratch):
             return 0.5, np.full(theta.K + 1, 3.0), np.full(theta.K, 4.0)
 
         monkeypatch.setattr(training, "_stage_gradient", fixed)
@@ -277,7 +277,7 @@ class TestLayerwiseTrain:
         # A gradient that pushes every step size down on every step: the
         # trust cap moves eta by at most a quarter of itself, so 60 steps
         # shrink it a lot but never to or below zero.
-        def falling(theta, inst, k):
+        def falling(theta, inst, k, scratch):
             return 1.0, np.zeros(theta.K + 1), np.full(theta.K, 1e6)
 
         monkeypatch.setattr(training, "_stage_gradient", falling)
@@ -345,6 +345,29 @@ class TestTrainSchedule:
         assert a.K == cfg.K
         assert np.isfinite(a.zetas + a.etas + (a.beta, a.phi)).all()
 
+    def test_mixed_shapes_match_fresh_buffers(self, monkeypatch):
+        # A source may change shape between instances, so the run's one set
+        # of slab buffers is remade; the schedule is the one learned with
+        # fresh buffers in every pass.
+        data = [gen_instance(*shape, 2, 0.1, s) for s, shape in
+                enumerate([(30, 40), (3000, 30), (30, 40), (45, 25)])]
+        cfg = TrainConfig(K=2, K_bar=3, sgd_steps_per_stage=2,
+                          grid=(0.5, 1.0, 0.5))
+        reused = train_schedule(ListSource(data), cfg, grid_instances=3)
+        monkeypatch.setattr(training, "_Scratch", lambda: None)
+        assert train_schedule(ListSource(data), cfg, grid_instances=3) == reused
+
+    def test_concurrent_runs_match_serial(self):
+        # Each run owns its slab buffers, so runs on threads share nothing.
+        cfg = TrainConfig(K=2, K_bar=3, sgd_steps_per_stage=2,
+                          grid=(0.5, 1.0, 0.5))
+        sources = [small_source(seed=3, n=60), small_source(seed=9, n=50),
+                   small_source(seed=4, n=60)]
+        serial = [train_schedule(src, cfg, grid_instances=2) for src in sources]
+        assert run_concurrently(
+            [lambda s=s: train_schedule(s, cfg, grid_instances=2)
+             for s in sources]) == serial
+
     def test_callback_sees_every_sgd_step(self):
         rows = []
         cfg = TrainConfig(K=1, K_bar=2, sgd_steps_per_stage=2,
@@ -392,6 +415,11 @@ class TestTrainSchedule:
             TrainConfig(K=5, K_bar=4)
         with pytest.raises(ValueError):
             TrainConfig(grid=(0.1, 1.0, 0.0))
+
+    @pytest.mark.parametrize("lr", [0.0, -5.0, float("nan"), float("inf")])
+    def test_learning_rate_rejected(self, lr):
+        with pytest.raises(InvalidInput, match="learning_rate"):
+            TrainConfig(learning_rate=lr)
 
     # Each grid value becomes a tail factor (beta or phi), which must be
     # finite and > 0, so a grid that cannot give one fails before training.
