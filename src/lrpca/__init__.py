@@ -1,10 +1,8 @@
 """Learned robust PCA: low-rank + sparse decomposition with trainable
 per-iteration thresholds and step sizes."""
 
-from .errors import (ConvergenceFailure, FormatError, InvalidDimensions,
-                     InvalidFraction, InvalidInput, InvalidRank,
-                     InvalidThreshold, LrpcaError, MissingGroundTruth,
-                     ParseError, SingularGram, TrainingDiverged)
+from .errors import (ConvergenceFailure, FormatError, InvalidInput,
+                     LrpcaError, ParseError, SingularGram, TrainingDiverged)
 from .linalg import TruncatedSVD, gram_solve, matrix_norm, truncated_svd
 from .operators import soft_threshold, sparsify_top_fraction
 from .schedule import (ParamSchedule, read_schedule, rescale_schedule,
@@ -35,8 +33,6 @@ __all__ = [
     "FrameSequence", "read_pgm", "write_pgm", "read_pgm_sequence",
     "frames_to_matrix", "matrix_to_frames", "background_subtract",
     "moving_blob_scene",
-    "LrpcaError", "InvalidInput", "InvalidDimensions", "InvalidRank",
-    "InvalidThreshold", "InvalidFraction", "ConvergenceFailure",
-    "SingularGram", "MissingGroundTruth", "TrainingDiverged",
-    "FormatError", "ParseError",
+    "LrpcaError", "InvalidInput", "ConvergenceFailure", "SingularGram",
+    "TrainingDiverged", "FormatError", "ParseError",
 ]

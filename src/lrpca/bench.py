@@ -44,12 +44,12 @@ def lrpca_spec(schedule, name="lrpca"):
     return SolverSpec(name, run)
 
 
-def scaledgd_spec(alpha_tilde, eta=0.5, name="scaledgd"):
+def scaledgd_spec(alpha_tilde, eta=0.5):
     """Spec for the sparsification baseline."""
     def run(inst, stop):
         return solve_scaledgd(inst.Y, inst.r, alpha_tilde, eta, stop=stop,
                               truth=inst.X_star, seed=inst.seed)
-    return SolverSpec(name, run)
+    return SolverSpec("scaledgd", run)
 
 
 @dataclass

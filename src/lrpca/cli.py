@@ -16,7 +16,8 @@ error (``command``, which manifests carry, is allowed).  Every run writes a
 
 Exit codes: 0 success, 1 runtime/solver failure, 2 for any
 :class:`~lrpca.errors.InvalidInput`: a usage or config error, or a setting
-or input that cannot be run.  ``--out`` is created with the first output,
+or input that cannot be run (a negative seed, ``--oracle`` without
+``--truth``).  ``--out`` is created with the first output,
 so a run that exits 2 leaves none.
 """
 

@@ -1,6 +1,6 @@
 """Exception types raised by the public API.  A caller's mistake raises
-:class:`InvalidInput` (a ``ValueError``) or a subclass; every other
-:class:`LrpcaError` is a failure found while the work runs."""
+:class:`InvalidInput` (a ``ValueError``); every other :class:`LrpcaError`
+is a failure found while the work runs."""
 
 
 class LrpcaError(Exception):
@@ -9,23 +9,8 @@ class LrpcaError(Exception):
 
 class InvalidInput(LrpcaError, ValueError):
     """A setting or input violates a documented precondition (shape,
-    finiteness, emptiness, range); ``lrpca`` exits 2 on it."""
-
-
-class InvalidDimensions(InvalidInput):
-    """Matrix is empty or shapes are inconsistent."""
-
-
-class InvalidRank(InvalidInput):
-    """Requested rank exceeds what the matrix dimensions admit."""
-
-
-class InvalidThreshold(InvalidInput):
-    """Negative soft-threshold level."""
-
-
-class InvalidFraction(InvalidInput):
-    """Sparsity fraction outside [0, 1]."""
+    finiteness, emptiness, range, rank, seed, a missing ground truth);
+    ``lrpca`` exits 2 on it."""
 
 
 class ConvergenceFailure(LrpcaError):
@@ -35,10 +20,6 @@ class ConvergenceFailure(LrpcaError):
 
 class SingularGram(LrpcaError):
     """Gram matrix factorization collapsed; signals factor degeneracy upstream."""
-
-
-class MissingGroundTruth(LrpcaError):
-    """Oracle threshold schedule requested without a ground-truth matrix."""
 
 
 class TrainingDiverged(LrpcaError):

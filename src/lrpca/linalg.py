@@ -82,7 +82,7 @@ def truncated_svd(M, r):
 
     Raises
     ------
-    InvalidRank
+    InvalidInput
         If ``r`` exceeds ``min(M.shape)``.
     """
     A = check_matrix(M, "M")

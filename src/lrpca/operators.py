@@ -7,7 +7,7 @@ if it ranks among the largest magnitudes of both its row and its column).
 
 import numpy as np
 
-from .errors import InvalidFraction, InvalidThreshold
+from .errors import InvalidInput
 from .validation import check_matrix
 
 __all__ = ["soft_threshold", "sparsify_top_fraction"]
@@ -19,7 +19,7 @@ def soft_threshold(M, zeta):
     ``out_ij = sign(M_ij) * max(0, |M_ij| - zeta)``.
     """
     if zeta < 0:
-        raise InvalidThreshold(f"threshold must be >= 0, got {zeta}")
+        raise InvalidInput(f"threshold must be >= 0, got {zeta}")
     A = check_matrix(M, "M")
     # A - clip(A, +-zeta), written into the clip's buffer: one temporary.
     C = np.clip(A, -zeta, zeta)
@@ -35,7 +35,7 @@ def sparsify_top_fraction(M, alpha_tilde):
     at the cutoff magnitude are all kept.
     """
     if not 0.0 <= alpha_tilde <= 1.0:
-        raise InvalidFraction(f"fraction must be in [0, 1], got {alpha_tilde}")
+        raise InvalidInput(f"fraction must be in [0, 1], got {alpha_tilde}")
     A = check_matrix(M, "M")
     return _sparsify_unchecked(A, alpha_tilde)
 

@@ -13,9 +13,8 @@ and tail factors finite and > 0, or it raises
 :class:`~lrpca.errors.InvalidInput`.
 """
 
-import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import InvalidInput, ParseError
 
@@ -65,11 +64,6 @@ class ParamSchedule:
         step = k - K
         return self.phi ** step * self.zetas[K], self.beta ** step * self.etas[K - 1]
 
-    def replace(self, **kw):
-        d = dict(zetas=self.zetas, etas=self.etas, beta=self.beta, phi=self.phi)
-        d.update(kw)
-        return ParamSchedule(**d)
-
 
 def _positive(v):
     return 0 < v < math.inf
@@ -84,85 +78,59 @@ def rescale_schedule(theta, n_base, r_base, n_target, r_target):
     if min(n_base, r_base, n_target, r_target) <= 0:
         raise InvalidInput("sizes and ranks must be positive")
     factor = (n_base / n_target) * (r_target / r_base)
-    return theta.replace(zetas=tuple(z * factor for z in theta.zetas))
+    return replace(theta, zetas=tuple(z * factor for z in theta.zetas))
 
 
 _HEADER = "kind,k,value"
 
 
-def _export_schedule(theta):
-    """Schedule as ``(kind, k, value)`` records: each zeta (k = 0..K), each
-    eta (k = 1..K), then beta and phi."""
-    records = [("zeta", k, z) for k, z in enumerate(theta.zetas)]
-    records += [("eta", k + 1, e) for k, e in enumerate(theta.etas)]
-    records.append(("beta", 0, theta.beta))
-    records.append(("phi", 0, theta.phi))
-    return records
-
-
-def _import_schedule(records):
-    """Rebuild a :class:`ParamSchedule` from ``(kind, k, value)`` records."""
-    records = list(records)
-    if not records:
-        raise ParseError("empty schedule record set")
-    zetas, etas, tail = {}, {}, {}
-    for rec in records:
-        try:
-            kind, k, value = rec
-            kind = str(kind)
-            k = int(k)
-            value = float(value)
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"malformed schedule record {rec!r}") from exc
-        table = {"zeta": zetas, "eta": etas, "beta": tail, "phi": tail}.get(kind)
-        if table is None:
-            raise ParseError(f"unknown schedule kind {kind!r}")
-        key = kind if table is tail else k
-        if key in table:
-            raise ParseError(f"repeated schedule row {kind!r} at k = {k}")
-        table[key] = value
-    if not zetas or sorted(zetas) != list(range(len(zetas))):
-        raise ParseError("zeta rows must cover k = 0..K exactly once")
-    if sorted(etas) != list(range(1, len(zetas))):
-        raise ParseError("eta rows must cover k = 1..K exactly once")
-    try:
-        return ParamSchedule(
-            zetas=tuple(zetas[k] for k in range(len(zetas))),
-            etas=tuple(etas[k] for k in range(1, len(zetas))),
-            beta=tail.get("beta", 1.0),
-            phi=tail.get("phi", 1.0),
-        )
-    except InvalidInput as exc:
-        raise ParseError(str(exc)) from exc
-
-
-def _format_value(v):
-    # 17 significant digits round-trips any float64 exactly.
-    return f"{v:.17g}"
-
-
 def write_schedule(theta, path):
-    """Write the schedule CSV (``kind,k,value`` header, LF line endings)."""
-    buf = io.StringIO()
-    buf.write(_HEADER + "\n")
-    for kind, k, value in _export_schedule(theta):
-        buf.write(f"{kind},{k},{_format_value(value)}\n")
+    """Write the schedule CSV (``kind,k,value`` header, LF line endings):
+    each zeta (k = 0..K), each eta (k = 1..K), then beta and phi, every
+    value with 17 significant digits, which round-trips any float64."""
+    rows = [("zeta", k, z) for k, z in enumerate(theta.zetas)]
+    rows += [("eta", k, e) for k, e in enumerate(theta.etas, 1)]
+    rows += [("beta", 0, theta.beta), ("phi", 0, theta.phi)]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(buf.getvalue())
+        fh.write(_HEADER + "\n")
+        fh.writelines(f"{kind},{k},{v:.17g}\n" for kind, k, v in rows)
 
 
 def read_schedule(path):
-    """Read a schedule CSV produced by :func:`write_schedule`."""
+    """Read a schedule CSV produced by :func:`write_schedule`.
+
+    Raises :class:`~lrpca.errors.ParseError` on an empty file, a bad
+    header, a malformed line, an unknown kind, a repeated row, zeta rows
+    that miss some k = 0..K or eta rows some k = 1..K, and values the
+    schedule rejects.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
     if not lines:
         raise ParseError(f"{path}: empty schedule file")
     if lines[0] != _HEADER:
         raise ParseError(f"{path}: expected header {_HEADER!r}, got {lines[0]!r}")
-    records = []
+    zetas, etas, tail = {}, {}, {}
     for ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != 3:
-            raise ParseError(f"{path}: malformed line {ln!r}")
-        records.append((parts[0], parts[1], parts[2]))
-    return _import_schedule(records)
+        try:
+            kind, k, value = ln.split(",")
+            k, value = int(k), float(value)
+        except ValueError as exc:
+            raise ParseError(f"{path}: malformed line {ln!r}") from exc
+        table = {"zeta": zetas, "eta": etas, "beta": tail, "phi": tail}.get(kind)
+        if table is None:
+            raise ParseError(f"{path}: unknown schedule kind {kind!r}")
+        key = kind if table is tail else k
+        if key in table:
+            raise ParseError(f"{path}: repeated schedule row {kind!r} at k = {k}")
+        table[key] = value
+    if not zetas or sorted(zetas) != list(range(len(zetas))):
+        raise ParseError(f"{path}: zeta rows must cover k = 0..K exactly once")
+    if sorted(etas) != list(range(1, len(zetas))):
+        raise ParseError(f"{path}: eta rows must cover k = 1..K exactly once")
+    try:
+        return ParamSchedule(zetas=tuple(zetas[k] for k in sorted(zetas)),
+                             etas=tuple(etas[k] for k in sorted(etas)),
+                             beta=tail.get("beta", 1.0), phi=tail.get("phi", 1.0))
+    except InvalidInput as exc:
+        raise ParseError(f"{path}: {exc}") from exc

@@ -42,14 +42,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (ConvergenceFailure, InvalidDimensions, InvalidFraction,
-                     InvalidInput, InvalidThreshold, MissingGroundTruth,
-                     SingularGram)
+from .errors import ConvergenceFailure, InvalidInput, SingularGram
 from .linalg import (_SKETCH_OVERSAMPLE, _exact_svd, _gram_solver,
                      _sketch_svd, gram_solve, truncated_svd)
 from .operators import _sparsify_unchecked, soft_threshold
 from .schedule import ParamSchedule, _positive
-from .validation import check_matrix, check_rank, check_same_shape
+from .validation import check_matrix, check_rank, check_same_shape, check_seed
 
 __all__ = [
     "FactorPair", "SolverState", "StopRule", "SolveTrace",
@@ -202,8 +200,8 @@ def spectral_init(Y, r, zeta0, seed=0, tangent=False):
     spectral gap rather than an accuracy target, which the iteration does
     not need: it corrects the factors from the first step on.  On smaller
     inputs an exact LAPACK SVD costs no more, so they get
-    :func:`~lrpca.linalg.truncated_svd` and ignore ``seed``.  Either way
-    the factors are fixed bit for bit.
+    :func:`~lrpca.linalg.truncated_svd` and ignore ``seed``, which must
+    still be >= 0.  Either way the factors are fixed bit for bit.
 
     With ``tangent``, returns ``(state, FactorPair(dL, dR))``: forward mode
     through the branch taken, from ``dA/dzeta0 = sign(S_0)``, gives
@@ -213,6 +211,7 @@ def spectral_init(Y, r, zeta0, seed=0, tangent=False):
     """
     Ym = check_matrix(Y, "Y")
     r = check_rank(r, *Ym.shape)
+    check_seed(seed)
     S0 = soft_threshold(Ym, zeta0)
     return _factor_state(Ym, S0, r, seed, np.sign(S0) if tangent else None)
 
@@ -270,10 +269,13 @@ class _Scratch:
             self._bufs = tuple(np.empty((step, n2)) for _ in range(3))
         return step, self._bufs
 
-
-def _slabs(Y, scratch):
-    # Callers that pass no set, such as lrpca_step, get buffers of their own.
-    return (scratch if scratch is not None else _Scratch()).slabs(*Y.shape)
+    def rows(self, n1, n2):
+        """Each row slab of an n1 x n2 pass, in order: its ``slice`` and
+        the three buffers cut to its row count."""
+        step, bufs = self.slabs(n1, n2)
+        for i in range(0, n1, step):
+            b = min(step, n1 - i)
+            yield (slice(i, i + step), *(buf[:b] for buf in bufs))
 
 
 class _Pass(NamedTuple):
@@ -301,8 +303,8 @@ def _product_rows(L_rows, RT, out):
     return np.matmul(L_rows, RT, out=out)
 
 
-def _soft_pass(Y, L, R, zeta, S=None, S_out=None, truth=None, prev=None,
-               resid_next=False, scratch=None):
+def _soft_pass(Y, L, R, zeta, scratch, S=None, S_out=None, truth=None,
+               prev=None, resid_next=False):
     """One slab-streamed pass of the soft-threshold iteration.
 
     Every row slab forms ``X_sl = L_sl R^T`` once and ``T_sl = Y_sl - X_sl``,
@@ -319,7 +321,6 @@ def _soft_pass(Y, L, R, zeta, S=None, S_out=None, truth=None, prev=None,
     """
     n1, n2 = Y.shape
     r = L.shape[1]
-    step, (X_buf, D_buf, C_buf) = _slabs(Y, scratch)
     RT = R.T
     resid_sq = err_sq = dS_sq = S_sq = C_sq = 0.0
     CR = CtL = CtCR = None
@@ -328,10 +329,7 @@ def _soft_pass(Y, L, R, zeta, S=None, S_out=None, truth=None, prev=None,
         CtL = np.zeros((n2, r))
         if resid_next:
             CtCR = np.zeros((n2, r))
-    for i in range(0, n1, step):
-        sl = slice(i, i + step)
-        b = min(step, n1 - i)
-        X, D, C = X_buf[:b], D_buf[:b], C_buf[:b]
+    for sl, X, D, C in scratch.rows(n1, n2):
         _product_rows(L[sl], RT, X)
         if truth is not None:
             err_sq += _sq(np.subtract(X, truth[sl], out=D))
@@ -357,20 +355,15 @@ def _soft_pass(Y, L, R, zeta, S=None, S_out=None, truth=None, prev=None,
     return _Pass(resid_sq, err_sq, dS_sq, S_sq, C_sq, CR, CtL, CtCR)
 
 
-def _soft_last(Y, old, new, zeta, truth=None, scratch=None):
+def _soft_last(Y, old, new, zeta, scratch, truth=None):
     """The returned ``S' = soft_threshold(Y - L R^T, zeta)`` from the factors
     ``old`` of the previous iterate, and the residual and error of the
     iterate ``new`` measured against it, in the row slabs of
     :func:`_soft_pass`.  Returns ``(S', pass)``."""
-    n1 = Y.shape[0]
-    step, (X_buf, C_buf, _) = _slabs(Y, scratch)
     S = np.empty(Y.shape)
     RT, RT_new = old.R.T, new.R.T
     resid_sq = err_sq = 0.0
-    for i in range(0, n1, step):
-        sl = slice(i, i + step)
-        b = min(step, n1 - i)
-        X, C = X_buf[:b], C_buf[:b]
+    for sl, X, C, _ in scratch.rows(*Y.shape):
         T = np.subtract(Y[sl], _product_rows(old.L[sl], RT, X), out=X)
         np.subtract(T, np.clip(T, -zeta, zeta, out=C), out=S[sl])
         X = _product_rows(new.L[sl], RT_new, X)
@@ -381,7 +374,7 @@ def _soft_last(Y, old, new, zeta, truth=None, scratch=None):
     return S, _Pass(resid_sq, err_sq)
 
 
-def _soft_backward(Y, L, R, zeta, eta, L_bar, R_bar, scratch=None):
+def _soft_backward(Y, L, R, zeta, eta, L_bar, R_bar, scratch):
     """Reverse mode through one soft-threshold iteration.
 
     The iteration maps ``(L, R)`` to ``(L + eta P, R + eta Q)``, where
@@ -395,7 +388,6 @@ def _soft_backward(Y, L, R, zeta, eta, L_bar, R_bar, scratch=None):
     """
     n1, n2 = Y.shape
     r = L.shape[1]
-    step, (T_buf, C_buf, G_buf) = _slabs(Y, scratch)
     RT = R.T
     solve_R, solve_L = _gram_solver(R.T @ R), _gram_solver(L.T @ L)
     P_bar, Q_bar = eta * solve_R(L_bar), eta * solve_L(R_bar)
@@ -405,10 +397,7 @@ def _soft_backward(Y, L, R, zeta, eta, L_bar, R_bar, scratch=None):
     C_right, Ct_left = np.empty((n1, 2 * r)), np.zeros((n2, 2 * r))
     Tb_R, Tbt_L = np.empty((n1, r)), np.zeros((n2, r))
     zeta_bar = 0.0
-    for i in range(0, n1, step):
-        sl = slice(i, i + step)
-        b = min(step, n1 - i)
-        T, C, G = T_buf[:b], C_buf[:b], G_buf[:b]
+    for sl, T, C, G in scratch.rows(n1, n2):
         T = np.subtract(Y[sl], _product_rows(L[sl], RT, T), out=T)
         np.clip(T, -zeta, zeta, out=C)
         np.matmul(left[sl], right.T, out=G)
@@ -429,8 +418,8 @@ def _soft_backward(Y, L, R, zeta, eta, L_bar, R_bar, scratch=None):
     return L_in_bar, R_in_bar, zeta_bar, eta_bar
 
 
-def _sparsify_pass(Y, L, R, alpha_tilde, S=None, S_out=None, truth=None,
-                   prev=None, resid_next=False, scratch=None):
+def _sparsify_pass(Y, L, R, alpha_tilde, scratch, S=None, S_out=None,
+                   truth=None, prev=None, resid_next=False):
     """:func:`_soft_pass` for top-fraction sparsification.  Its row and
     column cutoffs need the whole residual, so ``T`` is materialized and
     ``scratch`` goes unused."""
@@ -451,10 +440,10 @@ def _sparsify_pass(Y, L, R, alpha_tilde, S=None, S_out=None, truth=None,
     return _Pass(resid_sq, err_sq, dS_sq, S_sq, _sq(W), WR, W.T @ L, WtWR)
 
 
-def _sparsify_last(Y, old, new, alpha_tilde, truth=None, scratch=None):
+def _sparsify_last(Y, old, new, alpha_tilde, scratch, truth=None):
     """:func:`_soft_last` for top-fraction sparsification."""
     S = _sparsify_unchecked(Y - old.product(), alpha_tilde)
-    return S, _sparsify_pass(Y, new.L, new.R, None, S=S, truth=truth)
+    return S, _sparsify_pass(Y, new.L, new.R, None, scratch, S=S, truth=truth)
 
 
 def _scaled_update(factors, p, eta):
@@ -465,9 +454,9 @@ def _scaled_update(factors, p, eta):
     return FactorPair(L_new, R_new)
 
 
-def _soft_step(Y, factors, zeta, eta, S_out=None, scratch=None):
+def _soft_step(Y, factors, zeta, eta, scratch, S_out=None):
     """Factors after one soft-threshold iteration (S' into ``S_out``)."""
-    p = _soft_pass(Y, factors.L, factors.R, zeta, S_out=S_out, scratch=scratch)
+    p = _soft_pass(Y, factors.L, factors.R, zeta, scratch, S_out=S_out)
     return _scaled_update(factors, p, eta)
 
 
@@ -514,14 +503,13 @@ def _next_resid_sq(p, old, new, eta, dX_sq):
     return max(p.W_sq + 2.0 * cross + dX_sq, 0.0)
 
 
-def _max_abs_err(factors, truth):
+def _max_abs_err(factors, truth, scratch):
     """``||L R^T - truth||_inf`` over row slabs."""
     L, RT = factors.L, factors.R.T
-    step = _block_rows(*truth.shape)
     out = 0.0
-    for i in range(0, truth.shape[0], step):
-        D = L[i:i + step] @ RT
-        D -= truth[i:i + step]
+    for sl, D, _, _ in scratch.rows(*truth.shape):
+        np.matmul(L[sl], RT, out=D)
+        D -= truth[sl]
         out = max(out, float(D.max()), -float(D.min()))
     return out
 
@@ -530,28 +518,30 @@ def lrpca_step(state, Y, zeta, eta):
     """One soft-threshold + scaled-gradient iteration from ``state``."""
     Ym = check_matrix(Y, "Y")
     if zeta < 0:
-        raise InvalidThreshold(f"threshold must be >= 0, got {zeta}")
+        raise InvalidInput(f"threshold must be >= 0, got {zeta}")
     shape = (state.factors.L.shape[0], state.factors.R.shape[0])
     if shape != Ym.shape:
-        raise InvalidDimensions(f"factors give shape {shape}, Y has {Ym.shape}")
+        raise InvalidInput(f"factors give shape {shape}, Y has {Ym.shape}")
     S = np.empty(Ym.shape)
-    factors = _soft_step(Ym, state.factors, zeta, eta, S_out=S)
+    factors = _soft_step(Ym, state.factors, zeta, eta, _Scratch(), S_out=S)
     return SolverState(factors, S)
 
 
 def _resolve_schedule(schedule, truth, max_iters):
-    """Return (zeta0, params_fn) where params_fn(k, factors) -> (zeta, eta)
-    for iteration k, given the factors of iterate k - 1."""
+    """Return (zeta0, params_fn) where params_fn(k, factors, scratch) ->
+    (zeta, eta) for iteration k, given the factors of iterate k - 1 and the
+    solve's slab buffers."""
     if isinstance(schedule, ParamSchedule):
         if schedule.K == 0 and max_iters > 0:
             raise InvalidInput("a schedule with K=0 has only zeta_0: it gives "
                                "no threshold or step size for iteration 1")
-        return schedule.zeta0, lambda k, f: schedule.at(k)
+        return schedule.zeta0, lambda k, *_: schedule.at(k)
     if isinstance(schedule, OracleSchedule):
         if truth is None:
-            raise MissingGroundTruth("oracle schedule requires the true low-rank matrix")
+            raise InvalidInput("oracle schedule requires the true low-rank matrix")
         zeta0 = float(np.abs(truth).max())
-        return zeta0, lambda k, f: (_max_abs_err(f, truth), schedule.eta)
+        return zeta0, lambda k, f, scratch: (_max_abs_err(f, truth, scratch),
+                                             schedule.eta)
     raise InvalidInput(f"unsupported schedule source {type(schedule).__name__}")
 
 
@@ -596,11 +586,10 @@ def _run(Y, stop, truth, init_fn, params_fn, pass_fn, last_fn):
     del state
     scratch = _Scratch()
     eta, k = float("nan"), 0
-    nxt = params_fn(1, factors) if stop.max_iters > 0 else (None, None)
+    nxt = params_fn(1, factors, scratch) if stop.max_iters > 0 else (None, None)
     S_next = np.empty(Y.shape) if track and stop.max_iters > 0 else None
-    p = pass_fn(Y, factors.L, factors.R, nxt[0], S=S, S_out=S_next,
-                truth=truth, prev=S if track else None, resid_next=True,
-                scratch=scratch)
+    p = pass_fn(Y, factors.L, factors.R, nxt[0], scratch, S=S, S_out=S_next,
+                truth=truth, prev=S if track else None, resid_next=True)
     res = residual(0, p.resid_sq)
     append(0, zeta, eta, res, p.err_sq)
     converged = res == 0.0 or (by_residual and res < stop.tolerance)
@@ -632,15 +621,14 @@ def _run(Y, stop, truth, init_fn, params_fn, pass_fn, last_fn):
         old, factors = factors, new
         if converged or k == stop.max_iters:
             break
-        nxt = params_fn(k + 1, factors)
-        p = pass_fn(Y, factors.L, factors.R, nxt[0], S_out=S_next,
-                    truth=truth, prev=S, resid_next=True, scratch=scratch)
+        nxt = params_fn(k + 1, factors, scratch)
+        p = pass_fn(Y, factors.L, factors.R, nxt[0], scratch, S_out=S_next,
+                    truth=truth, prev=S, resid_next=True)
         append(k, zeta, eta, res, p.err_sq)
     if track:
-        p = pass_fn(Y, factors.L, factors.R, None, S=S, truth=truth,
-                    scratch=scratch)
+        p = pass_fn(Y, factors.L, factors.R, None, scratch, S=S, truth=truth)
     else:
-        S, p = last_fn(Y, old, factors, zeta, truth, scratch=scratch)
+        S, p = last_fn(Y, old, factors, zeta, scratch, truth)
     append(k, zeta, eta, residual(k, p.resid_sq), p.err_sq)
     trace.stop_reason = "converged" if converged else "max_iters"
     del scratch  # free the slab buffers before X is formed
@@ -674,6 +662,7 @@ def solve(Y, r, schedule, stop=StopRule(), truth=None, seed=0):
     """
     Ym = check_matrix(Y, "Y")
     r = check_rank(r, *Ym.shape)
+    check_seed(seed)
     if truth is not None:
         truth = check_matrix(truth, "truth")
         check_same_shape(Ym, truth)
@@ -694,8 +683,9 @@ def solve_scaledgd(Y, r, alpha_tilde, eta, stop=StopRule(), truth=None, seed=0):
     """
     Ym = check_matrix(Y, "Y")
     r = check_rank(r, *Ym.shape)
+    check_seed(seed)
     if not 0.0 <= alpha_tilde <= 1.0:
-        raise InvalidFraction(f"fraction must be in [0, 1], got {alpha_tilde}")
+        raise InvalidInput(f"fraction must be in [0, 1], got {alpha_tilde}")
     if truth is not None:
         truth = check_matrix(truth, "truth")
         check_same_shape(Ym, truth)
@@ -705,4 +695,4 @@ def solve_scaledgd(Y, r, alpha_tilde, eta, stop=StopRule(), truth=None, seed=0):
         return _factor_state(Ym, S0, r, seed), alpha_tilde
 
     return _run(Ym, stop, truth, init,
-                lambda k, f: (alpha_tilde, eta), _sparsify_pass, _sparsify_last)
+                lambda *_: (alpha_tilde, eta), _sparsify_pass, _sparsify_last)

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidFraction, InvalidInput
-from .validation import check_rank
+from .errors import InvalidInput
+from .validation import check_rank, check_seed
 
 __all__ = ["ProblemInstance", "gen_instance", "banded_sparse_matrix",
            "InstanceSource"]
@@ -32,17 +32,12 @@ class ProblemInstance:
         return self.Y.shape
 
 
-def _check_seed(seed):
-    if seed < 0:
-        raise InvalidInput(f"seed must be >= 0, got {seed}")
-
-
 def gen_instance(n1, n2, r, alpha, seed):
     """Generate one seeded problem instance (deterministic for a seed >= 0)."""
     r = check_rank(r, n1, n2)
     if not 0.0 <= alpha <= 1.0:
-        raise InvalidFraction(f"alpha must be in [0, 1], got {alpha}")
-    _check_seed(seed)
+        raise InvalidInput(f"alpha must be in [0, 1], got {alpha}")
+    check_seed(seed)
     rng = np.random.default_rng(seed)
     n = max(n1, n2)
     L = rng.normal(0.0, np.sqrt(1.0 / n), size=(n1, r))
@@ -58,7 +53,7 @@ def gen_instance(n1, n2, r, alpha, seed):
     return ProblemInstance(X + S, X, S, r, float(alpha), int(seed))
 
 
-def banded_sparse_matrix(n, alpha, seed, magnitude=1.0):
+def banded_sparse_matrix(n, alpha, seed):
     """Random matrix with at most ``floor(alpha * n)`` nonzeros per row and
     per column (superposed random permutation patterns).
 
@@ -66,17 +61,16 @@ def banded_sparse_matrix(n, alpha, seed, magnitude=1.0):
     properties, as opposed to the global sampling of :func:`gen_instance`.
     """
     if not 0.0 <= alpha <= 1.0:
-        raise InvalidFraction(f"alpha must be in [0, 1], got {alpha}")
+        raise InvalidInput(f"alpha must be in [0, 1], got {alpha}")
     rng = np.random.default_rng(seed)
     m = int(np.floor(alpha * n))
     mask = np.zeros((n, n), dtype=bool)
     for _ in range(m):
         mask[np.arange(n), rng.permutation(n)] = True
     S = np.zeros((n, n))
-    vals = rng.uniform(-magnitude, magnitude, size=int(mask.sum()))
+    vals = rng.uniform(-1.0, 1.0, size=int(mask.sum()))
     # Keep entries away from zero so the support is exactly the mask.
-    vals = np.where(np.abs(vals) < 1e-3 * magnitude,
-                    np.sign(vals + 0.5) * 1e-3 * magnitude, vals)
+    vals = np.where(np.abs(vals) < 1e-3, np.sign(vals + 0.5) * 1e-3, vals)
     S[mask] = vals
     return S
 
@@ -94,10 +88,10 @@ class InstanceSource:
         self.n2 = int(n2)
         self.r = check_rank(r, n1, n2)
         if not 0.0 <= alpha <= 1.0:
-            raise InvalidFraction(f"alpha must be in [0, 1], got {alpha}")
+            raise InvalidInput(f"alpha must be in [0, 1], got {alpha}")
         self.alpha = float(alpha)
         self.base_seed = int(base_seed)
-        _check_seed(self.base_seed)
+        check_seed(self.base_seed)
 
     def instance(self, i):
         return gen_instance(self.n1, self.n2, self.r, self.alpha,

@@ -19,7 +19,7 @@ iterations.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -75,9 +75,9 @@ class TrainConfig:
         return vals
 
 
-def _advance(factors, Y, theta, j0, k, scratch=None):
+def _advance(factors, Y, theta, j0, k, scratch):
     """``factors``, then the factors after each of the iterations j0..k
-    from them, whose passes share the slab buffers ``scratch`` when given.
+    from them, whose passes share the slab buffers ``scratch``.
 
     Only the factors carry state from one iteration to the next: the soft
     threshold reads ``Y - L R^T``, never the previous S.
@@ -85,7 +85,7 @@ def _advance(factors, Y, theta, j0, k, scratch=None):
     states = [factors]
     for j in range(j0, k + 1):
         zeta, eta = theta.at(j)
-        states.append(_soft_step(Y, states[-1], zeta, eta, scratch=scratch))
+        states.append(_soft_step(Y, states[-1], zeta, eta, scratch))
     return states
 
 
@@ -101,7 +101,7 @@ def _initial_schedule(source, cfg):
     return ParamSchedule(zetas=zetas, etas=etas, beta=1.0, phi=1.0)
 
 
-def _stage_gradient(theta, inst, k, scratch=None):
+def _stage_gradient(theta, inst, k, scratch):
     """``(loss, zeta_grad, eta_grad)`` of the normalized stage-k loss.
 
     The backward sweep starts from ``X_bar = 2 (L_k R_k^T - X_star) /
@@ -109,7 +109,7 @@ def _stage_gradient(theta, inst, k, scratch=None):
     layers k..1.  Its adjoints ``(L_bar_0, R_bar_0)`` of the init's factors
     give ``zeta_bar_0 = <L_bar_0, dL_0> + <R_bar_0, dR_0>`` with the init's
     tangent in zeta_0.  Parameters past iteration k get zero.  The forward
-    and backward passes share the slab buffers ``scratch`` when given.
+    and backward passes share the slab buffers ``scratch``.
     """
     init, d_init = spectral_init(inst.Y, inst.r, theta.zeta0, seed=inst.seed,
                                  tangent=True)
@@ -179,7 +179,7 @@ def layerwise_train(source, cfg, callback=None):
             zetas = np.maximum(_capped_step(np.array(theta.zetas), g_zeta,
                                             lr, 1e-4), 0.0)
             etas = _capped_step(np.array(theta.etas), g_eta, lr, 0.0)
-            theta = theta.replace(zetas=tuple(zetas), etas=tuple(etas))
+            theta = replace(theta, zetas=tuple(zetas), etas=tuple(etas))
             if callback is not None:
                 callback(stage, step, loss, float(np.linalg.norm(grad)))
     return theta
@@ -206,7 +206,7 @@ def grid_search_tail(theta, dataset, cfg):
     del inits
 
     def tail_loss(beta, phi):
-        cand = theta.replace(beta=beta, phi=phi)
+        cand = replace(theta, beta=beta, phi=phi)
         total = 0.0
         for inst, factors in cached:
             X_final = _advance(factors, inst.Y, cand, K + 1, K_bar,
@@ -219,7 +219,7 @@ def grid_search_tail(theta, dataset, cfg):
     grid = cfg.grid_values()
     _, phi, beta = min((tail_loss(beta, phi), phi, beta)
                        for phi in grid for beta in grid)
-    return theta.replace(beta=beta, phi=phi)
+    return replace(theta, beta=beta, phi=phi)
 
 
 def train_schedule(source, cfg, grid_instances=_GRID_INSTANCES, callback=None):

@@ -2,9 +2,9 @@
 
 import numpy as np
 
-from .errors import InvalidDimensions, InvalidInput, InvalidRank
+from .errors import InvalidInput
 
-__all__ = ["check_matrix", "check_rank", "check_same_shape"]
+__all__ = ["check_matrix", "check_rank", "check_same_shape", "check_seed"]
 
 
 def check_matrix(M, name="matrix"):
@@ -15,9 +15,9 @@ def check_matrix(M, name="matrix"):
     """
     A = np.asarray(M, dtype=np.float64)
     if A.ndim != 2:
-        raise InvalidDimensions(f"{name} must be 2-D, got ndim={A.ndim}")
+        raise InvalidInput(f"{name} must be 2-D, got ndim={A.ndim}")
     if A.size == 0:
-        raise InvalidDimensions(f"{name} is empty (shape {A.shape})")
+        raise InvalidInput(f"{name} is empty (shape {A.shape})")
     if not np.isfinite(A).all():
         raise InvalidInput(f"{name} contains NaN or Inf entries")
     return np.ascontiguousarray(A)
@@ -26,13 +26,18 @@ def check_matrix(M, name="matrix"):
 def check_rank(r, n1, n2):
     r = int(r)
     if r < 1:
-        raise InvalidRank(f"rank must be >= 1, got {r}")
+        raise InvalidInput(f"rank must be >= 1, got {r}")
     if r > min(n1, n2):
-        raise InvalidRank(f"rank {r} exceeds min(shape)={min(n1, n2)}")
+        raise InvalidInput(f"rank {r} exceeds min(shape)={min(n1, n2)}")
     return r
 
 
 def check_same_shape(*mats):
     shapes = {m.shape for m in mats}
     if len(shapes) != 1:
-        raise InvalidDimensions(f"shape mismatch: {sorted(shapes)}")
+        raise InvalidInput(f"shape mismatch: {sorted(shapes)}")
+
+
+def check_seed(seed):
+    if seed < 0:
+        raise InvalidInput(f"seed must be >= 0, got {seed}")

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormatError, InvalidInput, InvalidRank
+from .errors import FormatError, InvalidInput
 from .solver import StopRule, solve
 from .validation import check_matrix
 
@@ -137,7 +137,7 @@ def background_subtract(seq, r, schedule, stop=None, seed=0):
     foreground, trace)``.
     """
     if r > len(seq):
-        raise InvalidRank(f"rank {r} exceeds frame count {len(seq)}")
+        raise InvalidInput(f"rank {r} exceeds frame count {len(seq)}")
     if stop is None:
         stop = StopRule(mode="iterate_change", tolerance=1e-3, max_iters=100)
     Y = frames_to_matrix(seq)

@@ -105,10 +105,16 @@ class TestSolveCommand:
         rel_errs = [float(ln.split(",")[4]) for ln in trace[1:]]
         assert rel_errs[-1] < rel_errs[0]
 
-    def test_oracle_without_truth_is_solver_error(self, instance_dir, tmp_path):
+    def test_oracle_without_truth_is_usage_error(self, instance_dir, tmp_path,
+                                                 capsys):
+        # The oracle thresholds need the truth: a setting that cannot be run.
+        out = tmp_path / "s2"
         code = run(["solve", "--y", instance_dir / "Y.lrpm", "--r", 2,
-                    "--oracle", "--out", tmp_path / "s2"])
-        assert code == 1
+                    "--oracle", "--out", out])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "requires the true low-rank matrix" in err[0]
+        assert not out.exists()
 
     def test_missing_schedule_usage_error(self, instance_dir, tmp_path):
         code = run(["solve", "--y", instance_dir / "Y.lrpm", "--r", 2,
@@ -509,6 +515,11 @@ BAD_SETTINGS = {
     "solve_tol": ["solve", "--y", "{y}", "--r", 2, "--fixed", "0.1", "0.5",
                   "--stop-mode", "fixed_iters", "--tol", -1],
     "solve_rank": ["solve", "--y", "{y}", "--r", 30, "--fixed", "0.1", "0.5"],
+    # Y is 20 x 20, which gets the exact init SVD, and 60 x 60 the sketch.
+    "solve_seed": ["solve", "--y", "{y}", "--r", 2, "--fixed", "0.1", "0.5",
+                   "--seed", -1],
+    "solve_seed_sketch": ["solve", "--y", "{y60}", "--r", 2, "--fixed", "0.1",
+                          "0.5", "--seed", -1],
     # No residual passes a NaN tolerance, so the solve could never converge.
     "solve_tol_nan": ["solve", "--y", "{y}", "--r", 2, "--fixed", "0.1", "0.5",
                       "--tol", "nan"],
@@ -545,6 +556,8 @@ BAD_SETTINGS = {
                         "--schedule", "{sched}", "--max-iters", -1],
     "bgsub_rank": ["bgsub", "--frames", "{frames}", "--r", 9,
                    "--schedule", "{sched}"],
+    "bgsub_seed": ["bgsub", "--frames", "{frames}", "--r", 1,
+                   "--schedule", "{sched}", "--seed", -1],
     "train_grid_instances": ["train", "--n", 30, "--r", 2, "--K", 1,
                              "--K-bar", 2, "--sgd-steps-per-stage", 1,
                              "--grid-instances", 0],
@@ -556,13 +569,15 @@ BAD_SETTINGS = {
 @pytest.mark.parametrize("name", sorted(BAD_SETTINGS))
 def test_bad_setting_exits_2_before_output(tmp_path, capsys, name):
     y, frames, sched = tmp_path / "Y.lrpm", tmp_path / "frames", tmp_path / "s.csv"
+    y60 = tmp_path / "Y60.lrpm"
     write_matrix(gen_instance(20, 20, 2, 0.1, 1).Y, y)
+    write_matrix(gen_instance(60, 60, 2, 0.1, 1).Y, y60)
     frames.mkdir()
     for i, frame in enumerate(moving_blob_scene(height=8, width=10,
                                                 n_frames=8)[0].frames):
         write_pgm(frame, frames / f"f{i:02d}.pgm")
     write_schedule(FixedSchedule(0.1, 0.5), sched)
-    args = [str(a).format(y=y, frames=frames, sched=sched,
+    args = [str(a).format(y=y, y60=y60, frames=frames, sched=sched,
                           missing=tmp_path / "missing.csv")
             for a in BAD_SETTINGS[name]]
     out = tmp_path / "out"

@@ -1,12 +1,14 @@
 import importlib
 import pkgutil
 
+import numpy as np
 import pytest
 
 import lrpca
-from lrpca import (InvalidFraction, InvalidInput, InvalidRank,
-                   InvalidThreshold, OracleSchedule, ParamSchedule,
-                   TrainConfig, grid_search_tail, rescale_schedule)
+from lrpca import (FixedSchedule, InvalidInput, OracleSchedule, ParamSchedule,
+                   TrainConfig, grid_search_tail, matrix_norm,
+                   rescale_schedule, soft_threshold, solve, spectral_init,
+                   sparsify_top_fraction, truncated_svd)
 
 
 def test_every_exported_name_resolves():
@@ -18,15 +20,32 @@ def test_every_exported_name_resolves():
     assert not missing
 
 
-@pytest.mark.parametrize("error", [InvalidRank, InvalidFraction,
-                                   InvalidThreshold])
-def test_range_errors_are_invalid_input(error):
-    assert issubclass(error, InvalidInput)
-    assert issubclass(error, ValueError)
+def test_invalid_input_is_the_one_caller_mistake_error():
+    errors = [name for name in lrpca.__all__
+              if isinstance(getattr(lrpca, name), type)
+              and issubclass(getattr(lrpca, name), InvalidInput)]
+    assert errors == ["InvalidInput"]
+    assert issubclass(InvalidInput, ValueError)
 
 
 # A caller's bad setting raises InvalidInput, which callers that catch
 # ValueError still catch.
+@pytest.mark.parametrize("call, match", [
+    (lambda: truncated_svd(np.eye(4), 5), "rank 5 exceeds"),
+    (lambda: sparsify_top_fraction([[1.0]], 1.5), "fraction must be in"),
+    (lambda: soft_threshold([[1.0]], -0.1), "threshold must be >= 0"),
+    (lambda: matrix_norm(np.zeros((0, 3)), "fro"), "is empty"),
+    (lambda: spectral_init(np.eye(4), 1, 0.1, seed=-1), "seed must be >= 0"),
+    (lambda: solve(np.eye(4), 1, OracleSchedule()), "requires the true"),
+    (lambda: solve(np.eye(4), 1, FixedSchedule(0.1, 0.5), truth=np.eye(3)),
+     "shape mismatch"),
+], ids=["rank", "fraction", "threshold", "empty", "seed", "oracle_truth",
+        "shapes"])
+def test_range_errors_are_invalid_input(call, match):
+    with pytest.raises(InvalidInput, match=match):
+        call()
+
+
 @pytest.mark.parametrize("call", [
     lambda: ParamSchedule(zetas=(-1.0, 0.5), etas=(0.5,)),
     lambda: OracleSchedule(eta=0.0),

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lrpca import (FormatError, InvalidDimensions, InvalidInput, read_matrix,
+from lrpca import (FormatError, InvalidInput, read_matrix,
                    write_matrix)
 
 
@@ -74,6 +74,6 @@ class TestBinaryFormat:
 
     def test_non_2d_rejected_before_writing(self, tmp_path):
         path = tmp_path / "m.lrpm"
-        with pytest.raises(InvalidDimensions):
+        with pytest.raises(InvalidInput, match="must be 2-D"):
             write_matrix(np.ones(4), path)
         assert not path.exists()

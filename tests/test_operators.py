@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from lrpca import (InvalidFraction, InvalidThreshold, banded_sparse_matrix,
-                   matrix_norm, soft_threshold, sparsify_top_fraction)
+from lrpca import (InvalidInput, banded_sparse_matrix, matrix_norm,
+                   soft_threshold, sparsify_top_fraction)
 from oracles import brute_force_sparsify
 
 
@@ -29,7 +29,7 @@ class TestSoftThreshold:
             assert np.array_equal(soft_threshold(M, zeta), ref)
 
     def test_negative_threshold_rejected(self):
-        with pytest.raises(InvalidThreshold):
+        with pytest.raises(InvalidInput, match="threshold must be >= 0"):
             soft_threshold([[1.0]], -0.1)
 
     def test_entrywise_lipschitz(self, rng):
@@ -56,7 +56,7 @@ class TestSparsifyTopFraction:
 
     def test_fraction_bounds(self):
         for bad in (-0.1, 1.1):
-            with pytest.raises(InvalidFraction):
+            with pytest.raises(InvalidInput, match=r"fraction must be in \[0, 1\]"):
                 sparsify_top_fraction([[1.0]], bad)
 
     def test_matches_brute_force_oracle(self, rng):

@@ -3,7 +3,6 @@ import pytest
 
 from lrpca import (ParamSchedule, ParseError, read_schedule, rescale_schedule,
                    write_schedule)
-from lrpca.schedule import _export_schedule, _import_schedule
 
 
 def make_schedule(K=10, beta=0.8, phi=0.6):
@@ -74,40 +73,77 @@ class TestRescale:
         assert via_mid.zetas == direct.zetas
 
 
-class TestSerialization:
-    def test_round_trip_exact(self):
-        theta = make_schedule(beta=0.73456789012345678, phi=0.91234567890123456)
-        assert _import_schedule(_export_schedule(theta)) == theta
+HEADER = "kind,k,value\n"
 
-    def test_cardinality(self):
-        records = _export_schedule(make_schedule(K=10))
-        kinds = [r[0] for r in records]
+
+def write_text(tmp_path, text):
+    path = tmp_path / "schedule.csv"
+    path.write_text(text)
+    return path
+
+
+class TestSerialization:
+    def test_round_trip_exact(self, tmp_path):
+        theta = make_schedule(beta=0.73456789012345678, phi=0.91234567890123456)
+        path = tmp_path / "schedule.csv"
+        write_schedule(theta, path)
+        assert read_schedule(path) == theta
+
+    def test_golden_bytes(self, tmp_path):
+        # 17 significant digits, LF endings, zetas, etas, then beta and phi.
+        theta = ParamSchedule(zetas=(1 / 3, 0.1 + 0.2, 1e-5 / 3),
+                              etas=(0.65, 2 / 3), beta=0.7 + 0.1, phi=1.0)
+        path = tmp_path / "schedule.csv"
+        write_schedule(theta, path)
+        assert path.read_bytes() == (
+            b"kind,k,value\n"
+            b"zeta,0,0.33333333333333331\n"
+            b"zeta,1,0.30000000000000004\n"
+            b"zeta,2,3.3333333333333337e-06\n"
+            b"eta,1,0.65000000000000002\n"
+            b"eta,2,0.66666666666666663\n"
+            b"beta,0,0.79999999999999993\n"
+            b"phi,0,1\n")
+
+    def test_cardinality(self, tmp_path):
+        path = tmp_path / "schedule.csv"
+        write_schedule(make_schedule(K=10), path)
+        kinds = [ln.split(",")[0] for ln in path.read_text().splitlines()[1:]]
         assert kinds.count("zeta") == 11
         assert kinds.count("eta") == 10
         assert kinds.count("beta") == 1
         assert kinds.count("phi") == 1
 
-    def test_empty_records_rejected(self):
-        with pytest.raises(ParseError):
-            _import_schedule([])
+    def test_header_only_rejected(self, tmp_path):
+        with pytest.raises(ParseError, match="zeta rows must cover"):
+            read_schedule(write_text(tmp_path, HEADER))
 
-    def test_malformed_record_rejected(self):
-        with pytest.raises(ParseError):
-            _import_schedule([("zeta", 0, "not-a-number")])
+    @pytest.mark.parametrize("line", ["zeta,0,not-a-number", "zeta,0",
+                                      "zeta,0,1.0,2.0", "zeta,x,1.0"],
+                             ids=["value", "short", "long", "index"])
+    def test_malformed_line_rejected(self, tmp_path, line):
+        with pytest.raises(ParseError, match="malformed line"):
+            read_schedule(write_text(tmp_path, HEADER + line + "\n"))
 
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ParseError):
-            _import_schedule([("gamma", 0, 1.0)])
+    def test_unknown_kind_rejected(self, tmp_path):
+        with pytest.raises(ParseError, match="unknown schedule kind 'gamma'"):
+            read_schedule(write_text(tmp_path, HEADER + "gamma,0,1.0\n"))
 
-    def test_gap_in_indices_rejected(self):
-        with pytest.raises(ParseError):
-            _import_schedule([("zeta", 0, 1.0), ("zeta", 2, 0.5)])
+    def test_gap_in_indices_rejected(self, tmp_path):
+        with pytest.raises(ParseError, match="zeta rows must cover"):
+            read_schedule(write_text(tmp_path,
+                                     HEADER + "zeta,0,1.0\nzeta,2,0.5\n"))
+
+    def test_gap_in_eta_indices_rejected(self, tmp_path):
+        with pytest.raises(ParseError, match="eta rows must cover"):
+            read_schedule(write_text(tmp_path, HEADER + "zeta,0,1.0\n"
+                                     "zeta,1,0.5\nzeta,2,0.2\neta,2,0.5\n"))
 
     @pytest.mark.parametrize("eta", [-3.0, 0.0])
-    def test_nonpositive_eta_rejected(self, eta):
+    def test_nonpositive_eta_rejected(self, tmp_path, eta):
         with pytest.raises(ParseError, match="step sizes"):
-            _import_schedule([("zeta", 0, 1.0), ("zeta", 1, 0.5),
-                             ("eta", 1, eta)])
+            read_schedule(write_text(tmp_path, HEADER + "zeta,0,1.0\n"
+                                     f"zeta,1,0.5\neta,1,{eta}\n"))
 
     def test_file_round_trip(self, tmp_path):
         theta = make_schedule()
@@ -175,9 +211,10 @@ class TestValidation:
 
     @pytest.mark.parametrize("kind, k", [("zeta", 0), ("zeta", 1),
                                          ("beta", 0), ("phi", 0)])
-    def test_import_rejects_nan(self, kind, k):
+    def test_read_rejects_nan(self, tmp_path, kind, k):
         records = {("zeta", 0): 1.0, ("zeta", 1): 0.5, ("eta", 1): 0.5,
                    ("beta", 0): 0.8, ("phi", 0): 0.6}
         records[(kind, k)] = "nan"
+        text = HEADER + "".join(f"{kd},{i},{v}\n" for (kd, i), v in records.items())
         with pytest.raises(ParseError):
-            _import_schedule([(kd, i, v) for (kd, i), v in records.items()])
+            read_schedule(write_text(tmp_path, text))

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from lrpca import (ConvergenceFailure, FactorPair, FixedSchedule, InvalidInput,
-                   MissingGroundTruth, OracleSchedule, ParamSchedule,
-                   SingularGram, SolverState, StopRule, gen_instance,
+                   OracleSchedule, ParamSchedule, SingularGram, SolverState, StopRule, gen_instance,
                    lrpca_step, residual_rel, solve, solve_scaledgd,
                    spectral_init, truncated_svd)
 from lrpca import solver as solver_module
@@ -21,6 +20,18 @@ def rank_r_instance(rng, n1=30, n2=24, r=3, noise=0.0):
     L = rng.standard_normal((n1, r))
     R = rng.standard_normal((n2, r))
     return L @ R.T
+
+
+# Short side 20 gets the exact init SVD, which reads no seed, 60 the sketch.
+@pytest.mark.parametrize("n", [20, 60], ids=["exact", "sketch"])
+@pytest.mark.parametrize("call", [
+    lambda Y: spectral_init(Y, 2, 0.1, seed=-1),
+    lambda Y: solve(Y, 2, FixedSchedule(0.1, 0.5), seed=-1),
+    lambda Y: solve_scaledgd(Y, 2, 0.2, 0.5, seed=-1),
+], ids=["spectral_init", "solve", "solve_scaledgd"])
+def test_negative_seed_rejected(n, call):
+    with pytest.raises(InvalidInput, match="seed must be >= 0"):
+        call(gen_instance(n, n, 2, 0.1, 1).Y)
 
 
 class TestSpectralInit:
@@ -143,7 +154,7 @@ class TestLrpcaStep:
     def test_negative_threshold_rejected(self, rng):
         Y = rng.standard_normal((4, 4))
         state = spectral_init(Y, 2, 0.1)
-        with pytest.raises(Exception):
+        with pytest.raises(InvalidInput, match="threshold must be >= 0"):
             lrpca_step(state, Y, zeta=-1.0, eta=0.5)
 
 
@@ -152,7 +163,7 @@ def scaledgd_step(state, Y, alpha_tilde, eta):
     makes it."""
     S = np.empty(Y.shape)
     p = _sparsify_pass(Y, state.factors.L, state.factors.R, alpha_tilde,
-                       S_out=S)
+                       _Scratch(), S_out=S)
     return SolverState(_scaled_update(state.factors, p, eta), S)
 
 
@@ -219,7 +230,7 @@ class TestSolve:
 
     def test_oracle_requires_truth(self, rng):
         Y = rng.standard_normal((10, 10))
-        with pytest.raises(MissingGroundTruth):
+        with pytest.raises(InvalidInput, match="requires the true low-rank"):
             solve(Y, 2, OracleSchedule(0.5), StopRule())
 
     def test_oracle_convergence_and_support(self):
@@ -592,8 +603,7 @@ class TestSolveScaledgd:
 
     def test_invalid_fraction(self, rng):
         Y = rng.standard_normal((10, 10))
-        from lrpca import InvalidFraction
-        with pytest.raises(InvalidFraction):
+        with pytest.raises(InvalidInput, match=r"fraction must be in \[0, 1\]"):
             solve_scaledgd(Y, 2, 1.5, 0.5)
 
 
@@ -611,7 +621,7 @@ class TestSoftBackward:
         rng = np.random.default_rng(8)
         L_bar = rng.standard_normal(L.shape)
         R_bar = rng.standard_normal(R.shape)
-        got = _soft_backward(inst.Y, L, R, zeta, 0.6, L_bar, R_bar)
+        got = _soft_backward(inst.Y, L, R, zeta, 0.6, L_bar, R_bar, _Scratch())
         ref = dense_layer_vjp(inst.Y, L, R, zeta, 0.6, L_bar, R_bar)
         for a, b in zip(got[:2], ref[:2]):
             assert np.linalg.norm(a - b) <= 1e-11 * np.linalg.norm(b)
@@ -620,26 +630,27 @@ class TestSoftBackward:
         assert ref[2] != 0.0
 
 
-def _slab_calls(inst, r, scratch):
-    """Every slab kernel once on ``inst``, through ``scratch`` when given;
-    the buffers are filled with NaN first, so a read of a value left over
-    from an earlier call would show."""
-    if scratch is not None:
-        for buf in scratch.slabs(*inst.Y.shape)[1]:
+def _slab_calls(inst, r, scratch=None):
+    """Every slab kernel once on ``inst``, through ``scratch`` when given,
+    else through a fresh set each; the buffers are filled with NaN first,
+    so a read of a value left over from an earlier call would show."""
+    def buffers():
+        s = scratch if scratch is not None else _Scratch()
+        for buf in s.slabs(*inst.Y.shape)[1]:
             buf.fill(np.nan)
+        return s
+
     f = spectral_init(inst.Y, r, float(np.abs(inst.Y).max()), seed=1).factors
     zeta = float(np.quantile(np.abs(inst.Y - f.product()), 0.7))
     S_out = np.empty(inst.Y.shape)
-    p = _soft_pass(inst.Y, f.L, f.R, zeta, S=inst.S_star, S_out=S_out,
-                   truth=inst.X_star, prev=inst.S_star, resid_next=True,
-                   scratch=scratch)
+    p = _soft_pass(inst.Y, f.L, f.R, zeta, buffers(), S=inst.S_star,
+                   S_out=S_out, truth=inst.X_star, prev=inst.S_star,
+                   resid_next=True)
     new = _scaled_update(f, p, 0.6)
     rng = np.random.default_rng(8)
     L_bar, R_bar = rng.standard_normal(f.L.shape), rng.standard_normal(f.R.shape)
-    back = _soft_backward(inst.Y, f.L, f.R, zeta, 0.6, L_bar, R_bar,
-                          scratch=scratch)
-    S_last, last = _soft_last(inst.Y, f, new, zeta, truth=inst.X_star,
-                              scratch=scratch)
+    back = _soft_backward(inst.Y, f.L, f.R, zeta, 0.6, L_bar, R_bar, buffers())
+    S_last, last = _soft_last(inst.Y, f, new, zeta, buffers(), truth=inst.X_star)
     return [*p, S_out, *back, S_last, *last]
 
 
@@ -658,7 +669,7 @@ class TestSlabScratch:
         # shape for the other case, so the set is remade for this one.
         inst = gen_instance(n1, n2, r, alpha, 6)
         other = [s for s in MULTI_SLAB if s[:2] != (n1, n2)][0]
-        fresh = _slab_calls(inst, r, None)
+        fresh = _slab_calls(inst, r)
         scratch = _Scratch()
         _slab_calls(gen_instance(*other, 7), other[2], scratch)
         assert scratch.slabs(n1, n2)[1][0].shape == (_block_rows(n1, n2), n2)

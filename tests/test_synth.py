@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from lrpca import (InstanceSource, InvalidFraction, InvalidInput, InvalidRank,
-                   banded_sparse_matrix, gen_instance)
+from lrpca import (InstanceSource, InvalidInput, banded_sparse_matrix,
+                   gen_instance)
 
 
 class TestGenInstance:
@@ -40,11 +40,11 @@ class TestGenInstance:
         assert var == pytest.approx(5 / 600 ** 2, rel=0.1)
 
     def test_invalid_rank(self):
-        with pytest.raises(InvalidRank):
+        with pytest.raises(InvalidInput, match="rank 11 exceeds"):
             gen_instance(10, 10, 11, 0.1, 0)
 
     def test_invalid_fraction(self):
-        with pytest.raises(InvalidFraction):
+        with pytest.raises(InvalidInput, match=r"alpha must be in \[0, 1\]"):
             gen_instance(10, 10, 2, 1.5, 0)
 
     def test_rectangular_shapes(self):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from lrpca import (InstanceSource, InvalidInput, ParamSchedule,
                    gen_instance, grid_search_tail, layerwise_train,
                    train_schedule)
 from lrpca import training
-from lrpca.solver import spectral_init
+from lrpca.solver import _Scratch, spectral_init
 from lrpca.training import _advance, _stage_gradient
 from conftest import ListSource, run_concurrently
 from oracles import central_difference_gradient, stage_loss
@@ -40,8 +42,8 @@ class TestStageLoss:
 
 def _with_params(theta, values):
     """``theta`` with zeta_0..zeta_K, eta_1..eta_K replaced by ``values``."""
-    return theta.replace(zetas=tuple(values[:theta.K + 1]),
-                         etas=tuple(values[theta.K + 1:]))
+    return replace(theta, zetas=tuple(values[:theta.K + 1]),
+                   etas=tuple(values[theta.K + 1:]))
 
 
 def _norm_stage_loss(theta, k, inst):
@@ -58,7 +60,7 @@ def _kink_gap(theta, inst, k):
         zeta, _ = theta.at(j)
         T = inst.Y - factors.product()
         gap = min(gap, float(np.abs(np.abs(T) - zeta).min()))
-        factors = _advance(factors, inst.Y, theta, j, j)[-1]
+        factors = _advance(factors, inst.Y, theta, j, j, _Scratch())[-1]
     return gap
 
 
@@ -82,7 +84,7 @@ class TestReverseModeGradient:
         assert _kink_gap(theta, inst, theta.K) > 50 * h
         values = theta.zetas + theta.etas
         for k in range(theta.K + 1):
-            loss, g_zeta, g_eta = _stage_gradient(theta, inst, k)
+            loss, g_zeta, g_eta = _stage_gradient(theta, inst, k, _Scratch())
             assert loss == pytest.approx(_norm_stage_loss(theta, k, inst),
                                          rel=1e-12)
             fd = central_difference_gradient(
@@ -173,7 +175,7 @@ class TestInitTangent:
         # The stage-1 gradient in zeta_0 stays finite and exact as well.
         theta = ParamSchedule(zetas=(zeta0, 0.5 * zeta0), etas=(0.5,))
         assert _kink_gap(theta, inst, 1) > 50e-6
-        g = _stage_gradient(theta, inst, 1)[1][0]
+        g = _stage_gradient(theta, inst, 1, _Scratch())[1][0]
         fd = central_difference_gradient(
             lambda v: _norm_stage_loss(_with_params(theta, v), 1, inst),
             theta.zetas + theta.etas, 1e-6)[0]
@@ -307,7 +309,7 @@ class TestGridSearchTail:
         out = grid_search_tail(theta, dataset, cfg)
 
         def eval_pair(beta, phi):
-            cand = theta.replace(beta=beta, phi=phi)
+            cand = replace(theta, beta=beta, phi=phi)
             return stage_loss(cand, 5, dataset)
 
         best_loss = eval_pair(out.beta, out.phi)
@@ -354,7 +356,13 @@ class TestTrainSchedule:
         cfg = TrainConfig(K=2, K_bar=3, sgd_steps_per_stage=2,
                           grid=(0.5, 1.0, 0.5))
         reused = train_schedule(ListSource(data), cfg, grid_instances=3)
-        monkeypatch.setattr(training, "_Scratch", lambda: None)
+        real_slabs = _Scratch.slabs
+
+        def fresh_slabs(self, n1, n2):
+            self._bufs = ()  # a new set at every pass
+            return real_slabs(self, n1, n2)
+
+        monkeypatch.setattr(_Scratch, "slabs", fresh_slabs)
         assert train_schedule(ListSource(data), cfg, grid_instances=3) == reused
 
     def test_concurrent_runs_match_serial(self):

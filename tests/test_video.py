@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from lrpca import (FormatError, FrameSequence, InvalidInput, InvalidRank,
-                   ParamSchedule, StopRule, background_subtract,
-                   frames_to_matrix, matrix_to_frames, moving_blob_scene,
-                   read_pgm, read_pgm_sequence, write_pgm)
+from lrpca import (FormatError, FrameSequence, InvalidInput, ParamSchedule,
+                   StopRule, background_subtract, frames_to_matrix,
+                   matrix_to_frames, moving_blob_scene, read_pgm,
+                   read_pgm_sequence, write_pgm)
 
 
 def minimal_pgm(tmp_path, name="f.pgm", payload=bytes([0, 255, 128, 64]),
@@ -162,7 +162,7 @@ class TestBackgroundSubtract:
 
     def test_rank_exceeds_frames(self):
         seq = FrameSequence((np.zeros((2, 2)), np.ones((2, 2)) * 0.5))
-        with pytest.raises(InvalidRank):
+        with pytest.raises(InvalidInput, match="exceeds frame count"):
             background_subtract(seq, 3, self.geometric_schedule(1.0))
 
     def test_reconstruction_residual(self):
