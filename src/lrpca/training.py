@@ -13,9 +13,10 @@ backward sweep gives the gradients in every threshold and step size that
 acts on the stage output; for ``zeta_0``, which acts through the init SVD,
 the sweep's adjoints of the init's factors meet their forward-mode tangent
 (:func:`~lrpca.solver.spectral_init` with ``tangent``).  The second phase
-fixes the learned per-iteration parameters and grid-searches the geometric
-tail factors (beta, phi) to minimize the same loss after K_bar > K
-iterations.
+fixes the learned per-iteration parameters and picks the geometric tail
+factors (beta, phi) from a grid to minimize the same loss after K_bar > K
+iterations, by a branch-and-bound search that returns the pair an
+exhaustive one would.
 """
 
 import math
@@ -186,11 +187,22 @@ def layerwise_train(source, cfg, callback=None):
 
 
 def grid_search_tail(theta, dataset, cfg):
-    """Phase two: exhaustive (beta, phi) search for the geometric tail.
+    """Phase two: exact branch-and-bound (beta, phi) search for the tail.
 
-    Evaluates the mean squared reconstruction error after ``cfg.K_bar``
-    iterations for every grid pair and returns the schedule with the
-    minimizing pair; ties break toward smaller phi, then smaller beta.
+    Returns the schedule whose grid pair minimizes the mean squared
+    reconstruction error after ``cfg.K_bar`` iterations; ties break toward
+    smaller phi, then smaller beta, and a pair whose mean is not finite
+    never wins.  Every pair runs on ``dataset[0]``; then, in order of that
+    first loss, each pair adds its other instances' losses in dataset order
+    and is dropped once its partial mean exceeds the best complete one.
+    The losses are ``>= 0`` and a rounded sum of them never falls, so a
+    dropped pair could not have won, and a complete pair's sum is the one a
+    search of every pair on every instance adds up: the result is the same.
+
+    Raises
+    ------
+    TrainingDiverged
+        If no grid pair has a finite mean loss.
     """
     if not dataset:
         raise InvalidInput("dataset must be nonempty")
@@ -205,20 +217,31 @@ def grid_search_tail(theta, dataset, cfg):
               for inst, f in zip(dataset, inits)]
     del inits
 
-    def tail_loss(beta, phi):
-        cand = replace(theta, beta=beta, phi=phi)
-        total = 0.0
-        for inst, factors in cached:
-            X_final = _advance(factors, inst.Y, cand, K + 1, K_bar,
-                               scratch)[-1].product()
-            X_final -= inst.X_star
-            total += float(np.linalg.norm(X_final) ** 2)
-            del X_final  # before the next instance's passes
-        return total / len(cached)
+    def tail_loss(cand, inst, factors):
+        X_final = _advance(factors, inst.Y, cand, K + 1, K_bar,
+                           scratch)[-1].product()
+        X_final -= inst.X_star
+        return float(np.linalg.norm(X_final) ** 2)
 
     grid = cfg.grid_values()
-    _, phi, beta = min((tail_loss(beta, phi), phi, beta)
-                       for phi in grid for beta in grid)
+    first = [(tail_loss(replace(theta, beta=beta, phi=phi), *cached[0]),
+              phi, beta) for phi in grid for beta in grid]
+    n = len(cached)
+    best = (math.inf,) * 3  # (mean, phi, beta) of the best complete pair
+    for total, phi, beta in sorted(p for p in first if math.isfinite(p[0])):
+        cand = replace(theta, beta=beta, phi=phi)
+        for inst, factors in cached[1:]:
+            if not total / n <= best[0]:
+                break  # the sum only grows (or is NaN): this pair cannot win
+            total += tail_loss(cand, inst, factors)
+        else:
+            key = (total / n, phi, beta)
+            if math.isfinite(key[0]) and key < best:
+                best = key
+    if best[0] == math.inf:
+        raise TrainingDiverged(cfg.K_bar, f"stage {cfg.K_bar}: no tail grid "
+                               "pair has a finite loss")
+    _, phi, beta = best
     return replace(theta, beta=beta, phi=phi)
 
 

@@ -1,14 +1,20 @@
 """Independent reference implementations used only by the tests.
 
 These deliberately avoid the code paths of the package (and of LAPACK's
-divide-and-conquer SVD) so that agreement is a genuine cross-check.  The
-one exception, :func:`stage_loss`, reads training's loss off the public
-``solve``, so that it checks training's own forward and backward passes.
+divide-and-conquer SVD) so that agreement is a genuine cross-check.  Two
+exceptions: :func:`stage_loss` reads training's loss off the public
+``solve``, so that it checks training's own forward and backward passes,
+and :func:`exhaustive_tail_search` runs training's own passes, so that it
+checks the tail search's pruning and order, not its arithmetic.
 """
+
+import math
+from dataclasses import replace
 
 import numpy as np
 
-from lrpca import StopRule, solve
+from lrpca import StopRule, solve, spectral_init, training
+from lrpca.solver import _Scratch
 
 
 def jacobi_svd(M, sweeps=60, tol=1e-15):
@@ -242,3 +248,36 @@ def stage_loss(theta, k, batch):
                   seed=inst.seed)[0]
         total += float(np.linalg.norm(X - inst.X_star) ** 2)
     return total / len(batch)
+
+
+def exhaustive_tail_search(theta, dataset, cfg):
+    """The tail grid search without pruning: every (beta, phi) pair of
+    ``cfg.grid_values()`` runs ``cfg.K_bar`` iterations on every instance,
+    each pair's squared errors are added in dataset order, and the schedule
+    with the pair that minimizes ``(mean, phi, beta)`` over the pairs with
+    a finite mean is returned.  Passes go through ``training._advance``
+    looked up at each call, so a test that patches it patches both
+    searches."""
+    K, K_bar = theta.K, cfg.K_bar
+    scratch = _Scratch()
+    cached = []
+    for inst in dataset:
+        init = spectral_init(inst.Y, inst.r, theta.zeta0, seed=inst.seed)
+        cached.append((inst, training._advance(init.factors, inst.Y, theta,
+                                               1, K, scratch)[-1]))
+
+    def tail_loss(beta, phi):
+        cand = replace(theta, beta=beta, phi=phi)
+        total = 0.0
+        for inst, factors in cached:
+            X_final = training._advance(factors, inst.Y, cand, K + 1, K_bar,
+                                        scratch)[-1].product()
+            X_final -= inst.X_star
+            total += float(np.linalg.norm(X_final) ** 2)
+        return total / len(cached)
+
+    grid = cfg.grid_values()
+    _, phi, beta = min(key for key in ((tail_loss(beta, phi), phi, beta)
+                                       for phi in grid for beta in grid)
+                       if math.isfinite(key[0]))
+    return replace(theta, beta=beta, phi=phi)

@@ -8,10 +8,11 @@ from lrpca import (InstanceSource, InvalidInput, ParamSchedule,
                    gen_instance, grid_search_tail, layerwise_train,
                    train_schedule)
 from lrpca import training
-from lrpca.solver import _Scratch, spectral_init
+from lrpca.solver import FactorPair, _Scratch, spectral_init
 from lrpca.training import _advance, _stage_gradient
 from conftest import ListSource, run_concurrently
-from oracles import central_difference_gradient, stage_loss
+from oracles import (central_difference_gradient, exhaustive_tail_search,
+                     stage_loss)
 
 
 def small_source(alpha=0.1, seed=0, n=40, r=2):
@@ -295,13 +296,6 @@ class TestGridSearchTail:
         out = grid_search_tail(theta, [gen_instance(20, 20, 2, 0.1, 3)], cfg)
         assert (out.beta, out.phi) == (1.0, 1.0)
 
-    def test_tie_break_smallest_phi_then_beta(self):
-        # With K_bar == K no tail iterations run, so every pair ties exactly.
-        theta = ParamSchedule(zetas=(0.02, 0.01), etas=(0.5,))
-        cfg = TrainConfig(K=1, K_bar=1, grid=(0.5, 1.0, 0.5))
-        out = grid_search_tail(theta, [gen_instance(20, 20, 2, 0.1, 3)], cfg)
-        assert (out.phi, out.beta) == (0.5, 0.5)
-
     def test_returned_pair_minimizes_over_grid(self):
         theta = ParamSchedule(zetas=(0.03, 0.015, 0.008), etas=(0.6, 0.6))
         dataset = [gen_instance(30, 30, 2, 0.1, 40 + i) for i in range(3)]
@@ -321,6 +315,111 @@ class TestGridSearchTail:
         theta = ParamSchedule(zetas=(0.02, 0.01), etas=(0.5,))
         with pytest.raises(ValueError):
             grid_search_tail(theta, [], TrainConfig(K=1, K_bar=2))
+
+    # The search prunes, the oracle runs every pair on every instance; both
+    # must return the same schedule, to the bit.
+    @staticmethod
+    def start_schedule(inst, K, decay):
+        # SGD's starting profile (zeta_k = 0.5 max|Y| decay^k, eta 0.65).
+        z0 = 0.5 * float(np.abs(inst.Y).max())
+        return ParamSchedule(zetas=tuple(z0 * decay ** k for k in range(K + 1)),
+                             etas=(0.65,) * K)
+
+    @staticmethod
+    def count_tail_passes(monkeypatch):
+        # One _advance call from iteration K + 1 is one (pair, instance)
+        # evaluation of the tail.
+        calls = []
+        real = training._advance
+
+        def counting(factors, Y, theta, j0, k, scratch):
+            if j0 == theta.K + 1:
+                calls.append((theta.beta, theta.phi))
+            return real(factors, Y, theta, j0, k, scratch)
+
+        monkeypatch.setattr(training, "_advance", counting)
+        return calls
+
+    def test_matches_exhaustive_search_on_100_pairs(self, monkeypatch):
+        dataset = [gen_instance(40, 40, 2, 0.1, 50 + i) for i in range(4)]
+        theta = self.start_schedule(dataset[0], K=3, decay=0.65)
+        cfg = TrainConfig(K=3, K_bar=8)  # the default 10 x 10 grid
+        calls = self.count_tail_passes(monkeypatch)
+        out = grid_search_tail(theta, dataset, cfg)
+        assert len(set(calls)) == 100
+        # The spread grid is pruned: most pairs stop after a few instances.
+        assert len(calls) < 100 * len(dataset)
+        assert out == exhaustive_tail_search(theta, dataset, cfg)
+
+    def test_tie_break_smallest_phi_then_beta(self, monkeypatch):
+        # With K_bar == K no tail iterations run, so every pair ties exactly:
+        # ties are never dropped, and the smallest (phi, beta) wins.
+        dataset = [gen_instance(30, 30, 2, 0.1, 60 + i) for i in range(3)]
+        theta = self.start_schedule(dataset[0], K=2, decay=0.65)
+        cfg = TrainConfig(K=2, K_bar=2, grid=(0.2, 1.0, 0.2))
+        calls = self.count_tail_passes(monkeypatch)
+        out = grid_search_tail(theta, dataset, cfg)
+        assert len(calls) == 25 * len(dataset)
+        assert (out.phi, out.beta) == (0.2, 0.2)
+        assert out == exhaustive_tail_search(theta, dataset, cfg)
+
+    def test_matches_exhaustive_search_when_winner_is_last(self):
+        # Thresholds that already fell fast: the slowest tail, (1.0, 1.0),
+        # the last pair in grid order, wins.
+        dataset = [gen_instance(40, 40, 2, 0.1, 50 + i) for i in range(4)]
+        theta = self.start_schedule(dataset[0], K=1, decay=0.05)
+        cfg = TrainConfig(K=1, K_bar=4, grid=(0.2, 1.0, 0.2))
+        out = grid_search_tail(theta, dataset, cfg)
+        assert (out.beta, out.phi) == (1.0, 1.0)
+        assert out == exhaustive_tail_search(theta, dataset, cfg)
+
+    @staticmethod
+    def nan_tail(monkeypatch, pair, on_instance=None):
+        # The tail of (beta, phi) == pair returns NaN factors on every
+        # instance, or on the one whose Y is on_instance.
+        real = training._advance
+
+        def poisoned(factors, Y, theta, j0, k, scratch):
+            states = real(factors, Y, theta, j0, k, scratch)
+            if (j0 == theta.K + 1 and (theta.beta, theta.phi) in pair
+                    and (on_instance is None or Y is on_instance)):
+                nan = np.full_like(states[-1].L, np.nan)
+                states[-1] = FactorPair(nan, states[-1].R)
+            return states
+
+        monkeypatch.setattr(training, "_advance", poisoned)
+
+    @pytest.mark.parametrize("where", ["first_pair", "winner"])
+    @pytest.mark.parametrize("on_last_instance", [False, True])
+    def test_nan_tail_never_wins(self, monkeypatch, where, on_last_instance):
+        # A NaN mean never wins: not for the first pair in grid order (no
+        # tuple compares less than (nan, ...), so a plain min picks it) nor
+        # for the pair that wins without it, whether the NaN shows on the
+        # first instance, which sets the visit order, or on the last.
+        dataset = [gen_instance(40, 40, 2, 0.1, 50 + i) for i in range(4)]
+        theta = self.start_schedule(dataset[0], K=3, decay=0.65)
+        cfg = TrainConfig(K=3, K_bar=8, grid=(0.2, 1.0, 0.2))
+        clean = grid_search_tail(theta, dataset, cfg)
+        assert (clean.beta, clean.phi) != (0.2, 0.2)
+        pair = {"first_pair": (0.2, 0.2),
+                "winner": (clean.beta, clean.phi)}[where]
+        self.nan_tail(monkeypatch, {pair},
+                      dataset[-1].Y if on_last_instance else None)
+        out = grid_search_tail(theta, dataset, cfg)
+        assert (out.beta, out.phi) != pair
+        assert out == exhaustive_tail_search(theta, dataset, cfg)
+        if where == "first_pair":
+            assert out == clean
+
+    def test_no_finite_pair_raises(self, monkeypatch):
+        dataset = [gen_instance(30, 30, 2, 0.1, 60 + i) for i in range(2)]
+        theta = self.start_schedule(dataset[0], K=2, decay=0.65)
+        cfg = TrainConfig(K=2, K_bar=4, grid=(0.5, 1.0, 0.5))
+        self.nan_tail(monkeypatch, {(b, p) for b in (0.5, 1.0)
+                                    for p in (0.5, 1.0)})
+        with pytest.raises(TrainingDiverged, match="finite") as info:
+            grid_search_tail(theta, dataset, cfg)
+        assert info.value.stage == cfg.K_bar
 
 
 class TestTrainSchedule:
