@@ -3,13 +3,13 @@ per-iteration thresholds and step sizes."""
 
 from .errors import (ConvergenceFailure, FormatError, InvalidInput,
                      LrpcaError, ParseError, SingularGram, TrainingDiverged)
-from .linalg import TruncatedSVD, gram_solve, matrix_norm, truncated_svd
+from .linalg import gram_solve, matrix_norm, truncated_svd
 from .operators import soft_threshold, sparsify_top_fraction
 from .schedule import (ParamSchedule, read_schedule, rescale_schedule,
                        write_schedule)
 from .solver import (FactorPair, FixedSchedule, OracleSchedule, SolverState,
-                     SolveTrace, StopRule, lrpca_step, residual_rel,
-                     solve, solve_scaledgd, spectral_init)
+                     StopRule, lrpca_step, residual_rel, solve,
+                     solve_scaledgd, spectral_init)
 from .synth import InstanceSource, ProblemInstance, banded_sparse_matrix, gen_instance
 from .training import TrainConfig, grid_search_tail, layerwise_train, train_schedule
 from .matrixio import read_matrix, write_matrix
@@ -20,10 +20,10 @@ from .video import (FrameSequence, background_subtract, frames_to_matrix,
 __version__ = "0.1.0"
 
 __all__ = [
-    "TruncatedSVD", "matrix_norm", "truncated_svd", "gram_solve",
+    "matrix_norm", "truncated_svd", "gram_solve",
     "soft_threshold", "sparsify_top_fraction",
     "ParamSchedule", "rescale_schedule", "read_schedule", "write_schedule",
-    "FactorPair", "SolverState", "StopRule", "SolveTrace",
+    "FactorPair", "SolverState", "StopRule",
     "FixedSchedule", "OracleSchedule", "spectral_init", "lrpca_step",
     "solve", "solve_scaledgd", "residual_rel",
     "ProblemInstance", "InstanceSource", "gen_instance", "banded_sparse_matrix",

@@ -1,12 +1,13 @@
 """Benchmark harnesses: convergence, recoverability, runtime scaling, and
 schedule generalization.
 
-Every harness is deterministic given its seed (apart from wall-clock
-columns) and reports rows with the fixed schema
-``solver,seed,alpha,n,r,iters,final_rel_err,wall_ms,success``.
+The convergence, recoverability and generalization harnesses are
+deterministic given their seed (apart from wall-clock columns) and return
+a :class:`BenchReport` of rows with the fixed schema
+``solver,seed,alpha,n,r,iters,final_rel_err,wall_ms,success``;
+:func:`runtime_scaling_bench` returns per-iteration times.
 """
 
-import io
 import math
 from dataclasses import dataclass
 
@@ -146,54 +147,49 @@ def runtime_scaling_bench(n_list, r_list, iters, alpha=0.1, base_seed=50):
 
 def generalization_bench(theta_base, base_dims, target_dims_list, tol,
                          trials=5, alpha=0.1, base_seed=700, max_iters=200):
-    """Iterations for the rescaled base schedule to reach the residual
-    tolerance on fresh instances of each target size: per target, the
-    trials' ``counts`` and report ``rows`` (success: the solve converged)."""
+    """The rescaled base schedule on fresh instances of each target size.
+
+    One row per (target, trial), in that order, each solve stopping at the
+    residual tolerance or ``max_iters``; success means the solve converged.
+    """
     if trials < 1:
         raise InvalidInput("need at least one trial per target")
     n_base, r_base = base_dims
-    out = []
+    rows = []
     for n_t, r_t in target_dims_list:
         theta = rescale_schedule(theta_base, n_base, r_base, n_t, r_t)
-        counts, rows = [], []
         for t in range(trials):
             inst = gen_instance(n_t, n_t, r_t, alpha, base_seed + t)
             stop = StopRule(mode="residual_rel", tolerance=tol,
                             max_iters=max_iters)
             _, _, trace = solve(inst.Y, r_t, theta, stop=stop,
                                 truth=inst.X_star, seed=inst.seed)
-            counts.append(trace.iterations)
             rows.append(_row("lrpca-rescaled", inst, trace,
                              trace.stop_reason == "converged"))
-        out.append({"n": n_t, "r": r_t, "counts": counts, "rows": rows})
-    return out
+    return BenchReport(rows)
 
 
 def write_report(report, path):
     """Emit the fixed 9-column CSV."""
-    buf = io.StringIO()
-    buf.write(",".join(REPORT_COLUMNS) + "\n")
-    for row in report.rows:
-        buf.write(",".join(_format_field(c, row[c]) for c in REPORT_COLUMNS) + "\n")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(buf.getvalue())
+        fh.write(",".join(REPORT_COLUMNS) + "\n")
+        for row in report.rows:
+            fh.write(",".join(_format_field(c, row[c])
+                              for c in REPORT_COLUMNS) + "\n")
 
 
 def _format_field(column, value):
     if column == "wall_ms":
         return f"{value:.3f}"
-    if column == "final_rel_err":
-        return f"{value:.17g}"
-    if column == "alpha":
+    if column in ("alpha", "final_rel_err"):
         return f"{value:.17g}"
     return str(value)
 
 
 def write_trace(trace, path):
     """Emit one solve trace as CSV (row 0 is the initialization)."""
-    buf = io.StringIO()
-    buf.write(",".join(TRACE_COLUMNS) + "\n")
-    for k, zeta, eta, res, rel, wall in trace.rows():
-        buf.write(f"{k},{zeta:.17g},{eta:.17g},{res:.17g},{rel:.17g},{wall:.3f}\n")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(buf.getvalue())
+        fh.write(",".join(TRACE_COLUMNS) + "\n")
+        for k, zeta, eta, res, rel, wall in trace.rows():
+            fh.write(f"{k},{zeta:.17g},{eta:.17g},{res:.17g},{rel:.17g},"
+                     f"{wall:.3f}\n")

@@ -102,10 +102,6 @@ def float_list(text):
     return tuple(map(float, text.split(",")))
 
 
-def int_list(text):
-    return tuple(map(int, text.split(",")))
-
-
 def pair_list(text):
     pairs = tuple(tuple(map(int, item.split(":"))) for item in text.split(","))
     if any(len(pair) != 2 for pair in pairs):
@@ -235,26 +231,14 @@ def cmd_bench(args):
         report = bench_mod.recoverability_sweep(
             args.alphas, args.trials, factory, args.success_tol,
             n=args.n, r=args.r, base_seed=seed, max_iters=args.max_iters)
-    elif kind == "runtime":
-        _require(args, "n_list", "r_list")
-        rows = bench_mod.runtime_scaling_bench(
-            args.n_list, args.r_list, args.iters, alpha=args.alpha, base_seed=seed)
-        report = bench_mod.BenchReport([
-            {"solver": "lrpca", "seed": seed, "alpha": args.alpha,
-             "n": row["n"], "r": row["r"], "iters": args.iters,
-             "final_rel_err": float("nan"), "wall_ms": row["median_iter_ms"],
-             "success": 1}
-            for row in rows])
     elif kind == "generalization":
         _require(args, "schedule", "base_n", "base_r", "targets")
         _fill(args, max_iters=200, trials=5)
         theta = read_schedule(_existing(args.schedule, "schedule"))
-        rows = bench_mod.generalization_bench(
+        report = bench_mod.generalization_bench(
             theta, (args.base_n, args.base_r), args.targets, args.tol,
             trials=args.trials, alpha=args.alpha, base_seed=seed,
             max_iters=args.max_iters)
-        report = bench_mod.BenchReport([trial for row in rows
-                                        for trial in row["rows"]])
 
     bench_mod.write_report(report, _path(args, "report.csv"))
     print(f"bench[{kind}]: wrote report.csv with {len(report.rows)} rows "
@@ -337,7 +321,7 @@ def build_parser():
     # scaledgd_alpha_tilde get kind-dependent defaults in cmd_bench.
     p = command("bench", cmd_bench, "run a benchmark harness")
     p.add_argument("--kind", choices=["convergence", "recoverability",
-                                      "runtime", "generalization"])
+                                      "generalization"])
     p.add_argument("--schedule")
     p.add_argument("--eta", type=float, default=0.5)
     p.add_argument("--n", type=int, default=500)
@@ -349,9 +333,6 @@ def build_parser():
     p.add_argument("--alphas", type=float_list, help="comma-separated alphas")
     p.add_argument("--trials", type=int)
     p.add_argument("--success-tol", type=float, default=1e-3)
-    p.add_argument("--n-list", type=int_list, help="comma-separated sizes")
-    p.add_argument("--r-list", type=int_list, help="comma-separated ranks")
-    p.add_argument("--iters", type=int, default=10)
     p.add_argument("--base-n", type=int)
     p.add_argument("--base-r", type=int)
     p.add_argument("--targets", type=pair_list, help="comma-separated n:r pairs")

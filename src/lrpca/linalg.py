@@ -13,9 +13,7 @@ import numpy as np
 from .errors import InvalidInput, SingularGram
 from .validation import check_matrix, check_rank
 
-__all__ = ["TruncatedSVD", "matrix_norm", "truncated_svd", "gram_solve"]
-
-NORM_KINDS = ("fro", "inf", "two_inf", "one_inf", "spectral")
+__all__ = ["matrix_norm", "truncated_svd", "gram_solve"]
 
 # Width beyond r and power passes of the solver's initialization sketch.
 _SKETCH_OVERSAMPLE = 10
@@ -66,7 +64,8 @@ def matrix_norm(M, kind):
         return float(np.abs(A).sum(axis=1).max())
     if kind == "spectral":
         return float(np.linalg.norm(A, 2))
-    raise InvalidInput(f"unknown norm kind {kind!r}; expected one of {NORM_KINDS}")
+    raise InvalidInput(f"unknown norm kind {kind!r}; expected one of "
+                       "fro, inf, two_inf, one_inf, spectral")
 
 
 def truncated_svd(M, r):

@@ -50,7 +50,7 @@ from .schedule import ParamSchedule, _positive
 from .validation import check_matrix, check_rank, check_same_shape, check_seed
 
 __all__ = [
-    "FactorPair", "SolverState", "StopRule", "SolveTrace",
+    "FactorPair", "SolverState", "StopRule",
     "FixedSchedule", "OracleSchedule",
     "spectral_init", "lrpca_step", "solve", "solve_scaledgd", "residual_rel",
 ]

@@ -67,13 +67,11 @@ class TrainConfig:
                                "step > 0, finite")
 
     def grid_values(self):
+        """``min + i * step`` for every i that stays within ``max``, rounded
+        to 12 digits; indexing by i keeps float error from accumulating."""
         lo, hi, step = self.grid
-        vals = []
-        v = lo
-        while v <= hi + 1e-12:
-            vals.append(round(v, 12))
-            v += step
-        return vals
+        count = math.floor((hi - lo) / step + 1e-9) + 1
+        return [round(lo + i * step, 12) for i in range(count)]
 
 
 def _advance(factors, Y, theta, j0, k, scratch):

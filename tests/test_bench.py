@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
-from lrpca import InvalidInput, OracleSchedule, StopRule, bench, gen_instance
+from lrpca import (FixedSchedule, InvalidInput, OracleSchedule, StopRule, bench,
+                   gen_instance, solve)
 from lrpca.bench import (BenchReport, REPORT_COLUMNS, SolverSpec,
                          convergence_bench, generalization_bench, lrpca_spec,
                          recoverability_sweep, runtime_scaling_bench,
                          scaledgd_spec, write_report, write_trace)
 from lrpca.schedule import ParamSchedule
+from lrpca.solver import SolveTrace
 
 
 def toy_schedule(peak):
@@ -125,10 +127,26 @@ class TestRuntimeScaling:
 class TestGeneralizationBench:
     def test_identity_target_matches_direct(self):
         theta = toy_schedule(0.02)
-        rows = generalization_bench(theta, (50, 2), [(50, 2)], tol=1e-3,
-                                    trials=2, base_seed=30, max_iters=60)
-        assert len(rows) == 1
-        assert rows[0]["counts"][0] >= 1
+        report = generalization_bench(theta, (50, 2), [(50, 2)], tol=1e-3,
+                                      trials=2, base_seed=30, max_iters=60)
+        assert isinstance(report, BenchReport)
+        assert [row["seed"] for row in report.rows] == [30, 31]
+        for row in report.rows:
+            inst = gen_instance(50, 50, 2, 0.1, row["seed"])
+            _, _, trace = solve(inst.Y, 2, theta,
+                                StopRule("residual_rel", 1e-3, 60),
+                                truth=inst.X_star, seed=inst.seed)
+            assert row["iters"] == trace.iterations >= 1
+            assert row["final_rel_err"] == trace.rel_errs[-1]
+            assert row["success"] == int(trace.stop_reason == "converged")
+
+    def test_rows_ordered_by_target_then_trial(self):
+        report = generalization_bench(toy_schedule(0.02), (40, 2),
+                                      [(50, 2), (40, 3)], tol=1e-3, trials=2,
+                                      base_seed=5, max_iters=20)
+        assert [(row["n"], row["r"], row["seed"]) for row in report.rows] == [
+            (50, 2, 5), (50, 2, 6), (40, 3, 5), (40, 3, 6)]
+        assert {row["solver"] for row in report.rows} == {"lrpca-rescaled"}
 
 
 class TestReportCsv:
@@ -145,9 +163,45 @@ class TestReportCsv:
         assert lines[0] == ",".join(REPORT_COLUMNS)
         assert lines[1].split(",")[0] == "lrpca"
 
+    def test_golden_bytes(self, tmp_path):
+        # 17 significant digits for alpha and the error, 3 decimals for the
+        # time, LF endings; inf marks a failed solve, nan an unknown error.
+        report = BenchReport([
+            {"solver": "lrpca", "seed": 7, "alpha": 0.1, "n": 500, "r": 5,
+             "iters": 12, "final_rel_err": 1e-4 / 3, "wall_ms": 12.3456,
+             "success": 1},
+            {"solver": "scaledgd", "seed": 7, "alpha": 0.1, "n": 500, "r": 5,
+             "iters": -1, "final_rel_err": float("inf"), "wall_ms": 0.0,
+             "success": 0},
+            {"solver": "lrpca", "seed": 8, "alpha": 0.1 + 0.2, "n": 40, "r": 2,
+             "iters": 3, "final_rel_err": float("nan"), "wall_ms": 0.0005,
+             "success": 0},
+        ])
+        path = tmp_path / "report.csv"
+        write_report(report, path)
+        assert path.read_bytes() == (
+            b"solver,seed,alpha,n,r,iters,final_rel_err,wall_ms,success\n"
+            b"lrpca,7,0.10000000000000001,500,5,12,3.3333333333333335e-05,"
+            b"12.346,1\n"
+            b"scaledgd,7,0.10000000000000001,500,5,-1,inf,0.000,0\n"
+            b"lrpca,8,0.30000000000000004,40,2,3,nan,0.001,0\n")
+
+    def test_trace_golden_bytes(self, tmp_path):
+        trace = SolveTrace()
+        trace.append(0, 0.5, float("nan"), 1 / 3, 0.25, 1.23449)
+        trace.append(1, 0.5 * 0.65, 0.65, 1e-5 / 3, 2e-3 / 3, 0.5)
+        trace.append(2, 0.1 + 0.2, 0.7, 0.0, float("nan"), 1000.0)
+        path = tmp_path / "trace.csv"
+        write_trace(trace, path)
+        assert path.read_bytes() == (
+            b"iter,zeta,eta,residual_rel,rel_err,wall_ms\n"
+            b"0,0.5,nan,0.33333333333333331,0.25,1.234\n"
+            b"1,0.32500000000000001,0.65000000000000002,"
+            b"3.3333333333333337e-06,0.00066666666666666664,0.500\n"
+            b"2,0.30000000000000004,0.69999999999999996,0,nan,1000.000\n")
+
     def test_trace_csv_header(self, tmp_path):
         inst = gen_instance(20, 20, 2, 0.1, 2)
-        from lrpca import solve, FixedSchedule
         _, _, trace = solve(inst.Y, 2, FixedSchedule(0.01, 0.5),
                             StopRule("fixed_iters", max_iters=3))
         path = tmp_path / "t.csv"

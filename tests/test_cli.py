@@ -339,22 +339,33 @@ max_iters = 5
         assert (out / "trace_lrpca-oracle.csv").exists()
         assert (out / "trace_scaledgd.csv").exists()
 
-    def test_runtime_kind(self, tmp_path):
-        out = tmp_path / "rt"
-        code = run(["bench", "--kind", "runtime", "--out", out, "--seed", 1,
-                    "--config", self._cfg(tmp_path, """
-n_list = 40,60
-r_list = 2
-iters = 10
-""")])
-        assert code == 0
-        assert len(read_lines(out / "report.csv")) == 3
-
-    def test_unknown_kind(self, tmp_path):
+    @pytest.mark.parametrize("kind", ["nope", "runtime"])
+    def test_unknown_kind(self, tmp_path, kind):
         # argparse rejects the choice itself, exiting with the usage code.
         with pytest.raises(SystemExit) as info:
-            run(["bench", "--kind", "nope", "--out", tmp_path / "x"])
+            run(["bench", "--kind", kind, "--out", tmp_path / "x"])
         assert info.value.code == 2
+        assert not (tmp_path / "x").exists()
+
+    # No kind reads n_list, r_list or iters, which an older convergence
+    # manifest and runtime config carry: each exits 2 naming all three.
+    @pytest.mark.parametrize("text", [
+        "command = bench\nseed = 0\nkind = convergence\nschedule = \n"
+        "eta = 0.5\nn = 30\nr = 2\nalpha = 0.1\nstop_mode = residual_rel\n"
+        "tol = 0.0001\nmax_iters = 3\nscaledgd_alpha_tilde = 0.2\n"
+        "scaledgd_eta = 0.5\nalphas = \ntrials = \nsuccess_tol = 0.001\n"
+        "n_list = \nr_list = \niters = 10\nbase_n = \nbase_r = \ntargets = \n",
+        "kind = runtime\nn_list = 40,60\nr_list = 2\niters = 10\n",
+    ], ids=["manifest", "runtime_config"])
+    def test_old_runtime_settings_rejected(self, tmp_path, capsys, text):
+        out = tmp_path / "old"
+        capsys.readouterr()
+        assert run(["bench", "--config", self._cfg(tmp_path, text),
+                    "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert "unknown config keys" in err
+        assert "iters, n_list, r_list" in err
+        assert not out.exists()
 
     def test_generalization_kind(self, tmp_path):
         sched = tmp_path / "sched.csv"
@@ -463,8 +474,6 @@ MANIFEST_RUNS = {
     "bench-recoverability": (["bench", "--kind", "recoverability", "--seed", 4],
                              "alphas = 0.0,0.1\ntrials = 1\nn = 20\nr = 2\n"
                              "max_iters = 4\n"),
-    "bench-runtime": (["bench", "--kind", "runtime", "--seed", 1],
-                      "n_list = 20,30\nr_list = 1,2\niters = 10\n"),
     "bench-generalization": (["bench", "--kind", "generalization",
                               "--schedule", "{sched}", "--seed", 2],
                              "base_n = 20\nbase_r = 1\ntargets = 30:1,20:2\n"
@@ -538,8 +547,6 @@ BAD_SETTINGS = {
                                 "--K-bar", 2, "--learning-rate", "nan"],
     "bench_convergence_max_iters": ["bench", "--kind", "convergence", "--n", 30,
                                     "--r", 2, "--max-iters", -3],
-    "bench_runtime_iters": ["bench", "--kind", "runtime", "--n-list", 40,
-                            "--r-list", 2, "--iters", 5],
     "bench_recoverability_trials": ["bench", "--kind", "recoverability",
                                     "--alphas", "0.1", "--trials", 0],
     "bench_generalization_missing": ["bench", "--kind", "generalization",

@@ -50,7 +50,8 @@ class TestMatrixNorm:
             matrix_norm([[np.nan, 1.0]], "fro")
 
     def test_unknown_kind(self):
-        with pytest.raises(InvalidInput):
+        with pytest.raises(InvalidInput, match="'nuclear'; expected one of "
+                           "fro, inf, two_inf, one_inf, spectral"):
             matrix_norm([[1.0]], "nuclear")
 
 

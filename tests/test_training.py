@@ -523,6 +523,19 @@ class TestTrainSchedule:
         with pytest.raises(ValueError):
             TrainConfig(grid=(0.1, 1.0, 0.0))
 
+    @pytest.mark.parametrize("grid, count", [
+        ((0.1, 1.0, 0.1), 10), ((0.2, 1.0, 0.2), 5), ((0.5, 1.0, 0.5), 2),
+        ((0.3, 0.9, 0.3), 3), ((1.0, 1.0, 0.1), 1), ((1.0, 1.0, 1.0), 1),
+        # A step below the 12-digit rounding still gives each value once.
+        ((0.5, 0.5, 1e-13), 1),
+    ])
+    def test_grid_values_increase_within_bounds(self, grid, count):
+        values = TrainConfig(grid=grid).grid_values()
+        assert len(values) == count
+        assert values[0] == grid[0]
+        assert all(a < b for a, b in zip(values, values[1:]))
+        assert grid[0] <= min(values) and max(values) <= grid[1]
+
     @pytest.mark.parametrize("lr", [0.0, -5.0, float("nan"), float("inf")])
     def test_learning_rate_rejected(self, lr):
         with pytest.raises(InvalidInput, match="learning_rate"):
