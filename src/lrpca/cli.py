@@ -247,8 +247,6 @@ def cmd_bench(args):
 
 def cmd_bgsub(args):
     _require(args, "frames", "r", "schedule")
-    if not os.path.isdir(args.frames):
-        raise InvalidInput(f"frames directory not found: {args.frames}")
     theta = read_schedule(_existing(args.schedule, "schedule"))
     seq = read_pgm_sequence(args.frames)
     bg, fg, trace = background_subtract(seq, args.r, theta, stop=_stop(args),

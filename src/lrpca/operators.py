@@ -18,7 +18,7 @@ def soft_threshold(M, zeta):
 
     ``out_ij = sign(M_ij) * max(0, |M_ij| - zeta)``.
     """
-    if zeta < 0:
+    if not zeta >= 0:  # NaN fails this test too
         raise InvalidInput(f"threshold must be >= 0, got {zeta}")
     A = check_matrix(M, "M")
     # A - clip(A, +-zeta), written into the clip's buffer: one temporary.

@@ -24,7 +24,8 @@ follows from those products (:func:`_next_resid_sq`), so the loop neither
 reads nor writes an ``S``: the returned ``S`` is built once, at the end,
 from the previous factors.  Besides ``Y``, a solve holds one ``S`` and the
 returned ``X``; the ``iterate_change`` stop, which compares consecutive
-``S``, holds two ``S`` buffers and writes one every iteration.  The passes'
+``S``, holds two ``S`` buffers while it iterates, writes one every
+iteration and frees the spare before ``X`` is formed.  The passes'
 three slab-sized scratch buffers are allocated once per solve, or once per
 training run, and reused by every pass (see :class:`_Scratch`).
 
@@ -517,8 +518,10 @@ def _max_abs_err(factors, truth, scratch):
 def lrpca_step(state, Y, zeta, eta):
     """One soft-threshold + scaled-gradient iteration from ``state``."""
     Ym = check_matrix(Y, "Y")
-    if zeta < 0:
+    if not zeta >= 0:  # NaN fails this test too
         raise InvalidInput(f"threshold must be >= 0, got {zeta}")
+    if not _positive(eta):
+        raise InvalidInput(f"step size must be finite and > 0, got {eta}")
     shape = (state.factors.L.shape[0], state.factors.R.shape[0])
     if shape != Ym.shape:
         raise InvalidInput(f"factors give shape {shape}, Y has {Ym.shape}")
@@ -593,14 +596,10 @@ def _run(Y, stop, truth, init_fn, params_fn, pass_fn, last_fn):
     res = residual(0, p.resid_sq)
     append(0, zeta, eta, res, p.err_sq)
     converged = res == 0.0 or (by_residual and res < stop.tolerance)
-    if converged or stop.max_iters == 0:
-        trace.stop_reason = "converged" if converged else "max_iters"
-        del scratch  # free the slab buffers before X is formed
-        return factors.product(), S, trace
-    if not track:
-        S = None
-    while True:
+    while not converged and k < stop.max_iters:
         k += 1
+        if not track:
+            S = None  # last_fn builds the returned S
         zeta, eta = nxt
         try:
             new = _scaled_update(factors, p, eta)
@@ -625,13 +624,14 @@ def _run(Y, stop, truth, init_fn, params_fn, pass_fn, last_fn):
         p = pass_fn(Y, factors.L, factors.R, nxt[0], scratch, S_out=S_next,
                     truth=truth, prev=S, resid_next=True)
         append(k, zeta, eta, res, p.err_sq)
-    if track:
-        p = pass_fn(Y, factors.L, factors.R, None, scratch, S=S, truth=truth)
-    else:
-        S, p = last_fn(Y, old, factors, zeta, scratch, truth)
-    append(k, zeta, eta, residual(k, p.resid_sq), p.err_sq)
+    if k > 0:  # measure the returned iterate against the returned S
+        if track:
+            p = pass_fn(Y, factors.L, factors.R, None, scratch, S=S, truth=truth)
+        else:
+            S, p = last_fn(Y, old, factors, zeta, scratch, truth)
+        append(k, zeta, eta, residual(k, p.resid_sq), p.err_sq)
     trace.stop_reason = "converged" if converged else "max_iters"
-    del scratch  # free the slab buffers before X is formed
+    del scratch, S_next  # free the slab buffers and the spare S before X is formed
     return factors.product(), S, trace
 
 

@@ -65,13 +65,20 @@ class TrainConfig:
         if not (0 < round(lo, 12) <= hi < math.inf and 0 < step < math.inf):
             raise InvalidInput(f"grid {self.grid} needs 0 < min <= max, "
                                "step > 0, finite")
+        count = self._grid_count()
+        if count > 1000:  # the tail search may evaluate every pair of values
+            raise InvalidInput(f"grid {self.grid} has {count:.0f} values per "
+                               "axis, more than 1000")
 
     def grid_values(self):
         """``min + i * step`` for every i that stays within ``max``, rounded
         to 12 digits; indexing by i keeps float error from accumulating."""
+        lo, _, step = self.grid
+        return [round(lo + i * step, 12) for i in range(int(self._grid_count()))]
+
+    def _grid_count(self):  # a float: inf for a step too small to count by
         lo, hi, step = self.grid
-        count = math.floor((hi - lo) / step + 1e-9) + 1
-        return [round(lo + i * step, 12) for i in range(count)]
+        return np.floor((hi - lo) / step + 1e-9) + 1
 
 
 def _advance(factors, Y, theta, j0, k, scratch):

@@ -7,6 +7,7 @@ objects land in the sparse part.
 """
 
 import os
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,25 +69,21 @@ def read_pgm(path):
     return img.astype(np.float64) / maxval
 
 
+# Whitespace and ``#`` comments (each to the end of its line), then one
+# token: a ``#`` inside a token is part of it.
+_HEADER_TOKEN = re.compile(rb"(?:\s|#[^\n]*(?:\n|\Z))*([^\s#]\S*)")
+
+
 def _header_tokens(data, path):
     """First four whitespace-delimited header tokens, skipping # comments."""
-    tokens = []
-    i = 0
-    while len(tokens) < 4:
-        if i >= len(data):
+    tokens, end = [], 0
+    for _ in range(4):
+        m = _HEADER_TOKEN.match(data, end)
+        if m is None:
             raise FormatError(f"{path}: truncated header")
-        c = data[i:i + 1]
-        if c == b"#":
-            while i < len(data) and data[i:i + 1] != b"\n":
-                i += 1
-        elif c.isspace():
-            i += 1
-        else:
-            start = i
-            while i < len(data) and not data[i:i + 1].isspace():
-                i += 1
-            tokens.append(data[start:i])
-    return tokens, i + 1  # single whitespace after maxval precedes the payload
+        tokens.append(m.group(1))
+        end = m.end()
+    return tokens, end + 1  # single whitespace after maxval precedes the payload
 
 
 def write_pgm(frame, path):
@@ -98,19 +95,16 @@ def write_pgm(frame, path):
         fh.write(q.tobytes(order="C"))
 
 
-def read_pgm_sequence(source):
-    """Read a frame sequence from a directory (all ``*.pgm``, lexicographic
-    filename order) or from an explicit list of paths."""
-    if isinstance(source, (str, os.PathLike)):
-        paths = sorted(
-            os.path.join(source, name) for name in os.listdir(source)
-            if name.lower().endswith(".pgm"))
-    else:
-        paths = list(source)
+def read_pgm_sequence(directory):
+    """Read the frame sequence of a directory: all ``*.pgm`` files, in
+    lexicographic filename order."""
+    if not os.path.isdir(directory):
+        raise InvalidInput(f"frames directory not found: {directory}")
+    paths = sorted(os.path.join(directory, name) for name in os.listdir(directory)
+                   if name.lower().endswith(".pgm"))
     if not paths:
         raise InvalidInput("no PGM frames found")
-    frames = [read_pgm(p) for p in paths]
-    return FrameSequence(tuple(frames))
+    return FrameSequence(tuple(read_pgm(p) for p in paths))
 
 
 def frames_to_matrix(seq):
@@ -128,22 +122,21 @@ def matrix_to_frames(M, height, width):
     return FrameSequence(frames)
 
 
-def background_subtract(seq, r, schedule, stop=None, seed=0):
+def background_subtract(seq, r, schedule,
+                        stop=StopRule("iterate_change", 1e-3, 100), seed=0):
     """Split a frame sequence into background and foreground sequences.
 
     Runs the decomposition on the vectorized frame matrix; background frames
     come from the low-rank columns and foreground frames from the magnitude
-    of the sparse columns, both clamped to [0, 1].  Returns ``(background,
-    foreground, trace)``.
+    of the sparse columns, both clamped to [0, 1] in the solve's own output
+    buffers.  Returns ``(background, foreground, trace)``.
     """
     if r > len(seq):
         raise InvalidInput(f"rank {r} exceeds frame count {len(seq)}")
-    if stop is None:
-        stop = StopRule(mode="iterate_change", tolerance=1e-3, max_iters=100)
-    Y = frames_to_matrix(seq)
-    X, S, trace = solve(Y, r, schedule, stop=stop, seed=seed)
-    bg = matrix_to_frames(np.clip(X, 0.0, 1.0), seq.height, seq.width)
-    fg = matrix_to_frames(np.clip(np.abs(S), 0.0, 1.0), seq.height, seq.width)
+    X, S, trace = solve(frames_to_matrix(seq), r, schedule, stop=stop, seed=seed)
+    bg = matrix_to_frames(np.clip(X, 0.0, 1.0, out=X), seq.height, seq.width)
+    fg = matrix_to_frames(np.clip(np.abs(S, out=S), 0.0, 1.0, out=S),
+                          seq.height, seq.width)
     return bg, fg, trace
 
 

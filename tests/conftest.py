@@ -1,6 +1,7 @@
 import sys
 import threading
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +36,16 @@ class ListSource:
 
     def instance(self, i):
         return self._data[i % len(self._data)]
+
+
+def traced_peak(run):
+    """``(run(), peak bytes that tracemalloc saw allocated during it)``."""
+    tracemalloc.start()
+    try:
+        out = run()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def run_concurrently(calls, timeout=120.0):

@@ -339,6 +339,20 @@ max_iters = 5
         assert (out / "trace_lrpca-oracle.csv").exists()
         assert (out / "trace_scaledgd.csv").exists()
 
+    def test_convergence_kind_with_learned_schedule(self, tmp_path):
+        sched = tmp_path / "sched.csv"
+        write_schedule(
+            ParamSchedule(zetas=tuple(0.03 * 0.6 ** k for k in range(4)),
+                          etas=(0.65,) * 3, beta=1.0, phi=0.6), sched)
+        out = tmp_path / "b"
+        assert run(["bench", "--kind", "convergence", "--schedule", sched,
+                    "--n", 40, "--r", 2, "--stop-mode", "fixed_iters",
+                    "--max-iters", 5, "--seed", 2, "--out", out]) == 0
+        rows = [line.split(",") for line in read_lines(out / "report.csv")[1:]]
+        assert [row[0] for row in rows] == ["lrpca", "scaledgd"]
+        assert len(read_lines(out / "trace_lrpca.csv")) == 1 + 1 + 5
+        assert not (out / "trace_lrpca-oracle.csv").exists()
+
     @pytest.mark.parametrize("kind", ["nope", "runtime"])
     def test_unknown_kind(self, tmp_path, kind):
         # argparse rejects the choice itself, exiting with the usage code.
@@ -570,6 +584,16 @@ BAD_SETTINGS = {
                              "--grid-instances", 0],
     "train_sgd_steps": ["train", "--n", 30, "--r", 2, "--K", 1, "--K-bar", 2,
                         "--sgd-steps-per-stage", -1],
+    # A grid with about 9e8 values per axis, whose pairs the tail search
+    # would evaluate.
+    "train_grid_step": ["train", "--n", 20, "--r", 2, "--K", 1, "--K-bar", 2,
+                        "--grid-step", "1e-9"],
+    "config_missing": ["gen", "--config", "{missing}", "--n", 10, "--r", 2,
+                       "--alpha", "0.1"],
+    "gen_size_missing": ["gen", "--n1", 10, "--r", 2, "--alpha", "0.1"],
+    "solve_y_missing": ["solve", "--r", 2, "--fixed", "0.1", "0.5"],
+    "bgsub_frames_missing": ["bgsub", "--frames", "{missing}", "--r", 1,
+                             "--schedule", "{sched}"],
 }
 
 
@@ -592,6 +616,32 @@ def test_bad_setting_exits_2_before_output(tmp_path, capsys, name):
     assert run(args + ["--out", out]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: "), err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("n 20\n", "expected 'key = value'"),
+    ("oracle = yes\n", "oracle must be True or False, got 'yes'"),
+], ids=["no_equals", "switch_value"])
+def test_bad_config_line_exits_2_before_output(tmp_path, capsys, text, message):
+    cfg = tmp_path / "c.txt"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run(["solve", "--config", cfg, "--out", out]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("targets", ["40:2,60", "40:2:1"])
+def test_malformed_target_pair_usage_error(tmp_path, capsys, targets):
+    # argparse rejects the value itself, exiting with the usage code.
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as info:
+        run(["bench", "--kind", "generalization", "--targets", targets,
+             "--out", out])
+    assert info.value.code == 2
+    assert "--targets: invalid pair_list value" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -151,6 +151,10 @@ class TestGramSolve:
         with pytest.raises(SingularGram):
             gram_solve(np.ones((4, 2)), G)
 
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(InvalidInput, match="shape mismatch"):
+            gram_solve(np.ones((4, 2)), np.eye(3))
+
     def test_indefinite_gram_rejected(self):
         with pytest.raises(SingularGram):
             gram_solve(np.ones((3, 2)), np.diag([1.0, -1.0]))

@@ -32,6 +32,13 @@ class TestSoftThreshold:
         with pytest.raises(InvalidInput, match="threshold must be >= 0"):
             soft_threshold([[1.0]], -0.1)
 
+    @pytest.mark.parametrize("zeta", [float("nan"), np.float64("nan")],
+                             ids=["float", "float64"])
+    def test_nan_threshold_rejected(self, zeta):
+        # zeta < 0 is False for NaN, which would shrink every entry to NaN.
+        with pytest.raises(InvalidInput, match="threshold must be >= 0"):
+            soft_threshold(np.ones((3, 3)), zeta)
+
     def test_entrywise_lipschitz(self, rng):
         for _ in range(50):
             A = rng.standard_normal((8, 8))

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from lrpca import (ParamSchedule, ParseError, read_schedule, rescale_schedule,
-                   write_schedule)
+from lrpca import (InvalidInput, ParamSchedule, ParseError, read_schedule,
+                   rescale_schedule, write_schedule)
 
 
 def make_schedule(K=10, beta=0.8, phi=0.6):
@@ -46,6 +46,11 @@ class TestScheduleAt:
     def test_k_zero_rejected(self):
         with pytest.raises(ValueError):
             make_schedule().at(0)
+
+    def test_no_tail_without_layers(self):
+        # A K = 0 schedule has only zeta_0, so no zeta_K and eta_K to decay.
+        with pytest.raises(InvalidInput, match="no tail anchor"):
+            make_schedule(K=0).at(1)
 
 
 class TestRescale:

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -11,7 +9,7 @@ from lrpca import solver as solver_module
 from lrpca.solver import (_block_rows, _factor_state, _low_rank_change,
                           _scaled_update, _Scratch, _soft_backward, _soft_last,
                           _soft_pass, _sparsify_pass)
-from conftest import run_concurrently
+from conftest import run_concurrently, traced_peak
 from oracles import (dense_layer_vjp, dense_reference_solve,
                      scalar_lrpca_step, sort_sparsify)
 
@@ -48,6 +46,14 @@ class TestSpectralInit:
         S[rng.random(X.shape) < 0.1] = 5.0
         state = spectral_init(X + S, 3, np.abs(X).max())
         assert not ((state.S != 0) & (S == 0)).any()
+
+    # A NaN threshold would make S_0 and Y - S_0 all NaN, which the exact
+    # SVD (short side 20) and the range sketch (200) would meet instead.
+    @pytest.mark.parametrize("n", [20, 200], ids=["exact", "sketch"])
+    def test_nan_threshold_rejected(self, n):
+        Y = gen_instance(n, n, 2, 0.1, 1).Y
+        with pytest.raises(InvalidInput, match="threshold must be >= 0"):
+            spectral_init(Y, 2, float("nan"))
 
     def test_full_shrinkage_gives_plain_svd(self, rng):
         Y = rng.standard_normal((20, 15))
@@ -157,6 +163,26 @@ class TestLrpcaStep:
         with pytest.raises(InvalidInput, match="threshold must be >= 0"):
             lrpca_step(state, Y, zeta=-1.0, eta=0.5)
 
+    # A NaN or infinite step returns non-finite factors; a zero or negative
+    # one runs, standing still or stepping against the gradient.
+    @pytest.mark.parametrize("zeta, eta, message", [
+        (float("nan"), 0.5, "threshold must be >= 0"),
+        (0.1, float("nan"), "step size must be finite and > 0"),
+        (0.1, float("inf"), "step size must be finite and > 0"),
+        (0.1, 0.0, "step size must be finite and > 0"),
+        (0.1, -1.0, "step size must be finite and > 0"),
+    ], ids=["zeta_nan", "eta_nan", "eta_inf", "eta_zero", "eta_negative"])
+    def test_bad_threshold_or_step_rejected(self, rng, zeta, eta, message):
+        Y = rng.standard_normal((4, 4))
+        state = spectral_init(Y, 2, 0.1)
+        with pytest.raises(InvalidInput, match=message):
+            lrpca_step(state, Y, zeta=zeta, eta=eta)
+
+    def test_shape_mismatch_rejected(self, rng):
+        state = spectral_init(rng.standard_normal((4, 4)), 2, 0.1)
+        with pytest.raises(InvalidInput, match="factors give shape"):
+            lrpca_step(state, rng.standard_normal((4, 5)), zeta=0.1, eta=0.5)
+
 
 def scaledgd_step(state, Y, alpha_tilde, eta):
     """One iteration of the top-fraction baseline, as ``solve_scaledgd``
@@ -227,6 +253,17 @@ class TestSolve:
                               StopRule("residual_rel", 1e-8, 50), truth=X)
         assert trace.iterations == 0
         assert trace.residuals[0] <= 1e-8
+
+    def test_unsupported_schedule_source_rejected(self, rng):
+        Y = rng.standard_normal((10, 10))
+        with pytest.raises(InvalidInput, match="unsupported schedule source"):
+            solve(Y, 2, (0.1, 0.5))
+
+    @pytest.mark.parametrize("r", [0, -1])
+    def test_rank_below_one_rejected(self, rng, r):
+        Y = rng.standard_normal((10, 10))
+        with pytest.raises(InvalidInput, match="rank must be >= 1"):
+            solve(Y, r, FixedSchedule(0.1, 0.5))
 
     def test_oracle_requires_truth(self, rng):
         Y = rng.standard_normal((10, 10))
@@ -498,16 +535,26 @@ class TestSlabStreamedIteration:
         theta = ParamSchedule(zetas=(z0, 0.3 * z0), etas=(0.5,), phi=0.7)
         stop = StopRule("residual_rel", 1e-5, 100)
 
-        def peak_of(run):
-            tracemalloc.start()
-            try:
-                out = run()
-                return out, tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+        _, init_peak = traced_peak(lambda: spectral_init(inst.Y, r, z0, seed=1))
+        (_, _, trace), peak = traced_peak(
+            lambda: solve(inst.Y, r, theta, stop, seed=1))
+        assert trace.iterations > 1
+        assert peak < max(2.5 * inst.Y.nbytes,
+                          init_peak + 0.05 * inst.Y.nbytes)
 
-        _, init_peak = peak_of(lambda: spectral_init(inst.Y, r, z0, seed=1))
-        (_, _, trace), peak = peak_of(
+    # Shapes on which the slab scratch is at most about a quarter of Y.
+    @pytest.mark.parametrize("n1, n2, r, alpha", [(600, 2000, 5, 0.1),
+                                                  (12000, 60, 1, 0.05)])
+    def test_iterate_change_frees_spare_S(self, n1, n2, r, alpha):
+        # An iterate_change solve holds S_k and S_{k+1} and the slab scratch
+        # while it iterates, and frees the spare S before it forms the
+        # returned X: besides Y, two n1 x n2 buffers at a time, never three.
+        inst = gen_instance(n1, n2, r, alpha, 3)
+        s0 = float(np.abs(inst.S_star).max())
+        theta = ParamSchedule(zetas=(s0, 0.5 * s0), etas=(0.5,), phi=0.7)
+        stop = StopRule("iterate_change", 1e-4, 100)
+        _, init_peak = traced_peak(lambda: spectral_init(inst.Y, r, s0, seed=1))
+        (_, _, trace), peak = traced_peak(
             lambda: solve(inst.Y, r, theta, stop, seed=1))
         assert trace.iterations > 1
         assert peak < max(2.5 * inst.Y.nbytes,

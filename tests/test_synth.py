@@ -66,6 +66,11 @@ class TestBandedSparse:
     def test_alpha_zero_empty(self):
         assert np.count_nonzero(banded_sparse_matrix(20, 0.0, seed=1)) == 0
 
+    @pytest.mark.parametrize("alpha", [-0.1, 1.5])
+    def test_alpha_out_of_range_rejected(self, alpha):
+        with pytest.raises(InvalidInput, match="alpha must be in"):
+            banded_sparse_matrix(10, alpha, seed=0)
+
 
 class TestInstanceSource:
     def test_stream_is_deterministic(self):

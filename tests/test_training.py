@@ -528,6 +528,7 @@ class TestTrainSchedule:
         ((0.3, 0.9, 0.3), 3), ((1.0, 1.0, 0.1), 1), ((1.0, 1.0, 1.0), 1),
         # A step below the 12-digit rounding still gives each value once.
         ((0.5, 0.5, 1e-13), 1),
+        ((0.001, 1.0, 0.001), 1000),  # the most values an axis may have
     ])
     def test_grid_values_increase_within_bounds(self, grid, count):
         values = TrainConfig(grid=grid).grid_values()
@@ -535,6 +536,16 @@ class TestTrainSchedule:
         assert values[0] == grid[0]
         assert all(a < b for a, b in zip(values, values[1:]))
         assert grid[0] <= min(values) and max(values) <= grid[1]
+
+    # The tail search may evaluate every pair of values, so a step that
+    # makes millions of them fails when the config is built.
+    @pytest.mark.parametrize("grid, count", [((0.5, 1.0, 0.0005), "1001"),
+                                             ((0.1, 1.0, 1e-9), "900000001"),
+                                             ((0.1, 1.0, 1e-320), "inf")])
+    def test_grid_with_too_many_values_rejected(self, grid, count):
+        with pytest.raises(InvalidInput,
+                           match=f"has {count} values per axis, more than 1000"):
+            TrainConfig(grid=grid)
 
     @pytest.mark.parametrize("lr", [0.0, -5.0, float("nan"), float("inf")])
     def test_learning_rate_rejected(self, lr):

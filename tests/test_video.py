@@ -1,10 +1,13 @@
+import time
+
 import numpy as np
 import pytest
 
 from lrpca import (FormatError, FrameSequence, InvalidInput, ParamSchedule,
                    StopRule, background_subtract, frames_to_matrix,
                    matrix_to_frames, moving_blob_scene, read_pgm,
-                   read_pgm_sequence, write_pgm)
+                   read_pgm_sequence, spectral_init, write_pgm)
+from conftest import traced_peak
 
 
 def minimal_pgm(tmp_path, name="f.pgm", payload=bytes([0, 255, 128, 64]),
@@ -24,6 +27,44 @@ class TestPgmDecode:
         header = b"P5\n# a comment\n 2\t2 # inline\n255\n"
         frame = read_pgm(minimal_pgm(tmp_path, header=header))
         assert frame.shape == (2, 2)
+
+    @pytest.mark.parametrize("header", [
+        b"P5\r\n# a comment\r\n2 2\r\n255\n",
+        b"# leading comment\nP5 2 2 255\n",
+        b"P5\n#\n#x\n2\x0b2\x0c255\n",
+    ], ids=["crlf", "leading_comment", "empty_comments_vt_ff"])
+    def test_header_variants(self, tmp_path, header):
+        frame = read_pgm(minimal_pgm(tmp_path, header=header))
+        assert np.array_equal(frame * 255, [[0.0, 255.0], [128.0, 64.0]])
+
+    def test_crlf_after_maxval_starts_payload(self, tmp_path):
+        # One whitespace byte ends the header: after "255\r" the "\n" is
+        # the first sample.
+        path = minimal_pgm(tmp_path, header=b"P5\r\n2 2\r\n255\r\n",
+                           payload=bytes([0, 255, 128]))
+        assert np.array_equal(read_pgm(path) * 255, [[10.0, 0.0], [255.0, 128.0]])
+
+    # A "#" inside a token belongs to it; one at a token's start opens a
+    # comment that runs to the end of the line, or of the file.
+    @pytest.mark.parametrize("header, message", [
+        (b"P5\n2 2#x\n255\n", "malformed header"),
+        (b"P5#\n2 2\n255\n", "not a binary PGM"),
+        (b"P5\nx 2\n255\n", "malformed header"),
+        (b"P5\n2 2\n# maxval missing", "truncated header"),
+        (b"P5\n2 2", "truncated header"),
+    ], ids=["hash_in_token", "hash_in_magic", "non_numeric", "comment_at_eof",
+            "no_maxval"])
+    def test_bad_header_rejected(self, tmp_path, header, message):
+        path = minimal_pgm(tmp_path, header=header, payload=b"")
+        with pytest.raises(FormatError, match=message):
+            read_pgm(path)
+
+    def test_long_comment_run_rejected_quickly(self, tmp_path):
+        path = minimal_pgm(tmp_path, header=b"#" * (1 << 20), payload=b"")
+        t0 = time.perf_counter()
+        with pytest.raises(FormatError, match="truncated header"):
+            read_pgm(path)
+        assert time.perf_counter() - t0 < 2.0
 
     def test_wide_maxval_rejected(self, tmp_path):
         path = minimal_pgm(tmp_path, header=b"P5\n2 2\n65535\n",
@@ -77,6 +118,14 @@ class TestSequences:
     def test_empty_directory(self, tmp_path):
         with pytest.raises(InvalidInput):
             read_pgm_sequence(tmp_path)
+
+    def test_missing_directory(self, tmp_path):
+        with pytest.raises(InvalidInput, match="frames directory not found"):
+            read_pgm_sequence(tmp_path / "missing")
+
+    def test_empty_sequence_rejected(self):
+        with pytest.raises(InvalidInput, match="at least one frame"):
+            FrameSequence(())
 
     def test_inconsistent_dims(self, tmp_path):
         write_pgm(np.zeros((2, 2)), tmp_path / "a.pgm")
@@ -164,6 +213,21 @@ class TestBackgroundSubtract:
         seq = FrameSequence((np.zeros((2, 2)), np.ones((2, 2)) * 0.5))
         with pytest.raises(InvalidInput, match="exceeds frame count"):
             background_subtract(seq, 3, self.geometric_schedule(1.0))
+
+    def test_holds_frame_matrix_and_solve_buffers(self):
+        # Besides the frame matrix Y, background_subtract holds what its
+        # iterate_change solve holds: the clamps write into the solve's own
+        # X and S, whose columns the returned frames view.
+        seq, _ = moving_blob_scene(height=120, width=160, n_frames=60,
+                                   blob=5, amplitude=0.85877, phase=(97, 64))
+        theta = ParamSchedule(zetas=tuple(0.425 * 0.65 ** k for k in range(11)),
+                              etas=(0.65,) * 10, beta=1.0, phi=0.65)
+        Y = frames_to_matrix(seq)
+        _, init_peak = traced_peak(lambda: spectral_init(Y, 1, theta.zeta0))
+        (_, _, trace), peak = traced_peak(
+            lambda: background_subtract(seq, 1, theta))
+        assert trace.iterations > 1
+        assert peak < Y.nbytes + max(2.5 * Y.nbytes, init_peak + 0.1 * Y.nbytes)
 
     def test_reconstruction_residual(self):
         seq, _ = moving_blob_scene(height=16, width=20, n_frames=20)
