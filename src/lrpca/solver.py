@@ -686,6 +686,8 @@ def solve_scaledgd(Y, r, alpha_tilde, eta, stop=StopRule(), truth=None, seed=0):
     check_seed(seed)
     if not 0.0 <= alpha_tilde <= 1.0:
         raise InvalidInput(f"fraction must be in [0, 1], got {alpha_tilde}")
+    if not _positive(eta):
+        raise InvalidInput(f"step size must be finite and > 0, got {eta}")
     if truth is not None:
         truth = check_matrix(truth, "truth")
         check_same_shape(Ym, truth)

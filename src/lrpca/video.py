@@ -4,11 +4,16 @@ Frames are stored as float arrays in [0, 1].  A sequence is turned into a
 matrix by flattening each frame row-major into one column; the static
 background of a scene is then the low-rank part of that matrix and moving
 objects land in the sparse part.
+
+A sequence read from disk, or wrapped by :func:`matrix_to_frames`, is held
+once: its frames are views of the columns of one frame matrix, and
+:func:`frames_to_matrix` returns that matrix itself.  Writing into the
+matrix changes the frames (and the reverse), so copy it before writing.
 """
 
 import os
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,6 +31,8 @@ class FrameSequence:
     """Stack of equal-sized grayscale frames with values in [0, 1]."""
 
     frames: tuple  # of 2-D arrays, each height x width
+    # The frame matrix whose columns ``frames`` view, if any.
+    _matrix: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.frames:
@@ -48,6 +55,13 @@ class FrameSequence:
 
 def read_pgm(path):
     """Decode one binary (P5) PGM file with maxval <= 255 into a [0, 1] frame."""
+    img, maxval = _decode_pgm(path)
+    return img.astype(np.float64) / maxval
+
+
+def _decode_pgm(path):
+    """``(samples, maxval)`` of one P5 PGM file: a height x width uint8
+    array, every sample checked against the maxval."""
     with open(path, "rb") as fh:
         data = fh.read()
     tokens, offset = _header_tokens(data, path)
@@ -60,13 +74,15 @@ def read_pgm(path):
         raise FormatError(f"{path}: malformed header") from exc
     if maxval > 255 or maxval <= 0:
         raise FormatError(f"{path}: unsupported maxval {maxval}")
+    if width < 1 or height < 1:
+        raise FormatError(f"{path}: unsupported frame size {width}x{height}")
     payload = data[offset:offset + width * height]
     if len(payload) != width * height:
         raise FormatError(f"{path}: truncated pixel data")
     img = np.frombuffer(payload, dtype=np.uint8).reshape(height, width)
     if maxval < 255 and img.max(initial=0) > maxval:
         raise FormatError(f"{path}: sample {img.max()} exceeds maxval {maxval}")
-    return img.astype(np.float64) / maxval
+    return img, maxval
 
 
 # Whitespace and ``#`` comments (each to the end of its line), then one
@@ -97,36 +113,63 @@ def write_pgm(frame, path):
 
 def read_pgm_sequence(directory):
     """Read the frame sequence of a directory: all ``*.pgm`` files, in
-    lexicographic filename order."""
+    lexicographic filename order.
+
+    The files' 8-bit samples are divided by their maxvals in one pass,
+    straight into the columns of one frame matrix, with the values
+    :func:`read_pgm` gives; the sequence returned is ``matrix_to_frames``
+    of that matrix, so its frames are views of it.
+    """
     if not os.path.isdir(directory):
         raise InvalidInput(f"frames directory not found: {directory}")
     paths = sorted(os.path.join(directory, name) for name in os.listdir(directory)
                    if name.lower().endswith(".pgm"))
     if not paths:
         raise InvalidInput("no PGM frames found")
-    return FrameSequence(tuple(read_pgm(p) for p in paths))
+    decoded = [_decode_pgm(p) for p in paths]
+    shapes = {img.shape for img, _ in decoded}
+    if len(shapes) != 1:
+        raise InvalidInput(f"inconsistent frame dimensions: {sorted(shapes)}")
+    samples = np.stack([img.reshape(-1) for img, _ in decoded])  # frame per row
+    maxvals = np.array([maxval for _, maxval in decoded], dtype=np.float64)
+    M = np.empty(samples.shape[::-1])
+    np.divide(samples.T, maxvals, out=M)
+    return matrix_to_frames(M, *shapes.pop())
 
 
 def frames_to_matrix(seq):
-    """(height*width) x n_frames matrix; column j is frame j, row-major."""
+    """(height*width) x n_frames matrix; column j is frame j, row-major.
+
+    A sequence from :func:`read_pgm_sequence` or :func:`matrix_to_frames`
+    gives its own matrix, not a copy: copy it before writing into it.
+    Any other sequence's frames are stacked into a new matrix.
+    """
+    if seq._matrix is not None:
+        return seq._matrix
     return np.stack([f.reshape(-1) for f in seq.frames], axis=1)
 
 
 def matrix_to_frames(M, height, width):
-    """Inverse of :func:`frames_to_matrix`."""
+    """Inverse of :func:`frames_to_matrix`: frame j views column j of the
+    (float64, C-contiguous) matrix, which the sequence keeps, so
+    :func:`frames_to_matrix` gives it back without a copy.  The sequence
+    shares the matrix: copy it before writing into it."""
     A = check_matrix(M, "M")
     if A.shape[0] != height * width:
         raise InvalidInput(f"matrix has {A.shape[0]} rows, "
                            f"expected {height * width}")
-    frames = tuple(A[:, j].reshape(height, width) for j in range(A.shape[1]))
-    return FrameSequence(frames)
+    seq = FrameSequence(tuple(A[:, j].reshape(height, width)
+                              for j in range(A.shape[1])))
+    object.__setattr__(seq, "_matrix", A)
+    return seq
 
 
 def background_subtract(seq, r, schedule,
                         stop=StopRule("iterate_change", 1e-3, 100), seed=0):
     """Split a frame sequence into background and foreground sequences.
 
-    Runs the decomposition on the vectorized frame matrix; background frames
+    Runs the decomposition on the vectorized frame matrix (a sequence read
+    from disk is solved on its own matrix, uncopied); background frames
     come from the low-rank columns and foreground frames from the magnitude
     of the sparse columns, both clamped to [0, 1] in the solve's own output
     buffers.  Returns ``(background, foreground, trace)``.

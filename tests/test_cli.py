@@ -450,6 +450,19 @@ class TestBgsubCommand:
                     "--schedule", tmp_path / "none.csv",
                     "--out", tmp_path / "o"]) == 2
 
+    def test_negative_frame_size_is_format_error(self, tmp_path, capsys):
+        # A size below 1 is a bad file (exit 1), not a traceback.
+        frames = tmp_path / "frames"
+        frames.mkdir()
+        (frames / "f.pgm").write_bytes(b"P5\n-2 -2\n255\n" + bytes(4))
+        sched = tmp_path / "sched.csv"
+        write_schedule(FixedSchedule(0.1, 0.5), sched)
+        out = tmp_path / "o"
+        assert run(["bgsub", "--frames", frames, "--r", 1,
+                    "--schedule", sched, "--out", out]) == 1
+        assert "unsupported frame size -2x-2" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_moving_blob_end_to_end(self, tmp_path):
         seq, masks = moving_blob_scene(height=16, width=20, n_frames=20)
         frames = tmp_path / "frames"
@@ -559,6 +572,9 @@ BAD_SETTINGS = {
                             "--K-bar", 2, "--learning-rate", -5],
     "train_learning_rate_nan": ["train", "--n", 20, "--r", 2, "--K", 1,
                                 "--K-bar", 2, "--learning-rate", "nan"],
+    # A ScaledGD step of 0 would run on without a fault to report.
+    "bench_scaledgd_eta": ["bench", "--kind", "convergence", "--n", 30,
+                           "--r", 2, "--scaledgd-eta", 0],
     "bench_convergence_max_iters": ["bench", "--kind", "convergence", "--n", 30,
                                     "--r", 2, "--max-iters", -3],
     "bench_recoverability_trials": ["bench", "--kind", "recoverability",

@@ -653,6 +653,19 @@ class TestSolveScaledgd:
         with pytest.raises(InvalidInput, match=r"fraction must be in \[0, 1\]"):
             solve_scaledgd(Y, 2, 1.5, 0.5)
 
+    # Each is a bad setting, found before the init: NaN and inf would
+    # diverge at iteration 1 (ConvergenceFailure), 0 and -1 would run on.
+    @pytest.mark.parametrize("eta", [float("nan"), float("inf"), 0.0, -1.0],
+                             ids=["nan", "inf", "zero", "negative"])
+    def test_bad_step_rejected_before_init(self, monkeypatch, eta):
+        Y = gen_instance(40, 40, 2, 0.1, 1).Y
+
+        def no_init(*args):
+            raise AssertionError("the init ran")
+        monkeypatch.setattr(solver_module, "_sparsify_unchecked", no_init)
+        with pytest.raises(InvalidInput, match="step size must be finite and > 0"):
+            solve_scaledgd(Y, 2, 0.2, eta, StopRule("fixed_iters", max_iters=5))
+
 
 class TestSoftBackward:
     @pytest.mark.parametrize("n1, n2, r, alpha", MULTI_SLAB)

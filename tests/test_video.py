@@ -59,6 +59,16 @@ class TestPgmDecode:
         with pytest.raises(FormatError, match=message):
             read_pgm(path)
 
+    # A header is outside input: a negative size would fail in reshape
+    # (a bare ValueError) and a zero size would give an empty frame.
+    @pytest.mark.parametrize("size", [b"-2 -2", b"2 -2", b"0 5", b"5 0"],
+                             ids=["both_negative", "height_negative",
+                                  "width_zero", "height_zero"])
+    def test_frame_size_below_one_rejected(self, tmp_path, size):
+        path = minimal_pgm(tmp_path, header=b"P5\n" + size + b"\n255\n")
+        with pytest.raises(FormatError, match="unsupported frame size"):
+            read_pgm(path)
+
     def test_long_comment_run_rejected_quickly(self, tmp_path):
         path = minimal_pgm(tmp_path, header=b"#" * (1 << 20), payload=b"")
         t0 = time.perf_counter()
@@ -133,6 +143,37 @@ class TestSequences:
         with pytest.raises(InvalidInput):
             read_pgm_sequence(tmp_path)
 
+    # (2, 3) against (3, 2): equal sizes, so equal columns, but other frames.
+    @pytest.mark.parametrize("shapes", [
+        [(2, 3), (2, 3), (3, 2)], [(3, 2), (2, 3)],
+    ], ids=["last_transposed", "transposed"])
+    def test_transposed_frame_rejected(self, tmp_path, shapes):
+        for i, shape in enumerate(shapes):
+            write_pgm(np.zeros(shape), tmp_path / f"{i}.pgm")
+        with pytest.raises(InvalidInput, match="inconsistent frame dimensions"):
+            read_pgm_sequence(tmp_path)
+
+    def test_frames_view_the_frame_matrix(self, tmp_path):
+        for i in range(3):
+            write_pgm(np.full((2, 3), i / 4), tmp_path / f"{i}.pgm")
+        seq = read_pgm_sequence(tmp_path)
+        Y = frames_to_matrix(seq)
+        assert frames_to_matrix(seq) is Y
+        assert Y.shape == (6, 3) and Y.flags.c_contiguous
+        for f in seq.frames:
+            assert f.shape == (2, 3) and np.shares_memory(Y, f)
+
+    @pytest.mark.parametrize("maxval", [255, 200, 15, 1])
+    def test_frame_matrix_matches_stacked_frames(self, tmp_path, rng, maxval):
+        for i in range(7):
+            payload = rng.integers(0, maxval + 1, 5 * 4, dtype=np.uint8)
+            minimal_pgm(tmp_path, f"{i:02d}.pgm", payload.tobytes(),
+                        f"P5\n4 5\n{maxval}\n".encode())
+        Y = frames_to_matrix(read_pgm_sequence(tmp_path))
+        stacked = np.stack([read_pgm(tmp_path / f"{i:02d}.pgm").reshape(-1)
+                            for i in range(7)], axis=1)
+        assert Y.dtype == stacked.dtype and Y.tobytes() == stacked.tobytes()
+
 
 class TestFrameMatrix:
     def test_single_frame_column(self):
@@ -153,6 +194,17 @@ class TestFrameMatrix:
         back = matrix_to_frames(frames_to_matrix(seq), 3, 4)
         for a, b in zip(seq.frames, back.frames):
             assert np.array_equal(a, b)
+
+    def test_separate_frames_stacked_into_new_matrix(self, rng):
+        frames = tuple(rng.random((3, 4)) for _ in range(2))
+        M = frames_to_matrix(FrameSequence(frames))
+        assert not any(np.shares_memory(M, f) for f in frames)
+
+    def test_wrapped_matrix_given_back_uncopied(self, rng):
+        M = rng.random((12, 5))
+        seq = matrix_to_frames(M, 3, 4)
+        assert frames_to_matrix(seq) is M
+        assert all(np.shares_memory(M, f) for f in seq.frames)
 
     def test_shape_mismatch(self, rng):
         with pytest.raises(InvalidInput):
@@ -228,6 +280,26 @@ class TestBackgroundSubtract:
             lambda: background_subtract(seq, 1, theta))
         assert trace.iterations > 1
         assert peak < Y.nbytes + max(2.5 * Y.nbytes, init_peak + 0.1 * Y.nbytes)
+
+    def test_read_and_solve_hold_the_video_once(self, tmp_path):
+        # The frames read from disk are the columns of the solve's Y, so
+        # reading plus solving holds Y and the init's buffers (about 3.6 Y);
+        # a second copy of the video would add another Y.
+        seq, _ = moving_blob_scene(height=120, width=160, n_frames=60,
+                                   blob=5, amplitude=0.85877, phase=(97, 64))
+        for t, frame in enumerate(seq.frames):
+            write_pgm(frame, tmp_path / f"{t:05d}.pgm")
+        theta = ParamSchedule(zetas=tuple(0.425 * 0.65 ** k for k in range(11)),
+                              etas=(0.65,) * 10, beta=1.0, phi=0.65)
+
+        def read_and_solve():
+            read = read_pgm_sequence(tmp_path)
+            return read, background_subtract(read, 1, theta)
+
+        (read, (_, _, trace)), peak = traced_peak(read_and_solve)
+        Y = frames_to_matrix(read)
+        assert trace.iterations > 1
+        assert peak < 4.0 * Y.nbytes
 
     def test_reconstruction_residual(self):
         seq, _ = moving_blob_scene(height=16, width=20, n_frames=20)
