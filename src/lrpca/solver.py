@@ -209,16 +209,30 @@ def spectral_init(Y, r, zeta0, seed=0, tangent=False):
     ``dX = d(L R^T)``, all the Gram-scaled iteration sees, and
     ``dL = (I - U U^T / 2) dX V Sigma^{-1/2}``, ``dR`` likewise.  If ``A``
     has numerical rank below r, it raises :class:`~lrpca.errors.SingularGram`.
+
+    Besides ``Y``, the init holds one n1 x n2 buffer, which is ``A`` while
+    the SVD reads it and ``S_0`` before and after, and ``sign(S_0)`` with
+    ``tangent``.
     """
     Ym = check_matrix(Y, "Y")
     r = check_rank(r, *Ym.shape)
     check_seed(seed)
-    S0 = soft_threshold(Ym, zeta0)
-    return _factor_state(Ym, S0, r, seed, np.sign(S0) if tangent else None)
+    return _factor_state(Ym, soft_threshold(Ym, zeta0), r, seed, tangent)
 
 
-def _factor_state(Y, S0, r, seed, dA=None):
-    A = Y - S0
+def _factor_state(Y, S0, r, seed, tangent=False):
+    """The init's state from ``S0`` (and its tangent, from ``sign(S0)``),
+    holding one n1 x n2 buffer besides ``Y`` (and ``dA``): ``S0`` turns into
+    ``A = Y - S0`` while the SVD reads it, then back into ``S0``.
+
+    The round trip is exact.  An entry of ``S0`` is 0, the entry ``y`` of
+    ``Y``, or ``fl(y - c)`` with ``c`` of the sign of ``y`` and ``|c| <
+    |y|``.  In the last case ``y - c`` is exact when ``|c| >= |y| / 2``, and
+    ``S0`` is within a factor 2 of ``y`` otherwise; so ``y - S0`` is exact
+    (Sterbenz), and ``y - (y - S0)`` gives ``S0`` back bit for bit.
+    """
+    dA = np.sign(S0) if tangent else None
+    A = np.subtract(Y, S0, out=S0)
     # Below a short side of twice the sketch width an exact SVD costs no
     # more than the sketch, so small inputs keep the exact truncation.
     if min(A.shape) > 2 * (r + _SKETCH_OVERSAMPLE):
@@ -228,7 +242,8 @@ def _factor_state(Y, S0, r, seed, dA=None):
     else:
         f, dX = _exact_svd(A, r, dA)
     root = np.sqrt(f.sigma)
-    state = SolverState(FactorPair(f.U * root, f.V * root), S0)
+    state = SolverState(FactorPair(f.U * root, f.V * root),
+                        np.subtract(Y, A, out=A))
     if dX is None:
         return state
     dXV, dXtU = dX

@@ -119,8 +119,9 @@ def _stage_gradient(theta, inst, k, scratch):
     """
     init, d_init = spectral_init(inst.Y, inst.r, theta.zeta0, seed=inst.seed,
                                  tangent=True)
-    states = _advance(init.factors, inst.Y, theta, 1, k, scratch)
+    factors = init.factors
     del init  # S_0 is not needed past the init
+    states = _advance(factors, inst.Y, theta, 1, k, scratch)
     scale = max(float(np.linalg.norm(inst.X_star) ** 2), 1e-300)
     X = states[-1].product()
     X_bar = np.subtract(X, inst.X_star, out=X)
@@ -194,38 +195,47 @@ def layerwise_train(source, cfg, callback=None):
 def grid_search_tail(theta, dataset, cfg):
     """Phase two: exact branch-and-bound (beta, phi) search for the tail.
 
+    ``dataset`` is any iterable of :class:`~lrpca.synth.ProblemInstance`,
+    read once: a list, or a generator that makes each instance as it is
+    read.  Of each instance the search keeps ``Y``, ``X_star`` and the
+    init's factors, then the factors after the first K iterations; with a
+    generator, an instance's ``S_star`` is freed once the next one is read.
+
     Returns the schedule whose grid pair minimizes the mean squared
     reconstruction error after ``cfg.K_bar`` iterations; ties break toward
     smaller phi, then smaller beta, and a pair whose mean is not finite
-    never wins.  Every pair runs on ``dataset[0]``; then, in order of that
-    first loss, each pair adds its other instances' losses in dataset order
-    and is dropped once its partial mean exceeds the best complete one.
-    The losses are ``>= 0`` and a rounded sum of them never falls, so a
-    dropped pair could not have won, and a complete pair's sum is the one a
-    search of every pair on every instance adds up: the result is the same.
+    never wins.  Every pair runs on the first instance; then, in order of
+    that first loss, each pair adds its other instances' losses in dataset
+    order and is dropped once its partial mean exceeds the best complete
+    one.  The losses are ``>= 0`` and a rounded sum of them never falls, so
+    a dropped pair could not have won, and a complete pair's sum is the one
+    a search of every pair on every instance adds up: the result is the
+    same.
 
     Raises
     ------
+    InvalidInput
+        If ``dataset`` yields no instance.
     TrainingDiverged
         If no grid pair has a finite mean loss.
     """
-    if not dataset:
-        raise InvalidInput("dataset must be nonempty")
     K, K_bar = theta.K, cfg.K_bar
     # Every init runs before the first pass allocates the run's one set of
     # slab buffers, so the two never add up in memory.
-    inits = [spectral_init(inst.Y, inst.r, theta.zeta0, seed=inst.seed).factors
+    inits = [(inst.Y, inst.X_star,
+              spectral_init(inst.Y, inst.r, theta.zeta0, seed=inst.seed).factors)
              for inst in dataset]
+    if not inits:
+        raise InvalidInput("dataset must be nonempty")
     scratch = _Scratch()
     # The first K iterations do not depend on (beta, phi); cache them.
-    cached = [(inst, _advance(f, inst.Y, theta, 1, K, scratch)[-1])
-              for inst, f in zip(dataset, inits)]
+    cached = [(Y, X_star, _advance(f, Y, theta, 1, K, scratch)[-1])
+              for Y, X_star, f in inits]
     del inits
 
-    def tail_loss(cand, inst, factors):
-        X_final = _advance(factors, inst.Y, cand, K + 1, K_bar,
-                           scratch)[-1].product()
-        X_final -= inst.X_star
+    def tail_loss(cand, Y, X_star, factors):
+        X_final = _advance(factors, Y, cand, K + 1, K_bar, scratch)[-1].product()
+        X_final -= X_star
         return float(np.linalg.norm(X_final) ** 2)
 
     grid = cfg.grid_values()
@@ -235,10 +245,10 @@ def grid_search_tail(theta, dataset, cfg):
     best = (math.inf,) * 3  # (mean, phi, beta) of the best complete pair
     for total, phi, beta in sorted(p for p in first if math.isfinite(p[0])):
         cand = replace(theta, beta=beta, phi=phi)
-        for inst, factors in cached[1:]:
+        for held in cached[1:]:
             if not total / n <= best[0]:
                 break  # the sum only grows (or is NaN): this pair cannot win
-            total += tail_loss(cand, inst, factors)
+            total += tail_loss(cand, *held)
         else:
             key = (total / n, phi, beta)
             if math.isfinite(key[0]) and key < best:
@@ -257,7 +267,8 @@ def train_schedule(source, cfg, grid_instances=_GRID_INSTANCES, callback=None):
     :class:`~lrpca.synth.ProblemInstance` (an
     :class:`~lrpca.synth.InstanceSource`, or an adapter over a fixed list).
     The grid phase uses the ``grid_instances`` instances that follow the
-    ones consumed by SGD, and ``grid_instances < 1`` raises
+    ones consumed by SGD, read one at a time from a generator, so their
+    ``S_star`` never add up in memory; ``grid_instances < 1`` raises
     :class:`~lrpca.errors.InvalidInput` before the first SGD step.
     ``callback`` is passed to :func:`layerwise_train`.
     """
@@ -265,5 +276,5 @@ def train_schedule(source, cfg, grid_instances=_GRID_INSTANCES, callback=None):
         raise InvalidInput(f"need grid_instances >= 1, got {grid_instances}")
     theta = layerwise_train(source, cfg, callback=callback)
     start = 1 + (cfg.K + 1) * cfg.sgd_steps_per_stage
-    dataset = [source.instance(i) for i in range(start, start + grid_instances)]
+    dataset = (source.instance(i) for i in range(start, start + grid_instances))
     return grid_search_tail(theta, dataset, cfg)

@@ -104,11 +104,14 @@ def _header_tokens(data, path):
 
 def write_pgm(frame, path):
     """Write one frame as P5 PGM, clamping to [0, 1] and quantizing to 0-255."""
-    A = check_matrix(frame, "frame")
-    q = np.round(np.clip(A, 0.0, 1.0) * 255.0).astype(np.uint8)
+    # One C-contiguous copy, checked, then clamped, scaled and rounded in
+    # place: a strided frame (a column view of a frame matrix) is read once.
+    A = check_matrix(np.array(frame, dtype=np.float64, order="C"), "frame")
+    np.clip(A, 0.0, 1.0, out=A)
+    A *= 255.0
     with open(path, "wb") as fh:
         fh.write(f"P5\n{A.shape[1]} {A.shape[0]}\n255\n".encode("ascii"))
-        fh.write(q.tobytes(order="C"))
+        fh.write(np.round(A, out=A).astype(np.uint8))
 
 
 def read_pgm_sequence(directory):
@@ -134,7 +137,7 @@ def read_pgm_sequence(directory):
     maxvals = np.array([maxval for _, maxval in decoded], dtype=np.float64)
     M = np.empty(samples.shape[::-1])
     np.divide(samples.T, maxvals, out=M)
-    return matrix_to_frames(M, *shapes.pop())
+    return _frames_of(M, *shapes.pop())
 
 
 def frames_to_matrix(seq):
@@ -158,6 +161,12 @@ def matrix_to_frames(M, height, width):
     if A.shape[0] != height * width:
         raise InvalidInput(f"matrix has {A.shape[0]} rows, "
                            f"expected {height * width}")
+    return _frames_of(A, height, width)
+
+
+def _frames_of(A, height, width):
+    """:func:`matrix_to_frames` of a float64, C-contiguous, finite ``A``
+    with ``height * width`` rows, as the callers here build it: no check."""
     seq = FrameSequence(tuple(A[:, j].reshape(height, width)
                               for j in range(A.shape[1])))
     object.__setattr__(seq, "_matrix", A)
@@ -177,9 +186,9 @@ def background_subtract(seq, r, schedule,
     if r > len(seq):
         raise InvalidInput(f"rank {r} exceeds frame count {len(seq)}")
     X, S, trace = solve(frames_to_matrix(seq), r, schedule, stop=stop, seed=seed)
-    bg = matrix_to_frames(np.clip(X, 0.0, 1.0, out=X), seq.height, seq.width)
-    fg = matrix_to_frames(np.clip(np.abs(S, out=S), 0.0, 1.0, out=S),
-                          seq.height, seq.width)
+    bg = _frames_of(np.clip(X, 0.0, 1.0, out=X), seq.height, seq.width)
+    fg = _frames_of(np.clip(np.abs(S, out=S), 0.0, 1.0, out=S),
+                    seq.height, seq.width)
     return bg, fg, trace
 
 

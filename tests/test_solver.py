@@ -3,9 +3,10 @@ import pytest
 
 from lrpca import (ConvergenceFailure, FactorPair, FixedSchedule, InvalidInput,
                    OracleSchedule, ParamSchedule, SingularGram, SolverState, StopRule, gen_instance,
-                   lrpca_step, residual_rel, solve, solve_scaledgd,
-                   spectral_init, truncated_svd)
+                   lrpca_step, residual_rel, soft_threshold, solve,
+                   solve_scaledgd, spectral_init, truncated_svd)
 from lrpca import solver as solver_module
+from lrpca.linalg import _SKETCH_OVERSAMPLE, _exact_svd, _sketch_svd
 from lrpca.solver import (_block_rows, _factor_state, _low_rank_change,
                           _scaled_update, _Scratch, _soft_backward, _soft_last,
                           _soft_pass, _sparsify_pass)
@@ -32,7 +33,53 @@ def test_negative_seed_rejected(n, call):
         call(gen_instance(n, n, 2, 0.1, 1).Y)
 
 
+def separate_buffer_init(Y, r, zeta0, seed):
+    """The init's factors and tangent from ``S_0`` and ``A = Y - S_0`` in
+    buffers of their own: ``(S_0, L, R, dL, dR)``."""
+    S0 = soft_threshold(Y, zeta0)
+    A = Y - S0
+    if min(A.shape) > 2 * (r + _SKETCH_OVERSAMPLE):
+        f, (dXV, dXtU) = _sketch_svd(A, r, seed, np.sign(S0))
+    else:
+        f, (dXV, dXtU) = _exact_svd(A, r, np.sign(S0))
+    root = np.sqrt(f.sigma)
+    dL = (dXV - 0.5 * f.U @ (f.U.T @ dXV)) / root
+    dR = (dXtU - 0.5 * f.V @ (f.V.T @ dXtU)) / root
+    return S0, f.U * root, f.V * root, dL, dR
+
+
 class TestSpectralInit:
+    # The init's one buffer holds S_0, then A = Y - S_0 while the SVD reads
+    # it, then S_0 again.  The round trip is exact, so the state and the
+    # tangent are those that separate buffers give, to the bit, on both SVD
+    # branches and at thresholds below max|Y| / 2 too.
+    @pytest.mark.parametrize("n1, n2", [(30, 20), (120, 90)],
+                             ids=["exact", "sketch"])
+    @pytest.mark.parametrize("frac", [0.02, 0.2, 0.45, 0.7, 1.5])
+    def test_one_buffer_matches_separate_buffers(self, n1, n2, frac):
+        inst = gen_instance(n1, n2, 3, 0.1, 4)
+        zeta0 = frac * float(np.abs(inst.Y).max())
+        ref = separate_buffer_init(inst.Y, 3, zeta0, seed=2)
+        state = spectral_init(inst.Y, 3, zeta0, seed=2)
+        t_state, d = spectral_init(inst.Y, 3, zeta0, seed=2, tangent=True)
+        for got in (state, t_state):
+            assert np.array_equal(got.S, ref[0])
+            assert np.array_equal(got.factors.L, ref[1])
+            assert np.array_equal(got.factors.R, ref[2])
+        assert np.array_equal(d.L, ref[3])
+        assert np.array_equal(d.R, ref[4])
+
+    # Besides Y, the init holds one n1 x n2 buffer, plus sign(S_0) with the
+    # tangent (measured: 1.14 Y and 2.28 Y); S_0 and A = Y - S_0 in buffers
+    # of their own would add another Y.
+    @pytest.mark.parametrize("tangent", [False, True])
+    def test_holds_one_buffer_besides_Y(self, tangent):
+        inst = gen_instance(600, 400, 5, 0.1, 3)
+        zeta0 = 0.3 * float(np.abs(inst.Y).max())
+        _, peak = traced_peak(lambda: spectral_init(inst.Y, 5, zeta0, seed=1,
+                                                    tangent=tangent))
+        assert peak < (1.5 + tangent) * inst.Y.nbytes
+
     def test_outlier_free_exact(self, rng):
         X = rank_r_instance(rng)
         state = spectral_init(X, 3, np.abs(X).max())
@@ -526,10 +573,10 @@ class TestSlabStreamedIteration:
     @pytest.mark.parametrize("n1, n2, r, alpha", MULTI_SLAB)
     def test_residual_stop_holds_one_S(self, n1, n2, r, alpha):
         # Besides its input Y, a residual-stop solve holds one S and the
-        # returned X at a time, never a second S buffer.  The init holds S_0
-        # and Y - S_0 plus its sketch, whose n1 x (r + 10) temporaries are
-        # a fifth of Y each on the tall shape; the solve may reach that
-        # peak but not pass it.
+        # returned X at a time, never a second S buffer.  The init holds one
+        # buffer (S_0, which is Y - S_0 while the SVD reads it) plus its
+        # sketch, whose n1 x (r + 10) temporaries are a fifth of Y each on
+        # the tall shape; the solve may reach that peak but not pass it.
         inst = gen_instance(n1, n2, r, alpha, 3)
         z0 = float(np.abs(inst.X_star).max())
         theta = ParamSchedule(zetas=(z0, 0.3 * z0), etas=(0.5,), phi=0.7)

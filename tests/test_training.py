@@ -10,7 +10,7 @@ from lrpca import (InstanceSource, InvalidInput, ParamSchedule,
 from lrpca import training
 from lrpca.solver import FactorPair, _Scratch, spectral_init
 from lrpca.training import _advance, _stage_gradient
-from conftest import ListSource, run_concurrently
+from conftest import ListSource, run_concurrently, traced_peak
 from oracles import (central_difference_gradient, exhaustive_tail_search,
                      stage_loss)
 
@@ -315,6 +315,25 @@ class TestGridSearchTail:
         theta = ParamSchedule(zetas=(0.02, 0.01), etas=(0.5,))
         with pytest.raises(ValueError):
             grid_search_tail(theta, [], TrainConfig(K=1, K_bar=2))
+        with pytest.raises(InvalidInput, match="nonempty"):
+            grid_search_tail(theta, iter(()), TrainConfig(K=1, K_bar=2))
+
+    def test_generator_read_once_matches_list(self):
+        # A one-shot generator is read once, in order, and gives the
+        # schedule a list of the same instances gives, to the bit.
+        dataset = [gen_instance(40, 40, 2, 0.1, 50 + i) for i in range(4)]
+        theta = self.start_schedule(dataset[0], K=3, decay=0.65)
+        cfg = TrainConfig(K=3, K_bar=8, grid=(0.2, 1.0, 0.2))
+        read = []
+
+        def stream():
+            for i, inst in enumerate(dataset):
+                read.append(i)
+                yield inst
+
+        out = grid_search_tail(theta, stream(), cfg)
+        assert read == [0, 1, 2, 3]
+        assert out == grid_search_tail(theta, dataset, cfg)
 
     # The search prunes, the oracle runs every pair on every instance; both
     # must return the same schedule, to the bit.
@@ -507,6 +526,20 @@ class TestTrainSchedule:
         train_schedule(CountingSource(), cfg, **kw)
         n_grid = 20 if grid_instances is None else grid_instances
         assert read == list(range(1 + 2 * 2 + n_grid))
+
+    def test_grid_phase_keeps_Y_and_X_star_only(self):
+        # The grid phase reads its instances from a generator and keeps Y,
+        # X_star and thin factors of each.  At n = 200 one slab is the whole
+        # matrix, so the tail passes hold 4 x (Y, X_star), the final X and
+        # three slab buffers: 12.3 n^2 doubles measured.  Four whole
+        # instances held at once read 16.3 n^2.
+        n = 200
+        cfg = TrainConfig(K=2, K_bar=4, sgd_steps_per_stage=1,
+                          grid=(0.2, 1.0, 0.2))
+        source = InstanceSource(n, n, 5, 0.1, base_seed=7)
+        _, peak = traced_peak(
+            lambda: train_schedule(source, cfg, grid_instances=4))
+        assert peak < 13 * n * n * 8
 
     def test_no_grid_instances_rejected_before_sgd(self, monkeypatch):
         def no_step(*args):

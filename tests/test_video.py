@@ -116,6 +116,23 @@ class TestPgmEncode:
         write_pgm(np.array([[-0.5, 1.5]]), path)
         np.testing.assert_allclose(read_pgm(path), [[0.0, 1.0]])
 
+    def test_strided_frames_write_their_values_and_stay_unchanged(
+            self, tmp_path):
+        # Column views of a frame matrix, a transposed and a stepped frame
+        # are clamped, scaled and rounded in a copy of their own.
+        M = np.random.default_rng(0).uniform(-0.2, 1.2, size=(12, 5))
+        M[:6, 0] = (np.arange(6) + 0.5) / 255.0  # near rounding ties
+        frames = [M[:, j].reshape(3, 4) for j in range(5)]
+        frames += [M[:, 1].reshape(4, 3).T, M[::2, :]]
+        for i, frame in enumerate(frames):
+            before = frame.copy()
+            path = tmp_path / f"{i}.pgm"
+            write_pgm(frame, path)
+            q = np.round(np.clip(before, 0.0, 1.0) * 255.0).astype(np.uint8)
+            header = f"P5\n{q.shape[1]} {q.shape[0]}\n255\n".encode("ascii")
+            assert path.read_bytes() == header + q.tobytes()
+            assert np.array_equal(frame, before)
+
 
 class TestSequences:
     def test_lexicographic_order(self, tmp_path):
@@ -283,8 +300,9 @@ class TestBackgroundSubtract:
 
     def test_read_and_solve_hold_the_video_once(self, tmp_path):
         # The frames read from disk are the columns of the solve's Y, so
-        # reading plus solving holds Y and the init's buffers (about 3.6 Y);
-        # a second copy of the video would add another Y.
+        # reading plus solving holds Y, the two S buffers of the
+        # iterate_change stop and the slab scratch (about 3.4 Y); a second
+        # copy of the video would add another Y.
         seq, _ = moving_blob_scene(height=120, width=160, n_frames=60,
                                    blob=5, amplitude=0.85877, phase=(97, 64))
         for t, frame in enumerate(seq.frames):
