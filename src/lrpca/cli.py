@@ -211,10 +211,10 @@ def cmd_bench(args):
     seed, kind = args.seed, args.kind
 
     if kind == "convergence":
-        _fill(args, max_iters=100, scaledgd_alpha_tilde=min(2 * args.alpha, 1.0))
+        _fill(args, max_iters=100)
         inst = gen_instance(args.n, args.n, args.r, args.alpha, seed)
         specs = [_lrpca_spec(args),
-                 bench_mod.scaledgd_spec(args.scaledgd_alpha_tilde,
+                 bench_mod.scaledgd_spec(min(2 * args.alpha, 1.0),
                                          args.scaledgd_eta)]
         report, traces = bench_mod.convergence_bench(specs, inst, _stop(args))
         for spec_name, trace in traces.items():
@@ -315,8 +315,8 @@ def build_parser():
     p.add_argument("--eta", type=float, default=0.5)
     stop_rule(p, "residual_rel", 1e-4, 100)
 
-    # Each kind reads some of these; max_iters, trials and
-    # scaledgd_alpha_tilde get kind-dependent defaults in cmd_bench.
+    # Each kind reads some of these; max_iters and trials get kind-dependent
+    # defaults in cmd_bench.
     p = command("bench", cmd_bench, "run a benchmark harness")
     p.add_argument("--kind", choices=["convergence", "recoverability",
                                       "generalization"])
@@ -326,7 +326,6 @@ def build_parser():
     p.add_argument("--r", type=int, default=5)
     p.add_argument("--alpha", type=float, default=0.1)
     stop_rule(p, "residual_rel", 1e-4, None)
-    p.add_argument("--scaledgd-alpha-tilde", type=float)
     p.add_argument("--scaledgd-eta", type=float, default=0.5)
     p.add_argument("--alphas", type=float_list, help="comma-separated alphas")
     p.add_argument("--trials", type=int)

@@ -37,6 +37,7 @@ X_true||_inf`` from ground truth at every iteration (useful to verify the
 guaranteed geometric contraction).
 """
 
+import numbers
 import time
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -98,8 +99,9 @@ class StopRule:
     def __post_init__(self):
         if self.mode not in ("residual_rel", "iterate_change", "fixed_iters"):
             raise InvalidInput(f"unknown stop mode {self.mode!r}")
-        if self.max_iters < 0:
-            raise InvalidInput("max_iters must be >= 0")
+        if not isinstance(self.max_iters, numbers.Integral) or self.max_iters < 0:
+            raise InvalidInput(f"max_iters must be an integer >= 0, got "
+                               f"{self.max_iters!r}")
         if not self.tolerance >= 0:  # NaN fails this test too
             raise InvalidInput(f"tolerance must be >= 0, got {self.tolerance}")
 

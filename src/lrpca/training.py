@@ -20,6 +20,7 @@ exhaustive one would.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -50,6 +51,10 @@ class TrainConfig:
     grid: tuple = (0.1, 1.0, 0.1)  # (min, max, step) for both beta and phi
 
     def __post_init__(self):
+        for name in ("K", "K_bar", "sgd_steps_per_stage"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):
+                raise InvalidInput(f"{name} must be an integer, got {value!r}")
         if not 0 <= self.K <= self.K_bar or self.K == 0 < self.K_bar:
             raise InvalidInput(f"need K_bar >= K >= 1 or K = K_bar = 0, got "
                                f"K={self.K}, K_bar={self.K_bar}")

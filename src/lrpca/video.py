@@ -1,19 +1,14 @@
 """Grayscale frame sequences, PGM I/O, and background subtraction.
 
-Frames are stored as float arrays in [0, 1].  A sequence is turned into a
-matrix by flattening each frame row-major into one column; the static
-background of a scene is then the low-rank part of that matrix and moving
-objects land in the sparse part.
-
-A sequence read from disk, or wrapped by :func:`matrix_to_frames`, is held
-once: its frames are views of the columns of one frame matrix, and
-:func:`frames_to_matrix` returns that matrix itself.  Writing into the
-matrix changes the frames (and the reverse), so copy it before writing.
+Frames are stored as float arrays in [0, 1].  A sequence is one matrix:
+each frame, flattened row-major, is one column; the static background of a
+scene is then the low-rank part of that matrix and moving objects land in
+the sparse part.
 """
 
 import os
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,29 +23,42 @@ __all__ = ["FrameSequence", "read_pgm", "write_pgm", "read_pgm_sequence",
 
 @dataclass(frozen=True)
 class FrameSequence:
-    """Stack of equal-sized grayscale frames with values in [0, 1]."""
+    """Equal-sized grayscale frames with values in [0, 1], held as one
+    ``(height*width) x n_frames`` matrix: column j is frame j, row-major.
 
-    frames: tuple  # of 2-D arrays, each height x width
-    # The frame matrix whose columns ``frames`` view, if any.
-    _matrix: object = field(default=None, init=False, repr=False, compare=False)
+    ``frames`` are views of the columns, so writing into the matrix changes
+    the frames (and the reverse): copy it before writing.  The matrix's
+    layout decides what a solve copies:
+
+    - :func:`read_pgm_sequence` builds a C-ordered matrix, which
+      :func:`background_subtract` solves on without a copy;
+    - :func:`moving_blob_scene` builds an F-ordered one, so each frame is
+      contiguous; a solve copies it once.
+
+    From separate frame arrays, build a sequence with
+    ``FrameSequence(np.stack(frames).reshape(n, -1).T, height, width)``.
+    """
+
+    matrix: np.ndarray
+    height: int
+    width: int
 
     def __post_init__(self):
-        if not self.frames:
+        shape = self.matrix.shape
+        if (min(self.height, self.width) < 1 or len(shape) != 2
+                or shape[0] != self.height * self.width):
+            raise InvalidInput(f"frame matrix of shape {shape} does not hold "
+                               f"{self.height}x{self.width} frames")
+        if shape[1] == 0:
             raise InvalidInput("frame sequence must contain at least one frame")
-        shapes = {f.shape for f in self.frames}
-        if len(shapes) != 1:
-            raise InvalidInput(f"inconsistent frame dimensions: {sorted(shapes)}")
 
     @property
-    def height(self):
-        return self.frames[0].shape[0]
-
-    @property
-    def width(self):
-        return self.frames[0].shape[1]
+    def frames(self):
+        """The frames, each a height x width view of its column."""
+        return tuple(self.matrix.T.reshape(len(self), self.height, self.width))
 
     def __len__(self):
-        return len(self.frames)
+        return self.matrix.shape[1]
 
 
 def read_pgm(path):
@@ -119,9 +127,8 @@ def read_pgm_sequence(directory):
     lexicographic filename order.
 
     The files' 8-bit samples are divided by their maxvals in one pass,
-    straight into the columns of one frame matrix, with the values
-    :func:`read_pgm` gives; the sequence returned is ``matrix_to_frames``
-    of that matrix, so its frames are views of it.
+    straight into the columns of one C-ordered frame matrix, with the
+    values :func:`read_pgm` gives.
     """
     if not os.path.isdir(directory):
         raise InvalidInput(f"frames directory not found: {directory}")
@@ -137,58 +144,41 @@ def read_pgm_sequence(directory):
     maxvals = np.array([maxval for _, maxval in decoded], dtype=np.float64)
     M = np.empty(samples.shape[::-1])
     np.divide(samples.T, maxvals, out=M)
-    return _frames_of(M, *shapes.pop())
+    return FrameSequence(M, *shapes.pop())
 
 
 def frames_to_matrix(seq):
     """(height*width) x n_frames matrix; column j is frame j, row-major.
 
-    A sequence from :func:`read_pgm_sequence` or :func:`matrix_to_frames`
-    gives its own matrix, not a copy: copy it before writing into it.
-    Any other sequence's frames are stacked into a new matrix.
+    This is the sequence's own matrix, not a copy: copy it before writing
+    into it.
     """
-    if seq._matrix is not None:
-        return seq._matrix
-    return np.stack([f.reshape(-1) for f in seq.frames], axis=1)
+    return seq.matrix
 
 
 def matrix_to_frames(M, height, width):
-    """Inverse of :func:`frames_to_matrix`: frame j views column j of the
-    (float64, C-contiguous) matrix, which the sequence keeps, so
-    :func:`frames_to_matrix` gives it back without a copy.  The sequence
-    shares the matrix: copy it before writing into it."""
-    A = check_matrix(M, "M")
-    if A.shape[0] != height * width:
-        raise InvalidInput(f"matrix has {A.shape[0]} rows, "
-                           f"expected {height * width}")
-    return _frames_of(A, height, width)
-
-
-def _frames_of(A, height, width):
-    """:func:`matrix_to_frames` of a float64, C-contiguous, finite ``A``
-    with ``height * width`` rows, as the callers here build it: no check."""
-    seq = FrameSequence(tuple(A[:, j].reshape(height, width)
-                              for j in range(A.shape[1])))
-    object.__setattr__(seq, "_matrix", A)
-    return seq
+    """Inverse of :func:`frames_to_matrix`: the sequence of the checked
+    (finite, float64, C-contiguous) matrix, whose frames view its columns.
+    The sequence shares the matrix: copy it before writing into it."""
+    return FrameSequence(check_matrix(M, "M"), height, width)
 
 
 def background_subtract(seq, r, schedule,
                         stop=StopRule("iterate_change", 1e-3, 100), seed=0):
     """Split a frame sequence into background and foreground sequences.
 
-    Runs the decomposition on the vectorized frame matrix (a sequence read
-    from disk is solved on its own matrix, uncopied); background frames
-    come from the low-rank columns and foreground frames from the magnitude
-    of the sparse columns, both clamped to [0, 1] in the solve's own output
-    buffers.  Returns ``(background, foreground, trace)``.
+    Runs the decomposition on the sequence's frame matrix (a C-ordered one,
+    as read from disk, uncopied); background frames come from the low-rank
+    columns and foreground frames from the magnitude of the sparse columns,
+    both clamped to [0, 1] in the solve's own output buffers.  Returns
+    ``(background, foreground, trace)``.
     """
     if r > len(seq):
         raise InvalidInput(f"rank {r} exceeds frame count {len(seq)}")
-    X, S, trace = solve(frames_to_matrix(seq), r, schedule, stop=stop, seed=seed)
-    bg = _frames_of(np.clip(X, 0.0, 1.0, out=X), seq.height, seq.width)
-    fg = _frames_of(np.clip(np.abs(S, out=S), 0.0, 1.0, out=S),
-                    seq.height, seq.width)
+    X, S, trace = solve(seq.matrix, r, schedule, stop=stop, seed=seed)
+    bg = FrameSequence(np.clip(X, 0.0, 1.0, out=X), seq.height, seq.width)
+    fg = FrameSequence(np.clip(np.abs(S, out=S), 0.0, 1.0, out=S),
+                       seq.height, seq.width)
     return bg, fg, trace
 
 
@@ -197,23 +187,23 @@ def moving_blob_scene(height=24, width=32, n_frames=40, blob=5,
     """Synthetic test scene: a static background plus one bright moving
     square blob.  Returns ``(FrameSequence, mask_sequence)`` where the mask
     marks the blob pixels of each frame.  ``phase`` offsets the blob track,
-    giving distinct scenes from one geometry."""
+    giving distinct scenes from one geometry.  The frame matrix is
+    F-ordered, so each frame is contiguous."""
     yy, xx = np.mgrid[0:height, 0:width]
     # Rank-2 background (constant plus a separable ramp).
     base = 0.2 + 0.4 * (xx / max(width - 1, 1)) * (yy / max(height - 1, 1))
-    frames = []
+    frames = np.empty((n_frames, height, width))
     masks = []
     # Strides larger than the blob keep successive positions disjoint, so no
     # pixel is occluded often enough to leak into the low-rank background.
     row_stride = blob + 2
     col_stride = blob + 3
     for t in range(n_frames):
-        frame = base.copy()
         mask = np.zeros((height, width), dtype=bool)
         top = (phase[0] + row_stride * t) % max(height - blob, 1)
         left = (phase[1] + col_stride * t) % max(width - blob, 1)
-        frame[top:top + blob, left:left + blob] = amplitude
+        frames[t] = base
+        frames[t, top:top + blob, left:left + blob] = amplitude
         mask[top:top + blob, left:left + blob] = True
-        frames.append(frame)
         masks.append(mask)
-    return FrameSequence(tuple(frames)), masks
+    return FrameSequence(frames.reshape(n_frames, -1).T, height, width), masks

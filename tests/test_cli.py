@@ -293,7 +293,7 @@ class TestTrainCommand:
         train = ["train", "--n", 20, "--r", 2]
         bench = ["bench", "--kind", "recoverability"]
         for args, flag in ((train, "--fd-epsilon"), (train, "--jobs"),
-                           (bench, "--jobs")):
+                           (bench, "--jobs"), (bench, "--scaledgd-alpha-tilde")):
             with pytest.raises(SystemExit) as info:
                 run(args + [flag, "1", "--out", tmp_path / "t4"])
             assert info.value.code == 2

@@ -429,6 +429,13 @@ class TestSolve:
         with pytest.raises(InvalidInput):
             StopRule("bogus", 1e-4, 10)
 
+    # A cap of 2.5 ran 3 updates and reported 4 iterations under max_iters.
+    @pytest.mark.parametrize("max_iters", [2.5, 3.0, -1, None, "3"])
+    def test_max_iters_not_count_rejected(self, max_iters):
+        with pytest.raises(InvalidInput, match="max_iters must be an integer"):
+            StopRule("fixed_iters", 0, max_iters)
+        assert StopRule("fixed_iters", 0, np.int64(3)).max_iters == 3
+
     @pytest.mark.parametrize("tol", [-1e-6, float("nan")])
     def test_invalid_tolerance_rejected(self, tol):
         with pytest.raises(InvalidInput, match="tolerance"):
@@ -518,7 +525,11 @@ class TestSlabStreamedIteration:
                                                     stop)
         assert trace.iterations == len(res_ref) - 1
         assert trace.stop_reason == "converged"
-        np.testing.assert_allclose(trace.residuals, res_ref, rtol=1e-10)
+        # Residuals are fractions of ||Y||; the loop's agree with the dense
+        # ones to about 1e-17 in those units (see SolveTrace), which a
+        # relative bound at the smallest residuals here would undercut, so
+        # they are compared in absolute terms.
+        np.testing.assert_allclose(trace.residuals, res_ref, rtol=0, atol=1e-15)
         np.testing.assert_allclose(trace.rel_errs, err_ref, rtol=1e-10)
         assert np.linalg.norm(X - X_ref) <= 1e-12 * np.linalg.norm(X_ref)
         assert np.linalg.norm(S - S_ref) <= 1e-12 * np.linalg.norm(S_ref)

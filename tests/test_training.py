@@ -580,6 +580,17 @@ class TestTrainSchedule:
                            match=f"has {count} values per axis, more than 1000"):
             TrainConfig(grid=grid)
 
+    # A count that is not an integer would fail later, in range().
+    @pytest.mark.parametrize("counts", [
+        {"K": 2.5}, {"K_bar": 15.0}, {"sgd_steps_per_stage": 1.5},
+        {"K": "3", "K_bar": 3},
+    ], ids=["K", "K_bar", "sgd_steps_per_stage", "K_str"])
+    def test_count_not_integer_rejected(self, counts):
+        name = next(iter(counts))
+        with pytest.raises(InvalidInput, match=f"{name} must be an integer"):
+            TrainConfig(**counts)
+        assert TrainConfig(K=np.int64(2), K_bar=3).K == 2
+
     @pytest.mark.parametrize("lr", [0.0, -5.0, float("nan"), float("inf")])
     def test_learning_rate_rejected(self, lr):
         with pytest.raises(InvalidInput, match="learning_rate"):

@@ -10,6 +10,12 @@ from lrpca import (FormatError, FrameSequence, InvalidInput, ParamSchedule,
 from conftest import traced_peak
 
 
+def sequence_of(frames):
+    """The sequence of separate, equal-sized frame arrays."""
+    F = np.stack(frames)
+    return FrameSequence(F.reshape(len(F), -1).T, *F.shape[1:])
+
+
 def minimal_pgm(tmp_path, name="f.pgm", payload=bytes([0, 255, 128, 64]),
                 header=b"P5\n2 2\n255\n"):
     path = tmp_path / name
@@ -152,7 +158,16 @@ class TestSequences:
 
     def test_empty_sequence_rejected(self):
         with pytest.raises(InvalidInput, match="at least one frame"):
-            FrameSequence(())
+            FrameSequence(np.zeros((6, 0)), 2, 3)
+
+    @pytest.mark.parametrize("shape, height, width", [
+        ((5, 2), 2, 3), ((7, 2), 2, 3), ((6,), 2, 3), ((6, 2, 1), 2, 3),
+        ((6, 2), -2, -3), ((0, 2), 0, 3),
+    ], ids=["rows_short", "rows_long", "one_dim", "three_dim",
+            "negative_size", "zero_height"])
+    def test_matrix_not_holding_frames_rejected(self, shape, height, width):
+        with pytest.raises(InvalidInput, match="does not hold"):
+            FrameSequence(np.zeros(shape), height, width)
 
     def test_inconsistent_dims(self, tmp_path):
         write_pgm(np.zeros((2, 2)), tmp_path / "a.pgm")
@@ -194,28 +209,32 @@ class TestSequences:
 
 class TestFrameMatrix:
     def test_single_frame_column(self):
-        seq = FrameSequence((np.array([[0.0, 1.0], [1.0, 0.0]]),))
+        seq = sequence_of((np.array([[0.0, 1.0], [1.0, 0.0]]),))
         M = frames_to_matrix(seq)
         assert M.shape == (4, 1)
         np.testing.assert_allclose(M[:, 0], [0.0, 1.0, 1.0, 0.0])
 
     def test_identical_frames_rank_one(self, rng):
         f = rng.random((4, 5))
-        M = frames_to_matrix(FrameSequence((f, f, f)))
+        M = frames_to_matrix(sequence_of((f, f, f)))
         s = np.linalg.svd(M, compute_uv=False)
         assert s[1] <= 1e-12 * s[0]
 
     def test_round_trip(self, rng):
         frames = tuple(rng.random((3, 4)) for _ in range(5))
-        seq = FrameSequence(frames)
+        seq = sequence_of(frames)
         back = matrix_to_frames(frames_to_matrix(seq), 3, 4)
         for a, b in zip(seq.frames, back.frames):
             assert np.array_equal(a, b)
 
-    def test_separate_frames_stacked_into_new_matrix(self, rng):
-        frames = tuple(rng.random((3, 4)) for _ in range(2))
-        M = frames_to_matrix(FrameSequence(frames))
-        assert not any(np.shares_memory(M, f) for f in frames)
+    def test_scene_frames_are_contiguous_views(self):
+        seq, _ = moving_blob_scene(height=6, width=7, n_frames=4, blob=2)
+        M = frames_to_matrix(seq)
+        assert M.shape == (42, 4) and M.flags.f_contiguous
+        for j, f in enumerate(seq.frames):
+            assert f.shape == (6, 7) and f.flags.c_contiguous
+            assert np.shares_memory(M, f)
+            assert np.array_equal(f.reshape(-1), M[:, j])
 
     def test_wrapped_matrix_given_back_uncopied(self, rng):
         M = rng.random((12, 5))
@@ -236,7 +255,7 @@ class TestBackgroundSubtract:
 
     def test_static_scene_clean_foreground(self):
         frame = np.linspace(0.2, 0.8, 24).reshape(4, 6)
-        seq = FrameSequence(tuple(frame.copy() for _ in range(8)))
+        seq = sequence_of((frame,) * 8)
         theta = self.geometric_schedule(1.0)
         bg, fg, trace = background_subtract(seq, 1, theta)
         for f in fg.frames:
@@ -279,19 +298,20 @@ class TestBackgroundSubtract:
         assert f1 >= 0.9
 
     def test_rank_exceeds_frames(self):
-        seq = FrameSequence((np.zeros((2, 2)), np.ones((2, 2)) * 0.5))
+        seq = sequence_of((np.zeros((2, 2)), np.ones((2, 2)) * 0.5))
         with pytest.raises(InvalidInput, match="exceeds frame count"):
             background_subtract(seq, 3, self.geometric_schedule(1.0))
 
     def test_holds_frame_matrix_and_solve_buffers(self):
-        # Besides the frame matrix Y, background_subtract holds what its
-        # iterate_change solve holds: the clamps write into the solve's own
-        # X and S, whose columns the returned frames view.
+        # Besides Y, the solve's C-ordered copy of the scene's F-ordered
+        # matrix, background_subtract holds what its iterate_change solve
+        # holds: the clamps write into the solve's own X and S, whose
+        # columns the returned frames view.
         seq, _ = moving_blob_scene(height=120, width=160, n_frames=60,
                                    blob=5, amplitude=0.85877, phase=(97, 64))
         theta = ParamSchedule(zetas=tuple(0.425 * 0.65 ** k for k in range(11)),
                               etas=(0.65,) * 10, beta=1.0, phi=0.65)
-        Y = frames_to_matrix(seq)
+        Y = np.ascontiguousarray(frames_to_matrix(seq))
         _, init_peak = traced_peak(lambda: spectral_init(Y, 1, theta.zeta0))
         (_, _, trace), peak = traced_peak(
             lambda: background_subtract(seq, 1, theta))
@@ -318,6 +338,17 @@ class TestBackgroundSubtract:
         Y = frames_to_matrix(read)
         assert trace.iterations > 1
         assert peak < 4.0 * Y.nbytes
+
+    def test_scene_and_c_ordered_copy_give_identical_outputs(self):
+        # The solve copies the scene's F-ordered matrix into C order, so it
+        # reads the same Y as on a C-ordered copy of that matrix.
+        seq, _ = moving_blob_scene(height=16, width=20, n_frames=20)
+        c_seq = matrix_to_frames(np.ascontiguousarray(seq.matrix), 16, 20)
+        theta = self.geometric_schedule(0.5)
+        out, c_out = (background_subtract(s, 2, theta) for s in (seq, c_seq))
+        for a, b in zip(out[:2], c_out[:2]):
+            assert a.matrix.tobytes() == b.matrix.tobytes()
+        assert out[2].residuals == c_out[2].residuals
 
     def test_reconstruction_residual(self):
         seq, _ = moving_blob_scene(height=16, width=20, n_frames=20)
