@@ -5,6 +5,7 @@ then rows*cols little-endian float64 values in row-major order.  Round
 trips are bit-exact.
 """
 
+import os
 import struct
 
 import numpy as np
@@ -27,7 +28,8 @@ def write_matrix(M, path):
 
 
 def read_matrix(path):
-    """Read a matrix written by :func:`write_matrix`."""
+    """Read a matrix written by :func:`write_matrix` from a regular file,
+    whose length bounds the size a header may claim."""
     with open(path, "rb") as fh:
         head = fh.read(4)
         if head != _MAGIC:
@@ -38,10 +40,12 @@ def read_matrix(path):
         rows, cols = struct.unpack("<QQ", dims)
         if rows == 0 or cols == 0:
             raise FormatError(f"{path}: empty matrix ({rows}x{cols})")
-        payload = fh.read(rows * cols * 8)
-        if len(payload) != rows * cols * 8:
+        # A forged header must not make the reader allocate what it claims.
+        size, left = rows * cols * 8, os.fstat(fh.fileno()).st_size - fh.tell()
+        payload = fh.read(size) if size <= left else b""
+        if len(payload) != size:
             raise FormatError(f"{path}: truncated payload "
-                              f"({len(payload)} of {rows * cols * 8} bytes)")
+                              f"({left} of {size} bytes)")
     data = np.frombuffer(payload, dtype="<f8").astype(np.float64)
     return data.reshape(rows, cols)
 

@@ -22,12 +22,12 @@ and accumulates the thin products ``W R``, ``W^T L`` and ``W^T W R``; the
 rest is ``O(n r^2)`` work on the factors.  The next iterate's residual
 follows from those products (:func:`_next_resid_sq`), so the loop neither
 reads nor writes an ``S``: the returned ``S`` is built once, at the end,
-from the previous factors.  Besides ``Y``, a solve holds one ``S`` and the
-returned ``X``; the ``iterate_change`` stop, which compares consecutive
-``S``, holds two ``S`` buffers while it iterates, writes one every
-iteration and frees the spare before ``X`` is formed.  The passes'
-three slab-sized scratch buffers are allocated once per solve, or once per
-training run, and reused by every pass (see :class:`_Scratch`).
+by one more pass at the previous factors.  Besides ``Y``, a solve holds
+one ``S`` and the returned ``X``; the ``iterate_change`` stop, which
+compares consecutive ``S``, holds two ``S`` buffers while it iterates,
+writes one every iteration and frees the spare before ``X`` is formed.
+The passes' three slab-sized scratch buffers are allocated once per solve,
+or once per training run, and reused by every pass (see :class:`_Scratch`).
 
 Thresholds and step sizes come from one of two schedule sources, each
 checked when built: a :class:`~lrpca.schedule.ParamSchedule`, learned or
@@ -373,25 +373,6 @@ def _soft_pass(Y, L, R, zeta, scratch, S=None, S_out=None, truth=None,
     return _Pass(resid_sq, err_sq, dS_sq, S_sq, C_sq, CR, CtL, CtCR)
 
 
-def _soft_last(Y, old, new, zeta, scratch, truth=None):
-    """The returned ``S' = soft_threshold(Y - L R^T, zeta)`` from the factors
-    ``old`` of the previous iterate, and the residual and error of the
-    iterate ``new`` measured against it, in the row slabs of
-    :func:`_soft_pass`.  Returns ``(S', pass)``."""
-    S = np.empty(Y.shape)
-    RT, RT_new = old.R.T, new.R.T
-    resid_sq = err_sq = 0.0
-    for sl, X, C, _ in scratch.rows(*Y.shape):
-        T = np.subtract(Y[sl], _product_rows(old.L[sl], RT, X), out=X)
-        np.subtract(T, np.clip(T, -zeta, zeta, out=C), out=S[sl])
-        X = _product_rows(new.L[sl], RT_new, X)
-        if truth is not None:
-            err_sq += _sq(np.subtract(X, truth[sl], out=C))
-        T = np.subtract(Y[sl], X, out=X)
-        resid_sq += _sq(np.subtract(T, S[sl], out=X))
-    return S, _Pass(resid_sq, err_sq)
-
-
 def _soft_backward(Y, L, R, zeta, eta, L_bar, R_bar, scratch):
     """Reverse mode through one soft-threshold iteration.
 
@@ -456,12 +437,6 @@ def _sparsify_pass(Y, L, R, alpha_tilde, scratch, S=None, S_out=None,
     WR = W @ R
     WtWR = W.T @ WR if resid_next else None
     return _Pass(resid_sq, err_sq, dS_sq, S_sq, _sq(W), WR, W.T @ L, WtWR)
-
-
-def _sparsify_last(Y, old, new, alpha_tilde, scratch, truth=None):
-    """:func:`_soft_last` for top-fraction sparsification."""
-    S = _sparsify_unchecked(Y - old.product(), alpha_tilde)
-    return S, _sparsify_pass(Y, new.L, new.R, None, scratch, S=S, truth=truth)
 
 
 def _scaled_update(factors, p, eta):
@@ -565,7 +540,7 @@ def _resolve_schedule(schedule, truth, max_iters):
     raise InvalidInput(f"unsupported schedule source {type(schedule).__name__}")
 
 
-def _run(Y, stop, truth, init_fn, params_fn, pass_fn, last_fn):
+def _run(Y, stop, truth, init_fn, params_fn, pass_fn):
     """The iteration loop shared by both solvers.
 
     Row 0 of the trace is measured against the init's ``S_0`` by the pass
@@ -573,9 +548,10 @@ def _run(Y, stop, truth, init_fn, params_fn, pass_fn, last_fn):
     error against ``truth`` and returns the sums from which, once the factor
     update is made, iterate k + 1's residual follows (:func:`_next_resid_sq`),
     so the stop rule decides before the next pass.  The returned S is built
-    once, by ``last_fn`` from the previous factors, which also measures the
-    returned iterate directly; only ``iterate_change``, whose stop needs both
-    ``S_k`` and ``S_{k+1}``, writes S' into a double buffer every pass.  An
+    once, after the loop, by one more ``pass_fn`` at the previous factors;
+    only ``iterate_change``, whose stop needs both ``S_k`` and ``S_{k+1}``,
+    writes S' into a double buffer every pass and so has it already.  A
+    measure-only pass then measures the returned iterate against it.  An
     init whose residual is exactly zero ends the solve in every mode.
     Every pass reuses the solve's one set of slab buffers.
     ``wall_ms[k]`` is the time since the previous row.
@@ -616,7 +592,7 @@ def _run(Y, stop, truth, init_fn, params_fn, pass_fn, last_fn):
     while not converged and k < stop.max_iters:
         k += 1
         if not track:
-            S = None  # last_fn builds the returned S
+            S = None  # free S_0: the final step builds the returned S
         zeta, eta = nxt
         try:
             new = _scaled_update(factors, p, eta)
@@ -642,10 +618,10 @@ def _run(Y, stop, truth, init_fn, params_fn, pass_fn, last_fn):
                     truth=truth, prev=S, resid_next=True)
         append(k, zeta, eta, res, p.err_sq)
     if k > 0:  # measure the returned iterate against the returned S
-        if track:
-            p = pass_fn(Y, factors.L, factors.R, None, scratch, S=S, truth=truth)
-        else:
-            S, p = last_fn(Y, old, factors, zeta, scratch, truth)
+        if not track:
+            S = np.empty(Y.shape)
+            pass_fn(Y, old.L, old.R, zeta, scratch, S_out=S)
+        p = pass_fn(Y, factors.L, factors.R, None, scratch, S=S, truth=truth)
         append(k, zeta, eta, residual(k, p.resid_sq), p.err_sq)
     trace.stop_reason = "converged" if converged else "max_iters"
     del scratch, S_next  # free the slab buffers and the spare S before X is formed
@@ -688,7 +664,7 @@ def solve(Y, r, schedule, stop=StopRule(), truth=None, seed=0):
     def init():
         return spectral_init(Ym, r, zeta0, seed=seed), zeta0
 
-    return _run(Ym, stop, truth, init, params_fn, _soft_pass, _soft_last)
+    return _run(Ym, stop, truth, init, params_fn, _soft_pass)
 
 
 def solve_scaledgd(Y, r, alpha_tilde, eta, stop=StopRule(), truth=None, seed=0):
@@ -713,5 +689,5 @@ def solve_scaledgd(Y, r, alpha_tilde, eta, stop=StopRule(), truth=None, seed=0):
         S0 = _sparsify_unchecked(Ym, alpha_tilde)
         return _factor_state(Ym, S0, r, seed), alpha_tilde
 
-    return _run(Ym, stop, truth, init,
-                lambda *_: (alpha_tilde, eta), _sparsify_pass, _sparsify_last)
+    return _run(Ym, stop, truth, init, lambda *_: (alpha_tilde, eta),
+                _sparsify_pass)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput
-from .validation import check_rank, check_seed
+from .validation import check_count, check_rank, check_seed
 
 __all__ = ["ProblemInstance", "gen_instance", "banded_sparse_matrix",
            "InstanceSource"]
@@ -34,10 +34,11 @@ class ProblemInstance:
 
 def gen_instance(n1, n2, r, alpha, seed):
     """Generate one seeded problem instance (deterministic for a seed >= 0)."""
+    n1, n2 = check_count(n1, "n1"), check_count(n2, "n2")
     r = check_rank(r, n1, n2)
     if not 0.0 <= alpha <= 1.0:
         raise InvalidInput(f"alpha must be in [0, 1], got {alpha}")
-    check_seed(seed)
+    seed = check_seed(seed)
     rng = np.random.default_rng(seed)
     n = max(n1, n2)
     L = rng.normal(0.0, np.sqrt(1.0 / n), size=(n1, r))
@@ -50,7 +51,7 @@ def gen_instance(n1, n2, r, alpha, seed):
         bound = float(np.abs(X).mean())
         S[pos] = rng.uniform(-bound, bound, size=count)
     S = S.reshape(n1, n2)
-    return ProblemInstance(X + S, X, S, r, float(alpha), int(seed))
+    return ProblemInstance(X + S, X, S, r, float(alpha), seed)
 
 
 def banded_sparse_matrix(n, alpha, seed):
@@ -84,14 +85,12 @@ class InstanceSource:
     """
 
     def __init__(self, n1, n2, r, alpha, base_seed=0):
-        self.n1 = int(n1)
-        self.n2 = int(n2)
-        self.r = check_rank(r, n1, n2)
+        self.n1, self.n2 = check_count(n1, "n1"), check_count(n2, "n2")
+        self.r = check_rank(r, self.n1, self.n2)
         if not 0.0 <= alpha <= 1.0:
             raise InvalidInput(f"alpha must be in [0, 1], got {alpha}")
         self.alpha = float(alpha)
-        self.base_seed = int(base_seed)
-        check_seed(self.base_seed)
+        self.base_seed = check_seed(base_seed)
 
     def instance(self, i):
         return gen_instance(self.n1, self.n2, self.r, self.alpha,

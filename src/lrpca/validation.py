@@ -1,10 +1,13 @@
 """Input validation helpers shared by the public operations."""
 
+import numbers
+
 import numpy as np
 
 from .errors import InvalidInput
 
-__all__ = ["check_matrix", "check_rank", "check_same_shape", "check_seed"]
+__all__ = ["check_count", "check_matrix", "check_rank", "check_same_shape",
+           "check_seed"]
 
 
 def check_matrix(M, name="matrix"):
@@ -23,10 +26,16 @@ def check_matrix(M, name="matrix"):
     return np.ascontiguousarray(A)
 
 
+def check_count(n, name, low=1):
+    """``n`` as an ``int``; it must be an integer (numpy's too) >= ``low``."""
+    if not isinstance(n, numbers.Integral) or n < low:
+        raise InvalidInput(f"{name} must be >= {low} and an integer, "
+                           f"got {n!r}")
+    return int(n)
+
+
 def check_rank(r, n1, n2):
-    r = int(r)
-    if r < 1:
-        raise InvalidInput(f"rank must be >= 1, got {r}")
+    r = check_count(r, "rank")
     if r > min(n1, n2):
         raise InvalidInput(f"rank {r} exceeds min(shape)={min(n1, n2)}")
     return r
@@ -39,5 +48,4 @@ def check_same_shape(*mats):
 
 
 def check_seed(seed):
-    if seed < 0:
-        raise InvalidInput(f"seed must be >= 0, got {seed}")
+    return check_count(seed, "seed", 0)

@@ -21,7 +21,7 @@ __all__ = ["FrameSequence", "read_pgm", "write_pgm", "read_pgm_sequence",
            "moving_blob_scene"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FrameSequence:
     """Equal-sized grayscale frames with values in [0, 1], held as one
     ``(height*width) x n_frames`` matrix: column j is frame j, row-major.
@@ -37,6 +37,7 @@ class FrameSequence:
 
     From separate frame arrays, build a sequence with
     ``FrameSequence(np.stack(frames).reshape(n, -1).T, height, width)``.
+    ``==`` is identity; compare the matrices to compare contents.
     """
 
     matrix: np.ndarray

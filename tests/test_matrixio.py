@@ -3,6 +3,7 @@ import pytest
 
 from lrpca import (FormatError, InvalidInput, read_matrix,
                    write_matrix)
+from conftest import traced_peak
 
 
 class TestBinaryFormat:
@@ -42,6 +43,27 @@ class TestBinaryFormat:
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(FormatError):
             read_matrix(path)
+
+    # The first product overflows what fh.read can take, the second is 128
+    # GiB; a header is checked against the file's length before any read.
+    @pytest.mark.parametrize("rows, cols", [(2**40, 2**40), (2**20, 2**14)],
+                             ids=["overflow", "huge"])
+    def test_forged_header_rejected_without_allocating(self, tmp_path, rows,
+                                                       cols):
+        path = tmp_path / "m.lrpm"
+        path.write_bytes(b"LRPM" + rows.to_bytes(8, "little")
+                         + cols.to_bytes(8, "little") + b"\x00" * 64)
+
+        def read():
+            with pytest.raises(FormatError, match="truncated payload"):
+                read_matrix(path)
+        assert traced_peak(read)[1] < 1 << 20
+
+    def test_trailing_bytes_ignored(self, tmp_path):
+        path = tmp_path / "m.lrpm"
+        write_matrix([[1.0, 2.0]], path)
+        path.write_bytes(path.read_bytes() + b"extra")
+        assert np.array_equal(read_matrix(path), [[1.0, 2.0]])
 
     def test_empty_matrix_rejected(self, tmp_path):
         path = tmp_path / "m.lrpm"

@@ -8,8 +8,8 @@ from lrpca import (ConvergenceFailure, FactorPair, FixedSchedule, InvalidInput,
 from lrpca import solver as solver_module
 from lrpca.linalg import _SKETCH_OVERSAMPLE, _exact_svd, _sketch_svd
 from lrpca.solver import (_block_rows, _factor_state, _low_rank_change,
-                          _scaled_update, _Scratch, _soft_backward, _soft_last,
-                          _soft_pass, _sparsify_pass)
+                          _scaled_update, _Scratch, _soft_backward, _soft_pass,
+                          _sparsify_pass)
 from conftest import run_concurrently, traced_peak
 from oracles import (dense_layer_vjp, dense_reference_solve,
                      scalar_lrpca_step, sort_sparsify)
@@ -534,6 +534,7 @@ class TestSlabStreamedIteration:
         assert np.linalg.norm(X - X_ref) <= 1e-12 * np.linalg.norm(X_ref)
         assert np.linalg.norm(S - S_ref) <= 1e-12 * np.linalg.norm(S_ref)
 
+    @pytest.mark.parametrize("solver", ["lrpca", "scaledgd"])
     @pytest.mark.parametrize("n1, n2, r, alpha", MULTI_SLAB)
     @pytest.mark.parametrize("stop", [
         StopRule("residual_rel", 1e-6, 100),
@@ -541,10 +542,19 @@ class TestSlabStreamedIteration:
         StopRule("fixed_iters", max_iters=20),
     ], ids=["residual", "change", "fixed"])
     def test_last_trace_row_measures_returned_iterate(self, n1, n2, r, alpha,
-                                                      stop):
+                                                      stop, solver):
+        # Both solvers build the returned S by one more pass at the previous
+        # factors, except under iterate_change, which already holds it.
         inst = gen_instance(n1, n2, r, alpha, 3)
-        X, S, trace = solve(inst.Y, r, OracleSchedule(0.5), stop,
-                            truth=inst.X_star, seed=1)
+        if solver == "lrpca":
+            X, S, trace = solve(inst.Y, r, OracleSchedule(0.5), stop,
+                                truth=inst.X_star, seed=1)
+        else:
+            X, S, trace = solve_scaledgd(
+                inst.Y, r, 2 * alpha, 0.5,
+                StopRule(stop.mode, stop.tolerance, 25), truth=inst.X_star,
+                seed=1)
+        assert trace.iterations > 1
         assert trace.residuals[-1] == pytest.approx(
             residual_rel(inst.Y, X, S), rel=1e-12)
         rel_err = (np.linalg.norm(X - inst.X_star)
@@ -564,22 +574,24 @@ class TestSlabStreamedIteration:
         # between come from the pass's thin products.
         inst = gen_instance(n1, n2, r, alpha, 3)
         if solver == "lrpca":
-            _, _, trace = solve(inst.Y, r, OracleSchedule(0.5), stop,
+            X, S, trace = solve(inst.Y, r, OracleSchedule(0.5), stop,
                                 truth=inst.X_star, seed=1)
-            _, _, res_ref, err_ref = _dense_run(inst, OracleSchedule(0.5),
-                                                stop)
+            X_ref, S_ref, res_ref, err_ref = _dense_run(
+                inst, OracleSchedule(0.5), stop)
             np.testing.assert_allclose(trace.rel_errs, err_ref, rtol=1e-10)
         else:
             a = 2 * alpha
             stop = StopRule(stop.mode, stop.tolerance, 25)
-            _, _, trace = solve_scaledgd(inst.Y, r, a, 0.5, stop, seed=1)
+            X, S, trace = solve_scaledgd(inst.Y, r, a, 0.5, stop, seed=1)
             init = _factor_state(inst.Y, sort_sparsify(inst.Y, a), r, 1)
-            _, _, res_ref, _ = dense_reference_solve(
+            X_ref, S_ref, res_ref, _ = dense_reference_solve(
                 inst.Y, init.factors.L, init.factors.R, init.S,
                 lambda k, X: (a, 0.5), stop.mode, stop.tolerance,
                 stop.max_iters, outlier=sort_sparsify)
         assert trace.iterations == len(res_ref) - 1 > 1
         np.testing.assert_allclose(trace.residuals, res_ref, rtol=1e-10)
+        assert np.linalg.norm(X - X_ref) <= 1e-12 * np.linalg.norm(X_ref)
+        assert np.linalg.norm(S - S_ref) <= 1e-12 * np.linalg.norm(S_ref)
 
     @pytest.mark.parametrize("n1, n2, r, alpha", MULTI_SLAB)
     def test_residual_stop_holds_one_S(self, n1, n2, r, alpha):
@@ -768,8 +780,9 @@ def _slab_calls(inst, r, scratch=None):
     rng = np.random.default_rng(8)
     L_bar, R_bar = rng.standard_normal(f.L.shape), rng.standard_normal(f.R.shape)
     back = _soft_backward(inst.Y, f.L, f.R, zeta, 0.6, L_bar, R_bar, buffers())
-    S_last, last = _soft_last(inst.Y, f, new, zeta, buffers(), truth=inst.X_star)
-    return [*p, S_out, *back, S_last, *last]
+    last = _soft_pass(inst.Y, new.L, new.R, None, buffers(), S=S_out,
+                      truth=inst.X_star)
+    return [*p, S_out, *back, *last]
 
 
 def _bit_equal(a, b):

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from lrpca import (InstanceSource, InvalidInput, banded_sparse_matrix,
-                   gen_instance)
+from lrpca import (FixedSchedule, InstanceSource, InvalidInput,
+                   banded_sparse_matrix, gen_instance, solve)
 
 
 class TestGenInstance:
@@ -94,3 +94,31 @@ class TestInstanceSource:
 def test_negative_seed_rejected(make):
     with pytest.raises(InvalidInput, match="seed must be >= 0"):
         make()
+
+
+# A rank, seed or size that is not an integer was truncated or reached
+# numpy as a TypeError.
+@pytest.mark.parametrize("make, message", [
+    (lambda: solve(np.eye(6), 2.7, FixedSchedule(0.1, 0.5)),
+     "rank must be >= 1"),
+    (lambda: gen_instance(10, 10, 2.0, 0.1, 0), "rank must be >= 1"),
+    (lambda: gen_instance(10, 10, 2, 0.1, 1.5), "seed must be >= 0"),
+    (lambda: solve(np.eye(6), 2, FixedSchedule(0.1, 0.5), seed=1.5),
+     "seed must be >= 0"),
+    (lambda: InstanceSource(10, 10, 2, 0.1, base_seed=1.5),
+     "seed must be >= 0"),
+    (lambda: gen_instance(10.5, 10, 2, 0.1, 0), "n1 must be >= 1"),
+    (lambda: InstanceSource(10.5, 10, 2, 0.1), "n1 must be >= 1"),
+    (lambda: InstanceSource(10, 10.0, 2, 0.1), "n2 must be >= 1"),
+], ids=["solve_rank", "gen_rank", "gen_seed", "solve_seed", "source_seed",
+        "gen_size", "source_n1", "source_n2"])
+def test_count_not_integer_rejected(make, message):
+    with pytest.raises(InvalidInput, match=f"{message} and an integer"):
+        make()
+
+
+def test_numpy_integer_counts_accepted():
+    inst = gen_instance(np.int64(10), np.int32(8), np.int64(2), 0.1,
+                        np.uint8(4))
+    assert inst.shape == (10, 8) and inst.r == 2 and inst.seed == 4
+    assert type(inst.r) is int and type(inst.seed) is int

@@ -246,6 +246,13 @@ class TestFrameMatrix:
         with pytest.raises(InvalidInput):
             matrix_to_frames(rng.random((7, 2)), 2, 2)
 
+    def test_equality_is_identity(self):
+        # A generated __eq__ compared the matrices with == and raised.
+        a, _ = moving_blob_scene(4, 5, 3, blob=2)
+        b, _ = moving_blob_scene(4, 5, 3, blob=2)
+        assert (a == a) is True and (a == b) is False and (a != b) is True
+        assert np.array_equal(a.matrix, b.matrix)
+
 
 class TestBackgroundSubtract:
     @staticmethod
