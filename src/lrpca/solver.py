@@ -23,9 +23,9 @@ rest is ``O(n r^2)`` work on the factors.  The next iterate's residual
 follows from those products (:func:`_next_resid_sq`), so the loop neither
 reads nor writes an ``S``: the returned ``S`` is built once, at the end,
 by one more pass at the previous factors.  Besides ``Y``, a solve holds
-one ``S`` and the returned ``X``; the ``iterate_change`` stop, which
-compares consecutive ``S``, holds two ``S`` buffers while it iterates,
-writes one every iteration and frees the spare before ``X`` is formed.
+one ``S`` and the returned ``X``.  The ``iterate_change`` stop, which
+compares consecutive ``S``, keeps its ``S`` through the loop instead, and
+every pass replaces ``S_k`` in it with ``S_{k+1}`` slab by slab.
 The passes' three slab-sized scratch buffers are allocated once per solve,
 or once per training run, and reused by every pass (see :class:`_Scratch`).
 
@@ -329,13 +329,17 @@ def _soft_pass(Y, L, R, zeta, scratch, S=None, S_out=None, truth=None,
     then adds ``||T_sl - S_sl||^2`` (when ``S`` is given) and
     ``||X_sl - truth_sl||^2`` (when ``truth`` is given).  With a threshold
     ``zeta`` it fills ``W_sl R`` and accumulates ``W_sl^T L_sl`` with
-    ``W_sl = -clip(T_sl, +-zeta)``; it writes ``S'_sl = T_sl + W_sl`` into
-    ``S_out`` (when given) and adds ``||S'_sl - prev_sl||^2`` and
-    ``||prev_sl||^2`` (when ``prev`` is given).  With ``resid_next`` it also
-    adds ``||W_sl||^2`` and accumulates ``W_sl^T W_sl R``, from which
-    :func:`_next_resid_sq` takes the residual of the next iterate.  So one
-    iteration reads Y once, and S only when asked to, and never holds an
-    n1 x n2 temporary; without ``zeta`` the pass only measures the iterate.
+    ``W_sl = -clip(T_sl, +-zeta)``.  With ``S_out`` it forms
+    ``S'_sl = T_sl + W_sl`` in the slab scratch, adds
+    ``||S'_sl - prev_sl||^2`` and ``||prev_sl||^2`` (when ``prev`` is
+    given) while ``prev_sl`` is in cache, and then copies ``S'_sl`` into
+    ``S_out``, which may be ``prev`` itself: so an ``iterate_change`` solve
+    replaces ``S_k`` with ``S_{k+1}`` in the one ``S`` it holds.  With
+    ``resid_next`` it also adds ``||W_sl||^2`` and accumulates
+    ``W_sl^T W_sl R``, from which :func:`_next_resid_sq` takes the residual
+    of the next iterate.  So one iteration reads Y once, and S only when
+    asked to, and never holds an n1 x n2 temporary; without ``zeta`` the
+    pass only measures the iterate.
     """
     n1, n2 = Y.shape
     r = L.shape[1]
@@ -358,10 +362,13 @@ def _soft_pass(Y, L, R, zeta, scratch, S=None, S_out=None, truth=None,
             continue
         np.clip(T, -zeta, zeta, out=C)
         if S_out is not None:
-            np.subtract(T, C, out=S_out[sl])
+            # S' goes through the scratch, so S_out may be prev.
+            Sn = np.subtract(T, C, out=D)
             if prev is not None:
-                dS_sq += _sq(np.subtract(S_out[sl], prev[sl], out=D))
-                S_sq += _sq(prev[sl])
+                P = prev[sl]
+                dS_sq += _sq(np.subtract(Sn, P, out=T))
+                S_sq += _sq(P)
+            S_out[sl] = Sn
         np.matmul(C, R, out=CR[sl])
         CtL += C.T @ L[sl]
         if resid_next:
@@ -549,11 +556,14 @@ def _run(Y, stop, truth, init_fn, params_fn, pass_fn):
     update is made, iterate k + 1's residual follows (:func:`_next_resid_sq`),
     so the stop rule decides before the next pass.  The returned S is built
     once, after the loop, by one more ``pass_fn`` at the previous factors;
-    only ``iterate_change``, whose stop needs both ``S_k`` and ``S_{k+1}``,
-    writes S' into a double buffer every pass and so has it already.  A
-    measure-only pass then measures the returned iterate against it.  An
-    init whose residual is exactly zero ends the solve in every mode.
-    Every pass reuses the solve's one set of slab buffers.
+    only ``iterate_change``, whose stop compares ``S_k`` with ``S_{k+1}``,
+    has every pass write S' over the S it compared, and so has it already.
+    A measure-only pass then measures the returned iterate against it.  An
+    init whose residual is exactly zero ends the solve in every mode; under
+    ``iterate_change`` the row-0 pass has then written ``S_1`` over ``S_0``,
+    so ``init_fn``'s third return value, the init's outlier rule, makes
+    ``S_0`` again, bit for bit.  Every pass reuses the solve's one set of
+    slab buffers.
     ``wall_ms[k]`` is the time since the previous row.
     """
     trace = SolveTrace()
@@ -577,15 +587,16 @@ def _run(Y, stop, truth, init_fn, params_fn, pass_fn):
                 f"residual is {res} at iteration {k}: the iterates diverged")
         return res
 
-    state, zeta = init_fn()
+    state, zeta, outliers0 = init_fn()
     factors, S = state.factors, state.S
     del state
     scratch = _Scratch()
     eta, k = float("nan"), 0
     nxt = params_fn(1, factors, scratch) if stop.max_iters > 0 else (None, None)
-    S_next = np.empty(Y.shape) if track and stop.max_iters > 0 else None
-    p = pass_fn(Y, factors.L, factors.R, nxt[0], scratch, S=S, S_out=S_next,
-                truth=truth, prev=S if track else None, resid_next=True)
+    prev = S if track else None  # iterate_change writes S_1 over S_0
+    p = pass_fn(Y, factors.L, factors.R, nxt[0], scratch, S=S, S_out=prev,
+                truth=truth, prev=prev, resid_next=True)
+    del prev
     res = residual(0, p.resid_sq)
     append(0, zeta, eta, res, p.err_sq)
     converged = res == 0.0 or (by_residual and res < stop.tolerance)
@@ -607,14 +618,13 @@ def _run(Y, stop, truth, init_fn, params_fn, pass_fn):
         if track:
             change = max(_ratio(dX_sq, X_sq), _ratio(p.dS_sq, p.S_sq))
             converged = change < stop.tolerance
-            S, S_next = S_next, S
         else:
             converged = by_residual and res < stop.tolerance
         old, factors = factors, new
         if converged or k == stop.max_iters:
             break
         nxt = params_fn(k + 1, factors, scratch)
-        p = pass_fn(Y, factors.L, factors.R, nxt[0], scratch, S_out=S_next,
+        p = pass_fn(Y, factors.L, factors.R, nxt[0], scratch, S_out=S,
                     truth=truth, prev=S, resid_next=True)
         append(k, zeta, eta, res, p.err_sq)
     if k > 0:  # measure the returned iterate against the returned S
@@ -623,8 +633,10 @@ def _run(Y, stop, truth, init_fn, params_fn, pass_fn):
             pass_fn(Y, old.L, old.R, zeta, scratch, S_out=S)
         p = pass_fn(Y, factors.L, factors.R, None, scratch, S=S, truth=truth)
         append(k, zeta, eta, residual(k, p.resid_sq), p.err_sq)
+    elif track and stop.max_iters > 0:
+        S = outliers0()  # the row-0 pass wrote S_1 over S_0
     trace.stop_reason = "converged" if converged else "max_iters"
-    del scratch, S_next  # free the slab buffers and the spare S before X is formed
+    del scratch  # free the slab buffers before X is formed
     return factors.product(), S, trace
 
 
@@ -662,7 +674,8 @@ def solve(Y, r, schedule, stop=StopRule(), truth=None, seed=0):
     zeta0, params_fn = _resolve_schedule(schedule, truth, stop.max_iters)
 
     def init():
-        return spectral_init(Ym, r, zeta0, seed=seed), zeta0
+        return (spectral_init(Ym, r, zeta0, seed=seed), zeta0,
+                lambda: soft_threshold(Ym, zeta0))
 
     return _run(Ym, stop, truth, init, params_fn, _soft_pass)
 
@@ -685,9 +698,11 @@ def solve_scaledgd(Y, r, alpha_tilde, eta, stop=StopRule(), truth=None, seed=0):
         truth = check_matrix(truth, "truth")
         check_same_shape(Ym, truth)
 
+    def outliers0():
+        return _sparsify_unchecked(Ym, alpha_tilde)
+
     def init():
-        S0 = _sparsify_unchecked(Ym, alpha_tilde)
-        return _factor_state(Ym, S0, r, seed), alpha_tilde
+        return _factor_state(Ym, outliers0(), r, seed), alpha_tilde, outliers0
 
     return _run(Ym, stop, truth, init, lambda *_: (alpha_tilde, eta),
                 _sparsify_pass)

@@ -93,5 +93,6 @@ class InstanceSource:
         self.base_seed = check_seed(base_seed)
 
     def instance(self, i):
+        i = check_count(i, "instance index", 0)
         return gen_instance(self.n1, self.n2, self.r, self.alpha,
-                            self.base_seed + int(i))
+                            self.base_seed + i)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import FormatError, InvalidInput
 from .solver import StopRule, solve
-from .validation import check_matrix
+from .validation import check_count, check_matrix
 
 __all__ = ["FrameSequence", "read_pgm", "write_pgm", "read_pgm_sequence",
            "frames_to_matrix", "matrix_to_frames", "background_subtract",
@@ -50,6 +50,8 @@ class FrameSequence:
                 or shape[0] != self.height * self.width):
             raise InvalidInput(f"frame matrix of shape {shape} does not hold "
                                f"{self.height}x{self.width} frames")
+        check_count(self.height, "frame height")
+        check_count(self.width, "frame width")
         if shape[1] == 0:
             raise InvalidInput("frame sequence must contain at least one frame")
 

@@ -85,6 +85,15 @@ class TestInstanceSource:
         src = InstanceSource(20, 20, 2, 0.1, base_seed=5)
         assert not np.array_equal(src.instance(0).Y, src.instance(1).Y)
 
+    @pytest.mark.parametrize("i", [1.5, -2])
+    def test_index_not_a_count_rejected(self, i):
+        # int(i) truncated 1.5 to instance 1, and -2 gave the instance of
+        # seed base_seed - 2.
+        src = InstanceSource(10, 10, 2, 0.1, 3)
+        with pytest.raises(InvalidInput,
+                           match="instance index must be >= 0 and an integer"):
+            src.instance(i)
+
 
 @pytest.mark.parametrize("make", [
     lambda: gen_instance(10, 10, 2, 0.1, -1),
