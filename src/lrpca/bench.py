@@ -17,6 +17,7 @@ from .errors import InvalidInput, LrpcaError
 from .schedule import rescale_schedule
 from .solver import FixedSchedule, StopRule, solve, solve_scaledgd
 from .synth import gen_instance
+from .validation import check_count
 
 __all__ = ["SolverSpec", "BenchReport", "lrpca_spec", "scaledgd_spec",
            "convergence_bench", "recoverability_sweep",
@@ -101,8 +102,7 @@ def recoverability_sweep(alphas, trials_per_alpha, spec_factory, success_tol,
     is below ``success_tol``; solver failures count as misses.  Rows are
     ordered by (alpha, trial, solver).
     """
-    if trials_per_alpha < 1:
-        raise InvalidInput("need at least one trial per alpha")
+    check_count(trials_per_alpha, "trials_per_alpha")
     stop = StopRule(mode="fixed_iters", max_iters=max_iters)
     specs_by_alpha = [(alpha, spec_factory(alpha)) for alpha in alphas]
     if not all(specs for _, specs in specs_by_alpha):
@@ -152,8 +152,7 @@ def generalization_bench(theta_base, base_dims, target_dims_list, tol,
     One row per (target, trial), in that order, each solve stopping at the
     residual tolerance or ``max_iters``; success means the solve converged.
     """
-    if trials < 1:
-        raise InvalidInput("need at least one trial per target")
+    check_count(trials, "trials")
     n_base, r_base = base_dims
     rows = []
     for n_t, r_t in target_dims_list:

@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .errors import InvalidInput, ParseError
+from .validation import check_count
 
 __all__ = ["ParamSchedule", "rescale_schedule", "write_schedule",
            "read_schedule"]
@@ -53,9 +54,7 @@ class ParamSchedule:
 
     def at(self, k):
         """(zeta_k, eta_k) for iteration ``k >= 1``: stored, then geometric."""
-        k = int(k)
-        if k < 1:
-            raise InvalidInput("iteration index must be >= 1; zeta_0 is zeta0")
+        k = check_count(k, "iteration index", 1)  # zeta_0 is zeta0
         K = self.K
         if k <= K:
             return self.zetas[k], self.etas[k - 1]

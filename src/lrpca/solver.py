@@ -13,16 +13,18 @@ seeded by a spectral initialization (threshold Y once, then a rank-r SVD of
 the rest, from a seeded three-pass range sketch on all but small inputs; see
 :func:`spectral_init`).
 The Gram-scaled steps make the per-iteration progress insensitive to the
-conditioning of the low-rank part.  A baseline variant replaces the
-soft-threshold with top-fraction sparsification.
+conditioning of the low-rank part.  The baseline :func:`solve_scaledgd`
+(ScaledGD) swaps the threshold for top-fraction sparsification at a fixed
+step size; both solvers run one driver, :func:`_run`.
 
 One iteration makes a single pass over ``Y`` in row slabs (see
 :func:`_soft_pass`): each slab forms its rows of ``L R^T`` once, thresholds
 and accumulates the thin products ``W R``, ``W^T L`` and ``W^T W R``; the
 rest is ``O(n r^2)`` work on the factors.  The next iterate's residual
 follows from those products (:func:`_next_resid_sq`), so the loop neither
-reads nor writes an ``S``: the returned ``S`` is built once, at the end,
-by one more pass at the previous factors.  Besides ``Y``, a solve holds
+reads nor writes an ``S``.  The returned ``S_k`` is the outlier rule's pass
+at the previous iterate, built once, at the end; before the init that
+iterate is zero, whose pass gives ``S_0``.  Besides ``Y``, a solve holds
 one ``S`` and the returned ``X``.  The ``iterate_change`` stop, which
 compares consecutive ``S``, keeps its ``S`` through the loop instead, and
 every pass replaces ``S_k`` in it with ``S_{k+1}`` slab by slab.
@@ -37,7 +39,6 @@ X_true||_inf`` from ground truth at every iteration (useful to verify the
 guaranteed geometric contraction).
 """
 
-import numbers
 import time
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -49,7 +50,8 @@ from .linalg import (_SKETCH_OVERSAMPLE, _exact_svd, _gram_solver,
                      _sketch_svd, gram_solve, truncated_svd)
 from .operators import _sparsify_unchecked, soft_threshold
 from .schedule import ParamSchedule, _positive
-from .validation import check_matrix, check_rank, check_same_shape, check_seed
+from .validation import (check_count, check_matrix, check_rank,
+                         check_same_shape, check_seed)
 
 __all__ = [
     "FactorPair", "SolverState", "StopRule",
@@ -99,9 +101,7 @@ class StopRule:
     def __post_init__(self):
         if self.mode not in ("residual_rel", "iterate_change", "fixed_iters"):
             raise InvalidInput(f"unknown stop mode {self.mode!r}")
-        if not isinstance(self.max_iters, numbers.Integral) or self.max_iters < 0:
-            raise InvalidInput(f"max_iters must be an integer >= 0, got "
-                               f"{self.max_iters!r}")
+        check_count(self.max_iters, "max_iters", 0)
         if not self.tolerance >= 0:  # NaN fails this test too
             raise InvalidInput(f"tolerance must be >= 0, got {self.tolerance}")
 
@@ -547,25 +547,37 @@ def _resolve_schedule(schedule, truth, max_iters):
     raise InvalidInput(f"unsupported schedule source {type(schedule).__name__}")
 
 
-def _run(Y, stop, truth, init_fn, params_fn, pass_fn):
-    """The iteration loop shared by both solvers.
+def _run(Y, r, schedule, stop, truth, seed, init_fn, pass_fn):
+    """The solve driver of both outlier rules.
 
-    Row 0 of the trace is measured against the init's ``S_0`` by the pass
-    that thresholds for iteration 1.  The pass at iterate k measures its
-    error against ``truth`` and returns the sums from which, once the factor
-    update is made, iterate k + 1's residual follows (:func:`_next_resid_sq`),
-    so the stop rule decides before the next pass.  The returned S is built
-    once, after the loop, by one more ``pass_fn`` at the previous factors;
-    only ``iterate_change``, whose stop compares ``S_k`` with ``S_{k+1}``,
-    has every pass write S' over the S it compared, and so has it already.
-    A measure-only pass then measures the returned iterate against it.  An
-    init whose residual is exactly zero ends the solve in every mode; under
-    ``iterate_change`` the row-0 pass has then written ``S_1`` over ``S_0``,
-    so ``init_fn``'s third return value, the init's outlier rule, makes
-    ``S_0`` again, bit for bit.  Every pass reuses the solve's one set of
-    slab buffers.
-    ``wall_ms[k]`` is the time since the previous row.
+    It checks the inputs, resolves ``schedule``, takes the init's state
+    from ``init_fn(Y, r, zeta_0, seed)`` and iterates with the rule's slab
+    pass ``pass_fn``.  Row 0 of the trace is measured against the init's
+    ``S_0`` by the pass that thresholds for iteration 1.  The pass at
+    iterate k measures its error against ``truth`` and returns the sums
+    from which, once the factor update is made, iterate k + 1's residual
+    follows (:func:`_next_resid_sq`), so the stop rule decides before the
+    next pass.  An init whose residual is exactly zero ends the solve in
+    every mode.
+
+    The returned ``S_k`` is the rule's pass at the previous iterate; before
+    the init that iterate is zero, whose pass reads ``Y - 0 = Y`` and so
+    gives ``S_0`` bit for bit.  Under ``iterate_change``, whose stop
+    compares ``S_k`` with ``S_{k+1}``, every pass writes S' over the S it
+    compared, so the solve holds the returned S already, unless it ended at
+    the init, where the row-0 pass wrote ``S_1`` over ``S_0``.  Every other
+    solve frees ``S_0`` after row 0.  One more ``pass_fn`` at the previous
+    iterate makes a missing S, and a measure-only pass then measures the
+    returned iterate against it.  Every pass reuses the solve's one set of
+    slab buffers.  ``wall_ms[k]`` is the time since the previous row.
     """
+    Y = check_matrix(Y, "Y")
+    r = check_rank(r, *Y.shape)
+    check_seed(seed)
+    if truth is not None:
+        truth = check_matrix(truth, "truth")
+        check_same_shape(Y, truth)
+    zeta, params_fn = _resolve_schedule(schedule, truth, stop.max_iters)
     trace = SolveTrace()
     ny = np.linalg.norm(Y)
     nt = np.linalg.norm(truth) if truth is not None else 0.0
@@ -587,9 +599,11 @@ def _run(Y, stop, truth, init_fn, params_fn, pass_fn):
                 f"residual is {res} at iteration {k}: the iterates diverged")
         return res
 
-    state, zeta, outliers0 = init_fn()
+    state = init_fn(Y, r, zeta, seed)
     factors, S = state.factors, state.S
     del state
+    # The zero iterate before the init, whose pass at zeta_0 gives S_0.
+    old = FactorPair(np.zeros((Y.shape[0], r)), np.zeros((Y.shape[1], r)))
     scratch = _Scratch()
     eta, k = float("nan"), 0
     nxt = params_fn(1, factors, scratch) if stop.max_iters > 0 else (None, None)
@@ -597,13 +611,13 @@ def _run(Y, stop, truth, init_fn, params_fn, pass_fn):
     p = pass_fn(Y, factors.L, factors.R, nxt[0], scratch, S=S, S_out=prev,
                 truth=truth, prev=prev, resid_next=True)
     del prev
+    if not track:
+        S = None  # free S_0: the final step builds the returned S
     res = residual(0, p.resid_sq)
     append(0, zeta, eta, res, p.err_sq)
     converged = res == 0.0 or (by_residual and res < stop.tolerance)
     while not converged and k < stop.max_iters:
         k += 1
-        if not track:
-            S = None  # free S_0: the final step builds the returned S
         zeta, eta = nxt
         try:
             new = _scaled_update(factors, p, eta)
@@ -627,14 +641,12 @@ def _run(Y, stop, truth, init_fn, params_fn, pass_fn):
         p = pass_fn(Y, factors.L, factors.R, nxt[0], scratch, S_out=S,
                     truth=truth, prev=S, resid_next=True)
         append(k, zeta, eta, res, p.err_sq)
+    if S is None or k == 0 < stop.max_iters:  # S_k from iterate k - 1
+        S = np.empty(Y.shape) if S is None else S
+        pass_fn(Y, old.L, old.R, zeta, scratch, S_out=S)
     if k > 0:  # measure the returned iterate against the returned S
-        if not track:
-            S = np.empty(Y.shape)
-            pass_fn(Y, old.L, old.R, zeta, scratch, S_out=S)
         p = pass_fn(Y, factors.L, factors.R, None, scratch, S=S, truth=truth)
         append(k, zeta, eta, residual(k, p.resid_sq), p.err_sq)
-    elif track and stop.max_iters > 0:
-        S = outliers0()  # the row-0 pass wrote S_1 over S_0
     trace.stop_reason = "converged" if converged else "max_iters"
     del scratch  # free the slab buffers before X is formed
     return factors.product(), S, trace
@@ -665,44 +677,25 @@ def solve(Y, r, schedule, stop=StopRule(), truth=None, seed=0):
     -------
     (X_hat, S_hat, trace)
     """
-    Ym = check_matrix(Y, "Y")
-    r = check_rank(r, *Ym.shape)
-    check_seed(seed)
-    if truth is not None:
-        truth = check_matrix(truth, "truth")
-        check_same_shape(Ym, truth)
-    zeta0, params_fn = _resolve_schedule(schedule, truth, stop.max_iters)
-
-    def init():
-        return (spectral_init(Ym, r, zeta0, seed=seed), zeta0,
-                lambda: soft_threshold(Ym, zeta0))
-
-    return _run(Ym, stop, truth, init, params_fn, _soft_pass)
+    return _run(Y, r, schedule, stop, truth, seed, spectral_init, _soft_pass)
 
 
 def solve_scaledgd(Y, r, alpha_tilde, eta, stop=StopRule(), truth=None, seed=0):
     """Baseline solver: top-fraction sparsification with a fixed step size.
 
-    Initialization mirrors the main solver, with the sparsification operator
-    in place of the threshold: ``S_0 = T_alpha(Y)``, then the rank-r SVD of
-    :func:`spectral_init`, whose range sketch ``seed`` fixes bit-for-bit.
+    It runs :func:`solve`'s driver with ``FixedSchedule(alpha_tilde, eta)``
+    and the sparsification operator ``T_alpha`` in place of the threshold:
+    ``S_0 = T_alpha(Y)``, then the rank-r SVD of :func:`spectral_init`, whose
+    range sketch ``seed`` fixes bit-for-bit, and the returned ``S`` is
+    ``T_alpha`` of the residual at the previous iterate.
     """
-    Ym = check_matrix(Y, "Y")
-    r = check_rank(r, *Ym.shape)
-    check_seed(seed)
     if not 0.0 <= alpha_tilde <= 1.0:
         raise InvalidInput(f"fraction must be in [0, 1], got {alpha_tilde}")
     if not _positive(eta):
         raise InvalidInput(f"step size must be finite and > 0, got {eta}")
-    if truth is not None:
-        truth = check_matrix(truth, "truth")
-        check_same_shape(Ym, truth)
 
-    def outliers0():
-        return _sparsify_unchecked(Ym, alpha_tilde)
+    def init(Y, r, alpha_tilde, seed):
+        return _factor_state(Y, _sparsify_unchecked(Y, alpha_tilde), r, seed)
 
-    def init():
-        return _factor_state(Ym, outliers0(), r, seed), alpha_tilde, outliers0
-
-    return _run(Ym, stop, truth, init, lambda *_: (alpha_tilde, eta),
-                _sparsify_pass)
+    return _run(Y, r, FixedSchedule(alpha_tilde, eta), stop, truth, seed,
+                init, _sparsify_pass)

@@ -61,9 +61,10 @@ def banded_sparse_matrix(n, alpha, seed):
     This is the strict per-row/column sparsity model used by the norm-bound
     properties, as opposed to the global sampling of :func:`gen_instance`.
     """
+    n = check_count(n, "n")
     if not 0.0 <= alpha <= 1.0:
         raise InvalidInput(f"alpha must be in [0, 1], got {alpha}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_seed(seed))
     m = int(np.floor(alpha * n))
     mask = np.zeros((n, n), dtype=bool)
     for _ in range(m):

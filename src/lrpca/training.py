@@ -20,7 +20,6 @@ exhaustive one would.
 """
 
 import math
-import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -28,6 +27,7 @@ import numpy as np
 from .errors import InvalidInput, LrpcaError, TrainingDiverged
 from .schedule import ParamSchedule, _positive
 from .solver import _Scratch, _soft_backward, _soft_step, spectral_init
+from .validation import check_count
 
 __all__ = ["TrainConfig", "layerwise_train", "grid_search_tail",
            "train_schedule"]
@@ -52,15 +52,10 @@ class TrainConfig:
 
     def __post_init__(self):
         for name in ("K", "K_bar", "sgd_steps_per_stage"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral):
-                raise InvalidInput(f"{name} must be an integer, got {value!r}")
-        if not 0 <= self.K <= self.K_bar or self.K == 0 < self.K_bar:
+            check_count(getattr(self, name), name, 0)
+        if self.K > self.K_bar or self.K == 0 < self.K_bar:
             raise InvalidInput(f"need K_bar >= K >= 1 or K = K_bar = 0, got "
                                f"K={self.K}, K_bar={self.K_bar}")
-        if self.sgd_steps_per_stage < 0:
-            raise InvalidInput(f"need sgd_steps_per_stage >= 0, got "
-                               f"{self.sgd_steps_per_stage}")
         if not _positive(self.learning_rate):
             raise InvalidInput(f"learning_rate must be finite and > 0, got "
                                f"{self.learning_rate}")
@@ -273,12 +268,12 @@ def train_schedule(source, cfg, grid_instances=_GRID_INSTANCES, callback=None):
     :class:`~lrpca.synth.InstanceSource`, or an adapter over a fixed list).
     The grid phase uses the ``grid_instances`` instances that follow the
     ones consumed by SGD, read one at a time from a generator, so their
-    ``S_star`` never add up in memory; ``grid_instances < 1`` raises
-    :class:`~lrpca.errors.InvalidInput` before the first SGD step.
+    ``S_star`` never add up in memory; a ``grid_instances`` that is not an
+    integer >= 1 raises :class:`~lrpca.errors.InvalidInput` before the
+    first SGD step.
     ``callback`` is passed to :func:`layerwise_train`.
     """
-    if grid_instances < 1:
-        raise InvalidInput(f"need grid_instances >= 1, got {grid_instances}")
+    check_count(grid_instances, "grid_instances")
     theta = layerwise_train(source, cfg, callback=callback)
     start = 1 + (cfg.K + 1) * cfg.sgd_steps_per_stage
     dataset = (source.instance(i) for i in range(start, start + grid_instances))

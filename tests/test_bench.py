@@ -60,9 +60,14 @@ class TestRecoverabilitySweep:
         assert report.success_count() == 0
         assert all(row["iters"] == -1 for row in report.rows)
 
-    def test_needs_trials(self):
-        with pytest.raises(InvalidInput):
-            recoverability_sweep([0.1], 0, lambda a: [], 1e-3)
+    # A count of 1.5 passed the old `< 1` test and failed in range().
+    @pytest.mark.parametrize("trials", [0, 1.5])
+    def test_needs_trials(self, trials):
+        with pytest.raises(InvalidInput,
+                           match="trials_per_alpha must be >= 1"):
+            recoverability_sweep([0.1], trials,
+                                 lambda a: [scaledgd_spec(0.2)], 1e-3,
+                                 n=20, r=2)
 
     def test_one_instance_per_trial_shared_by_solvers(self, monkeypatch):
         seeds = []
@@ -139,6 +144,12 @@ class TestGeneralizationBench:
             assert row["iters"] == trace.iterations >= 1
             assert row["final_rel_err"] == trace.rel_errs[-1]
             assert row["success"] == int(trace.stop_reason == "converged")
+
+    @pytest.mark.parametrize("trials", [0, 1.5])
+    def test_needs_trials(self, trials):
+        with pytest.raises(InvalidInput, match="trials must be >= 1"):
+            generalization_bench(toy_schedule(0.02), (40, 2), [(40, 2)],
+                                 tol=1e-3, trials=trials)
 
     def test_rows_ordered_by_target_then_trial(self):
         report = generalization_bench(toy_schedule(0.02), (40, 2),

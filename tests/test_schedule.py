@@ -47,6 +47,14 @@ class TestScheduleAt:
         with pytest.raises(ValueError):
             make_schedule().at(0)
 
+    # int(k) read 1.5, 2.9 and "2" as layers 1, 2 and 2.
+    @pytest.mark.parametrize("k", [1.5, 2.9, "2", 0])
+    def test_index_not_a_count_rejected(self, k):
+        with pytest.raises(InvalidInput,
+                           match="iteration index must be >= 1 and an integer"):
+            make_schedule().at(k)
+        assert make_schedule().at(np.int64(2)) == make_schedule().at(2)
+
     def test_no_tail_without_layers(self):
         # A K = 0 schedule has only zeta_0, so no zeta_K and eta_K to decay.
         with pytest.raises(InvalidInput, match="no tail anchor"):

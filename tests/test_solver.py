@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -395,12 +397,17 @@ class TestSolve:
         # factors could meet a singular Gram.  Under the second schedule the
         # pass that thresholds for iteration 1 makes an S_1 other than S_0,
         # which iterate_change writes over S_0: the solve must still return
-        # S_0.
+        # S_0.  ScaledGD keeping every entry (alpha_tilde = 1) has S_0 = Y
+        # as well, and must return it through the same driver.
         half = 0.5 * float(np.abs(X).max())
-        for theta in (FixedSchedule(0.0, 0.5),
-                      ParamSchedule(zetas=(0.0, half), etas=(0.5,))):
-            for mode in ("residual_rel", "iterate_change", "fixed_iters"):
-                Xh, Sh, trace = solve(X, 2, theta, StopRule(mode, 1e-6, 20))
+        runs = [lambda stop, theta=theta: solve(X, 2, theta, stop)
+                for theta in (FixedSchedule(0.0, 0.5),
+                              ParamSchedule(zetas=(0.0, half), etas=(0.5,)))]
+        runs.append(lambda stop: solve_scaledgd(X, 2, 1.0, 0.5, stop))
+        for run in runs:
+            for mode, m in itertools.product(
+                    ("residual_rel", "iterate_change", "fixed_iters"), (0, 20)):
+                Xh, Sh, trace = run(StopRule(mode, 1e-6, m))
                 assert trace.iterations == 0
                 assert trace.residuals == [0.0]
                 assert trace.stop_reason == "converged"
@@ -438,7 +445,8 @@ class TestSolve:
     # A cap of 2.5 ran 3 updates and reported 4 iterations under max_iters.
     @pytest.mark.parametrize("max_iters", [2.5, 3.0, -1, None, "3"])
     def test_max_iters_not_count_rejected(self, max_iters):
-        with pytest.raises(InvalidInput, match="max_iters must be an integer"):
+        with pytest.raises(InvalidInput,
+                           match="max_iters must be >= 0 and an integer"):
             StopRule("fixed_iters", 0, max_iters)
         assert StopRule("fixed_iters", 0, np.int64(3)).max_iters == 3
 

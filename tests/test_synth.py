@@ -71,6 +71,16 @@ class TestBandedSparse:
         with pytest.raises(InvalidInput, match="alpha must be in"):
             banded_sparse_matrix(10, alpha, seed=0)
 
+    # A size of 10.5 reached numpy as a TypeError, and a seed of -1 or 1.5
+    # as a bare ValueError or TypeError.
+    @pytest.mark.parametrize("n, seed, message", [
+        (10.5, 0, "n must be >= 1"), (0, 0, "n must be >= 1"),
+        (10, -1, "seed must be >= 0"), (10, 1.5, "seed must be >= 0"),
+    ], ids=["n_float", "n_zero", "seed_negative", "seed_float"])
+    def test_count_not_integer_rejected(self, n, seed, message):
+        with pytest.raises(InvalidInput, match=f"{message} and an integer"):
+            banded_sparse_matrix(n, 0.2, seed)
+
 
 class TestInstanceSource:
     def test_stream_is_deterministic(self):

@@ -541,14 +541,19 @@ class TestTrainSchedule:
             lambda: train_schedule(source, cfg, grid_instances=4))
         assert peak < 13 * n * n * 8
 
-    def test_no_grid_instances_rejected_before_sgd(self, monkeypatch):
+    # 2.5 passed the old `< 1` test, ran every SGD step and then failed
+    # in range().
+    @pytest.mark.parametrize("grid_instances", [0, 2.5])
+    def test_no_grid_instances_rejected_before_sgd(self, monkeypatch,
+                                                   grid_instances):
         def no_step(*args):
             raise AssertionError("an SGD step ran")
 
         monkeypatch.setattr(training, "_stage_gradient", no_step)
         cfg = TrainConfig(K=1, K_bar=2, sgd_steps_per_stage=1)
         with pytest.raises(InvalidInput, match="grid_instances"):
-            train_schedule(small_source(n=20), cfg, grid_instances=0)
+            train_schedule(small_source(n=20), cfg,
+                           grid_instances=grid_instances)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -587,7 +592,8 @@ class TestTrainSchedule:
     ], ids=["K", "K_bar", "sgd_steps_per_stage", "K_str"])
     def test_count_not_integer_rejected(self, counts):
         name = next(iter(counts))
-        with pytest.raises(InvalidInput, match=f"{name} must be an integer"):
+        with pytest.raises(InvalidInput,
+                           match=f"{name} must be >= 0 and an integer"):
             TrainConfig(**counts)
         assert TrainConfig(K=np.int64(2), K_bar=3).K == 2
 
