@@ -8,8 +8,8 @@ from .operators import soft_threshold, sparsify_top_fraction
 from .schedule import (ParamSchedule, read_schedule, rescale_schedule,
                        write_schedule)
 from .solver import (FactorPair, FixedSchedule, OracleSchedule, SolverState,
-                     StopRule, lrpca_step, residual_rel, solve,
-                     solve_scaledgd, spectral_init)
+                     StopRule, lrpca_step, solve, solve_scaledgd,
+                     spectral_init)
 from .synth import InstanceSource, ProblemInstance, banded_sparse_matrix, gen_instance
 from .training import TrainConfig, grid_search_tail, layerwise_train, train_schedule
 from .matrixio import read_matrix, write_matrix
@@ -24,7 +24,7 @@ __all__ = [
     "ParamSchedule", "rescale_schedule", "read_schedule", "write_schedule",
     "FactorPair", "SolverState", "StopRule",
     "FixedSchedule", "OracleSchedule", "spectral_init", "lrpca_step",
-    "solve", "solve_scaledgd", "residual_rel",
+    "solve", "solve_scaledgd",
     "ProblemInstance", "InstanceSource", "gen_instance", "banded_sparse_matrix",
     "TrainConfig", "layerwise_train", "grid_search_tail",
     "train_schedule",

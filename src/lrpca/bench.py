@@ -17,7 +17,7 @@ from .errors import InvalidInput, LrpcaError
 from .schedule import rescale_schedule
 from .solver import FixedSchedule, StopRule, solve, solve_scaledgd
 from .synth import gen_instance
-from .validation import check_count
+from .validation import check_count, check_positive
 
 __all__ = ["SolverSpec", "BenchReport", "lrpca_spec", "scaledgd_spec",
            "convergence_bench", "recoverability_sweep",
@@ -99,10 +99,12 @@ def recoverability_sweep(alphas, trials_per_alpha, spec_factory, success_tol,
     (the baseline's keep-fraction depends on alpha).  Trial t at every alpha
     reuses seed ``base_seed + t``, so sweeps share instances across levels.
     Success means the final relative error against the true low-rank part
-    is below ``success_tol``; solver failures count as misses.  Rows are
-    ordered by (alpha, trial, solver).
+    is below ``success_tol``; solver failures count as misses, but a
+    caller's mistake (:class:`~lrpca.errors.InvalidInput`) raises.  Rows
+    are ordered by (alpha, trial, solver).
     """
     check_count(trials_per_alpha, "trials_per_alpha")
+    check_positive(success_tol, "success_tol")
     stop = StopRule(mode="fixed_iters", max_iters=max_iters)
     specs_by_alpha = [(alpha, spec_factory(alpha)) for alpha in alphas]
     if not all(specs for _, specs in specs_by_alpha):
@@ -115,6 +117,8 @@ def recoverability_sweep(alphas, trials_per_alpha, spec_factory, success_tol,
             for spec in specs:
                 try:
                     X, S, trace = spec.run(inst, stop)
+                except InvalidInput:
+                    raise
                 except LrpcaError:
                     rows.append(_row(spec.name, inst, None, False))
                     continue
@@ -126,8 +130,7 @@ def recoverability_sweep(alphas, trials_per_alpha, spec_factory, success_tol,
 def runtime_scaling_bench(n_list, r_list, iters, alpha=0.1, base_seed=50):
     """Median per-iteration wall time (ms, initialization excluded) for every
     (n, r) pair.  Returns a list of dicts with keys n, r, median_iter_ms."""
-    if iters < 10:
-        raise InvalidInput("need iters >= 10 to amortize timing noise")
+    check_count(iters, "iters", 10)  # enough to amortize timing noise
     out = []
     for n in n_list:
         for r in r_list:

@@ -7,8 +7,7 @@ if it ranks among the largest magnitudes of both its row and its column).
 
 import numpy as np
 
-from .errors import InvalidInput
-from .validation import check_fraction, check_matrix
+from .validation import check_fraction, check_matrix, check_nonneg
 
 __all__ = ["soft_threshold", "sparsify_top_fraction"]
 
@@ -18,8 +17,7 @@ def soft_threshold(M, zeta):
 
     ``out_ij = sign(M_ij) * max(0, |M_ij| - zeta)``.
     """
-    if not zeta >= 0:  # NaN fails this test too
-        raise InvalidInput(f"threshold must be >= 0, got {zeta}")
+    zeta = check_nonneg(zeta, "threshold")
     A = check_matrix(M, "M")
     # A - clip(A, +-zeta), written into the clip's buffer: one temporary.
     C = np.clip(A, -zeta, zeta)

@@ -8,16 +8,16 @@ the schedule to arbitrarily many iterations:
     k <= K:  (zeta_k, eta_k) as stored
     k >  K:  (phi**(k-K) * zeta_K, beta**(k-K) * eta_K)
 
-A schedule is checked once, when built: thresholds must be >= 0, step sizes
-and tail factors finite and > 0, or it raises
-:class:`~lrpca.errors.InvalidInput`.
+A schedule is checked once, when built: thresholds must be reals >= 0, step
+sizes and tail factors finite reals > 0, or it raises
+:class:`~lrpca.errors.InvalidInput`; a string or a ``bool`` is rejected,
+not converted.
 """
 
-import math
 from dataclasses import dataclass, replace
 
 from .errors import InvalidInput, ParseError
-from .validation import check_count
+from .validation import check_count, check_nonneg, check_positive
 
 __all__ = ["ParamSchedule", "rescale_schedule", "write_schedule",
            "read_schedule"]
@@ -33,16 +33,14 @@ class ParamSchedule:
     phi: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "zetas", tuple(float(z) for z in self.zetas))
-        object.__setattr__(self, "etas", tuple(float(e) for e in self.etas))
+        object.__setattr__(self, "zetas", tuple(
+            check_nonneg(z, "thresholds") for z in self.zetas))
+        object.__setattr__(self, "etas", tuple(
+            check_positive(e, "step sizes") for e in self.etas))
         if len(self.zetas) != len(self.etas) + 1:
             raise InvalidInput("need len(zetas) == len(etas) + 1")
-        if not all(z >= 0 for z in self.zetas):
-            raise InvalidInput(f"thresholds must be >= 0, got {self.zetas}")
-        if not all(map(_positive, self.etas)):
-            raise InvalidInput(f"step sizes must be finite and > 0, got {self.etas}")
-        if not (_positive(self.beta) and _positive(self.phi)):
-            raise InvalidInput(f"need 0 < beta, phi < inf, got {self.beta}, {self.phi}")
+        check_positive(self.beta, "beta")
+        check_positive(self.phi, "phi")
 
     @property
     def K(self):
@@ -62,10 +60,6 @@ class ParamSchedule:
             raise InvalidInput("schedule with K=0 has no tail anchor")
         step = k - K
         return self.phi ** step * self.zetas[K], self.beta ** step * self.etas[K - 1]
-
-
-def _positive(v):
-    return 0 < v < math.inf
 
 
 def rescale_schedule(theta, n_base, r_base, n_target, r_target):

@@ -49,14 +49,15 @@ from .errors import ConvergenceFailure, InvalidInput, SingularGram
 from .linalg import (_SKETCH_OVERSAMPLE, _exact_svd, _gram_solver,
                      _sketch_svd, gram_solve, truncated_svd)
 from .operators import _sparsify_unchecked, soft_threshold
-from .schedule import ParamSchedule, _positive
+from .schedule import ParamSchedule
 from .validation import (check_count, check_fraction, check_matrix,
-                         check_rank, check_same_shape, check_seed)
+                         check_nonneg, check_positive, check_rank,
+                         check_same_shape, check_seed)
 
 __all__ = [
     "FactorPair", "SolverState", "StopRule",
     "FixedSchedule", "OracleSchedule",
-    "spectral_init", "lrpca_step", "solve", "solve_scaledgd", "residual_rel",
+    "spectral_init", "lrpca_step", "solve", "solve_scaledgd",
 ]
 
 
@@ -102,8 +103,7 @@ class StopRule:
         if self.mode not in ("residual_rel", "iterate_change", "fixed_iters"):
             raise InvalidInput(f"unknown stop mode {self.mode!r}")
         check_count(self.max_iters, "max_iters", 0)
-        if not self.tolerance >= 0:  # NaN fails this test too
-            raise InvalidInput(f"tolerance must be >= 0, got {self.tolerance}")
+        check_nonneg(self.tolerance, "tolerance")
 
 
 @dataclass
@@ -168,20 +168,7 @@ class OracleSchedule:
     eta: float = 0.5
 
     def __post_init__(self):
-        if not _positive(self.eta):
-            raise InvalidInput(f"step size must be finite and > 0, got {self.eta}")
-
-
-def residual_rel(Y, X, S):
-    """Relative reconstruction residual ``||Y - X - S||_F / ||Y||_F``."""
-    Ym = check_matrix(Y, "Y")
-    Xm = check_matrix(X, "X")
-    Sm = check_matrix(S, "S")
-    check_same_shape(Ym, Xm, Sm)
-    ny = np.linalg.norm(Ym)
-    if ny == 0.0:
-        raise InvalidInput("Y must be nonzero")
-    return float(np.linalg.norm(Ym - Xm - Sm) / ny)
+        check_positive(self.eta, "step size")
 
 
 def spectral_init(Y, r, zeta0, seed=0, tangent=False):
@@ -518,10 +505,8 @@ def _max_abs_err(factors, truth, scratch):
 def lrpca_step(state, Y, zeta, eta):
     """One soft-threshold + scaled-gradient iteration from ``state``."""
     Ym = check_matrix(Y, "Y")
-    if not zeta >= 0:  # NaN fails this test too
-        raise InvalidInput(f"threshold must be >= 0, got {zeta}")
-    if not _positive(eta):
-        raise InvalidInput(f"step size must be finite and > 0, got {eta}")
+    zeta = check_nonneg(zeta, "threshold")
+    eta = check_positive(eta, "step size")
     shape = (state.factors.L.shape[0], state.factors.R.shape[0])
     if shape != Ym.shape:
         raise InvalidInput(f"factors give shape {shape}, Y has {Ym.shape}")
@@ -690,8 +675,7 @@ def solve_scaledgd(Y, r, alpha_tilde, eta, stop=StopRule(), truth=None, seed=0):
     ``T_alpha`` of the residual at the previous iterate.
     """
     check_fraction(alpha_tilde, "fraction")
-    if not _positive(eta):
-        raise InvalidInput(f"step size must be finite and > 0, got {eta}")
+    check_positive(eta, "step size")
 
     def init(Y, r, alpha_tilde, seed):
         return _factor_state(Y, _sparsify_unchecked(Y, alpha_tilde), r, seed)

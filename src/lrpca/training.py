@@ -25,9 +25,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InvalidInput, LrpcaError, TrainingDiverged
-from .schedule import ParamSchedule, _positive
+from .schedule import ParamSchedule
 from .solver import _Scratch, _soft_backward, _soft_step, spectral_init
-from .validation import check_count
+from .validation import check_count, check_positive
 
 __all__ = ["TrainConfig", "layerwise_train", "grid_search_tail",
            "train_schedule"]
@@ -56,13 +56,13 @@ class TrainConfig:
         if self.K > self.K_bar or self.K == 0 < self.K_bar:
             raise InvalidInput(f"need K_bar >= K >= 1 or K = K_bar = 0, got "
                                f"K={self.K}, K_bar={self.K_bar}")
-        if not _positive(self.learning_rate):
-            raise InvalidInput(f"learning_rate must be finite and > 0, got "
-                               f"{self.learning_rate}")
+        check_positive(self.learning_rate, "learning_rate")
         # Every grid value, rounded as grid_values rounds it, becomes a tail
         # factor, which must be finite and > 0.
         lo, hi, step = self.grid
-        if not (0 < round(lo, 12) <= hi < math.inf and 0 < step < math.inf):
+        for v, name in ((lo, "min"), (hi, "max"), (step, "step")):
+            check_positive(v, f"grid {name}")
+        if not 0 < round(lo, 12) <= hi:
             raise InvalidInput(f"grid {self.grid} needs 0 < min <= max, "
                                "step > 0, finite")
         count = self._grid_count()

@@ -6,8 +6,8 @@ import numpy as np
 
 from .errors import InvalidInput
 
-__all__ = ["check_count", "check_fraction", "check_matrix", "check_rank",
-           "check_same_shape", "check_seed"]
+__all__ = ["check_count", "check_fraction", "check_matrix", "check_nonneg",
+           "check_positive", "check_rank", "check_same_shape", "check_seed"]
 
 
 def check_matrix(M, name="matrix"):
@@ -41,6 +41,23 @@ def check_fraction(x, name):
     if isinstance(x, bool) or not (isinstance(x, numbers.Real)
                                    and 0.0 <= x <= 1.0):
         raise InvalidInput(f"{name} must be in [0, 1], got {x}")
+    return float(x)
+
+
+def check_nonneg(x, name):
+    """``x`` as a ``float``; it must be a real number (not a ``bool``) >= 0,
+    ``inf`` included.  A threshold or a tolerance."""
+    if isinstance(x, bool) or not (isinstance(x, numbers.Real) and x >= 0):
+        raise InvalidInput(f"{name} must be >= 0, got {x}")
+    return float(x)
+
+
+def check_positive(x, name):
+    """``x`` as a ``float``; it must be a finite real number (not a
+    ``bool``) > 0.  A step size, a tail factor or a learning rate."""
+    if isinstance(x, bool) or not (isinstance(x, numbers.Real)
+                                   and 0 < x < np.inf):
+        raise InvalidInput(f"{name} must be finite and > 0, got {x}")
     return float(x)
 
 

@@ -47,13 +47,12 @@ class FrameSequence:
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", np.asarray(self.matrix))
-        shape = self.matrix.shape
-        if (min(self.height, self.width) < 1 or len(shape) != 2
-                or shape[0] != self.height * self.width):
-            raise InvalidInput(f"frame matrix of shape {shape} does not hold "
-                               f"{self.height}x{self.width} frames")
         check_count(self.height, "frame height")
         check_count(self.width, "frame width")
+        shape = self.matrix.shape
+        if len(shape) != 2 or shape[0] != self.height * self.width:
+            raise InvalidInput(f"frame matrix of shape {shape} does not hold "
+                               f"{self.height}x{self.width} frames")
         if shape[1] == 0:
             raise InvalidInput("frame sequence must contain at least one frame")
 

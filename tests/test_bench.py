@@ -60,6 +60,25 @@ class TestRecoverabilitySweep:
         assert report.success_count() == 0
         assert all(row["iters"] == -1 for row in report.rows)
 
+    # A caller's mistake is no miss: a bad step size ran every row as one.
+    @pytest.mark.parametrize("eta", [-1.0, float("nan")])
+    def test_bad_step_size_raises(self, eta):
+        with pytest.raises(InvalidInput, match="step size must be finite"):
+            recoverability_sweep([0.2], 2, lambda a: [scaledgd_spec(0.1, eta)],
+                                 success_tol=1e-3, n=30, r=2, base_seed=3,
+                                 max_iters=5)
+
+    # No final error is below a NaN tolerance, so every trial was a miss.
+    @pytest.mark.parametrize("tol", [float("nan"), 0.0, -1e-3, True])
+    def test_bad_success_tol_rejected_before_any_solve(self, tol):
+        def unused(inst, stop):
+            raise AssertionError("solved with a bad success_tol")
+
+        with pytest.raises(InvalidInput, match="success_tol must be finite"):
+            recoverability_sweep([0.2], 1,
+                                 lambda a: [SolverSpec("unused", unused)],
+                                 success_tol=tol, n=20, r=2)
+
     # A count of 1.5 passed the old `< 1` test and failed in range().
     @pytest.mark.parametrize("trials", [0, 1.5])
     def test_needs_trials(self, trials):

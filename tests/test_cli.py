@@ -579,6 +579,17 @@ BAD_SETTINGS = {
                                     "--r", 2, "--max-iters", -3],
     "bench_recoverability_trials": ["bench", "--kind", "recoverability",
                                     "--alphas", "0.1", "--trials", 0],
+    # Each ran every ScaledGD solve as a miss, or every solve as one, and
+    # exited 0.
+    "bench_recoverability_scaledgd_eta": [
+        "bench", "--kind", "recoverability", "--alphas", "0.1", "--trials", 1,
+        "--n", 30, "--r", 2, "--scaledgd-eta", -1],
+    "bench_recoverability_scaledgd_eta_nan": [
+        "bench", "--kind", "recoverability", "--alphas", "0.1", "--trials", 1,
+        "--n", 30, "--r", 2, "--scaledgd-eta", "nan"],
+    "bench_recoverability_success_tol": [
+        "bench", "--kind", "recoverability", "--alphas", "0.1", "--trials", 1,
+        "--n", 30, "--r", 2, "--success-tol", "nan"],
     "bench_generalization_missing": ["bench", "--kind", "generalization",
                                      "--schedule", "{missing}", "--base-n", 40,
                                      "--base-r", 2, "--targets", "40:2"],

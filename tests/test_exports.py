@@ -8,10 +8,15 @@ import lrpca
 from lrpca import (FixedSchedule, FrameSequence, InstanceSource, InvalidInput,
                    OracleSchedule, ParamSchedule, StopRule, TrainConfig,
                    banded_sparse_matrix, gen_instance, grid_search_tail,
-                   matrix_norm, rescale_schedule, soft_threshold, solve,
-                   solve_scaledgd, spectral_init, sparsify_top_fraction,
+                   lrpca_step, matrix_norm, rescale_schedule, soft_threshold,
+                   solve, solve_scaledgd, spectral_init, sparsify_top_fraction,
                    truncated_svd)
-from lrpca.validation import check_fraction
+from lrpca.bench import runtime_scaling_bench
+from lrpca.validation import check_fraction, check_nonneg, check_positive
+
+# The modules whose public names lrpca/__init__.py re-exports.
+REEXPORTED = ("linalg", "operators", "schedule", "solver", "synth",
+              "training", "matrixio", "video")
 
 
 def test_every_exported_name_resolves():
@@ -21,6 +26,11 @@ def test_every_exported_name_resolves():
                for name in getattr(mod, "__all__", ())
                if not hasattr(mod, name)]
     assert not missing
+    # A name a re-exported module makes public is public at the top too.
+    unlisted = [f"lrpca.{mod}.{name}" for mod in REEXPORTED
+                for name in importlib.import_module(f"lrpca.{mod}").__all__
+                if name not in lrpca.__all__]
+    assert not unlisted
 
 
 def test_invalid_input_is_the_one_caller_mistake_error():
@@ -102,6 +112,71 @@ def test_check_fraction_rejects(x):
 @pytest.mark.parametrize("x", [0, 0.25, 1, np.float64(0.5)])
 def test_check_fraction_accepts(x):
     assert check_fraction(x, "alpha") == float(x)
+
+
+@pytest.mark.parametrize("check", [check_nonneg, check_positive])
+@pytest.mark.parametrize("x", [True, None, "0.1", float("nan"), -0.1],
+                         ids=["bool", "none", "str", "nan", "negative"])
+def test_scalar_checks_reject(check, x):
+    with pytest.raises(InvalidInput, match="^eta must be"):
+        check(x, "eta")
+
+
+@pytest.mark.parametrize("x", [0, 0.0, float("inf")],
+                         ids=["int_zero", "zero", "inf"])
+def test_check_positive_rejects_zero_and_inf(x):
+    with pytest.raises(InvalidInput, match="eta must be finite and > 0"):
+        check_positive(x, "eta")
+    assert check_nonneg(x, "eta") == float(x)
+
+
+@pytest.mark.parametrize("check", [check_nonneg, check_positive])
+@pytest.mark.parametrize("x", [2, 0.25, np.float64(0.5)],
+                         ids=["int", "float", "float64"])
+def test_scalar_checks_accept(check, x):
+    y = check(x, "eta")
+    assert y == x and type(y) is float
+
+
+def _one_step(zeta, eta):
+    Y = np.eye(4)
+    return lrpca_step(spectral_init(Y, 1, 0.1), Y, zeta, eta)
+
+
+# Every threshold, step size, tolerance, tail factor and learning rate goes
+# through check_nonneg or check_positive: a string raised a bare TypeError
+# (or, in a ParamSchedule, was converted), and True ran as 1.
+@pytest.mark.parametrize("call", [
+    lambda: soft_threshold(np.eye(3), "0.1"),
+    lambda: soft_threshold(np.eye(3), True),
+    lambda: StopRule("residual_rel", "1e-4"),
+    lambda: OracleSchedule("0.5"),
+    lambda: OracleSchedule(True),
+    lambda: _one_step(True, 0.5),
+    lambda: _one_step(0.1, "0.5"),
+    lambda: solve_scaledgd(np.eye(4), 1, 0.1, "0.5"),
+    lambda: ParamSchedule(zetas=("0.1", 0.1), etas=(0.5,)),
+    lambda: ParamSchedule(zetas=(0.1, 0.1), etas=(True,)),
+    lambda: ParamSchedule(zetas=("a", 0.1), etas=(0.5,)),
+    lambda: ParamSchedule(zetas=(0.1, 0.1), etas=(0.5,), beta="0.9"),
+    lambda: ParamSchedule(zetas=(0.1, 0.1), etas=(0.5,), phi=True),
+    lambda: TrainConfig(learning_rate="0.1"),
+    lambda: TrainConfig(learning_rate=True),
+    lambda: TrainConfig(grid=("0.1", 1.0, 0.1)),
+    lambda: TrainConfig(grid=(0.1, "1", 0.1)),
+    lambda: TrainConfig(grid=(0.1, 1.0, True)),
+    lambda: runtime_scaling_bench([20], [2], "10"),
+], ids=["soft_threshold_str", "soft_threshold_bool", "StopRule_tolerance",
+        "OracleSchedule_str", "OracleSchedule_bool", "lrpca_step_threshold",
+        "lrpca_step_step_size", "solve_scaledgd_step_size",
+        "ParamSchedule_threshold", "ParamSchedule_step_size",
+        "ParamSchedule_not_number", "ParamSchedule_beta", "ParamSchedule_phi",
+        "TrainConfig_learning_rate_str", "TrainConfig_learning_rate_bool",
+        "TrainConfig_grid_min", "TrainConfig_grid_max", "TrainConfig_grid_step",
+        "runtime_scaling_bench_iters"])
+def test_scalar_not_number_rejected(call):
+    with pytest.raises(InvalidInput):
+        call()
 
 
 # Every fraction goes through check_fraction: a string raised a bare
