@@ -3,7 +3,8 @@
 Everything operates on plain 2-D float64 numpy arrays.  The truncated SVD and
 the spectral norm come straight from LAPACK.  The solver's initialization
 sketch is the only randomized routine in the package; it is deterministic for
-a fixed seed.
+a fixed seed.  Tall or wide inputs get the init's SVD from the short side's
+Gram instead (see :func:`lrpca.solver.spectral_init`).
 """
 
 from dataclasses import dataclass
@@ -18,6 +19,16 @@ __all__ = ["matrix_norm", "truncated_svd", "gram_solve"]
 # Width beyond r and power passes of the solver's initialization sketch.
 _SKETCH_OVERSAMPLE = 10
 _SKETCH_PASSES = 3
+
+# The init takes its SVD from the short side's Gram when the long side is at
+# least _GRAM_ASPECT times the short side and the short side at most
+# _GRAM_MAX_SHORT (median times, r = 1 and 5): at short sides 100 to 256 the
+# sketch was faster at 6:1 or less, the two tied at 8:1 (1280x160: 2.6 ms
+# each) and the Gram was faster from 10:1 on (19200x60: 3.4 against 28 ms).
+# Past 256 the Gram's eigensolve costs more: at 8:1 to 13:1 with short
+# sides 300 to 600 the sketch was up to 2.5 times faster.
+_GRAM_ASPECT = 8
+_GRAM_MAX_SHORT = 256
 
 # gram_solve rejects G when a squared Cholesky pivot falls to this fraction
 # of G's largest diagonal entry.
@@ -163,6 +174,60 @@ def _sketch_svd(A, r, seed, dA=None):
     Ur = Ub[:, :r]
     return f, (dQ @ (Ur * f.sigma) + Q @ dBV,
                (f.V * f.sigma) @ (Ur.T @ (dQ.T @ Q) @ Ur) + dBtU)
+
+
+def _gram_svd(A, r, dA=None):
+    """Rank-r SVD of ``A`` from ``eigh`` of its short side's Gram, or None
+    when the Gram's eigenvalues cannot vouch for the init's contract.
+
+    For a tall ``A`` the Gram is ``G = A^T A`` (``A A^T`` for a wide one):
+    its top r eigenpairs give ``V_r`` and ``sigma = sqrt(lambda)``, and
+    ``U = A V_r / sigma``.  That is one product with ``A`` and one
+    eigensolve of the short side's size, whatever the seed.
+
+    Forming ``G`` squares the conditioning, so the route checks its own
+    accuracy against :func:`lrpca.solver.spectral_init`'s contract.  The
+    computed eigenpairs are taken as exact for ``G`` moved by at most
+    ``delta = n eps lambda_1`` in the 2-norm: the normwise bound ``p(n) eps
+    ||G||_2`` of a symmetric eigensolver, with ``p(n) = n`` for the short
+    side n.  (The computed Gram of an exactly rank-deficient ``A`` had its
+    zero eigenvalues within ``4 eps lambda_1`` of 0 at 520 x 30 to 19200 x
+    60.)  Each eigenvalue is then off by ``delta`` at most (Weyl), and
+    ``||U diag(sigma) V_r^T - A_r||_F <= e ||A_r||_F`` with ``e = sqrt(2 r)
+    delta / (lambda_r - lambda_{r+1} - 2 delta)`` (Davis & Kahan).  The
+    route returns None unless that gap is positive and ``e`` is within the
+    contract's ``10 rho^7 + 1e-12`` at the smallest ``rho = sigma_{r+1} /
+    sigma_r`` the eigenvalues allow, ``sqrt((lambda_{r+1} - delta) /
+    (lambda_r + delta))``.  So an ``A`` of rank below r, all zero included,
+    never takes it.  ``A`` is taken as a validated float64 matrix.
+
+    With ``dA``, the tangent of :func:`_rank_r_tangent` from all the Gram's
+    eigenpairs, whose ``U = A V / sigma`` is one more n_long x n_short
+    array.
+    """
+    wide = A.shape[0] < A.shape[1]
+    B = A.T if wide else A
+    lam, V = np.linalg.eigh(B.T @ B)
+    lam, V = np.maximum(lam[::-1], 0.0), V[:, ::-1]  # G is semidefinite
+    delta = B.shape[1] * np.finfo(np.float64).eps * lam[0]
+    gap = lam[r - 1] - lam[r] - 2 * delta
+    if not gap > 0:  # so lambda_r > 2 delta >= 0
+        return None
+    rho = np.sqrt(max(lam[r] - delta, 0.0) / (lam[r - 1] + delta))
+    if np.sqrt(2 * r) * delta > (10 * rho ** 7 + 1e-12) * gap:
+        return None
+    s = np.sqrt(lam)
+    Vr = np.ascontiguousarray(V[:, :r])
+    f = TruncatedSVD(B @ Vr / s[:r], s[:r], Vr)
+    if wide:
+        f = TruncatedSVD(f.V, f.sigma, f.U)
+    if dA is None:
+        return f, None
+    U = B @ V
+    # A column with sigma = 0 enters the tangent only times sigma.
+    np.divide(U, s, out=U, where=s > 0)
+    dBV, dBtU = _rank_r_tangent(U, s, V.T, dA.T if wide else dA, r)
+    return f, (dBtU, dBV) if wide else (dBV, dBtU)
 
 
 def gram_solve(V, G):

@@ -17,7 +17,8 @@ not converted.
 from dataclasses import dataclass, replace
 
 from .errors import InvalidInput, ParseError
-from .validation import check_count, check_nonneg, check_positive
+from .validation import (check_count, check_nonneg, check_positive,
+                         check_values)
 
 __all__ = ["ParamSchedule", "rescale_schedule", "write_schedule",
            "read_schedule"]
@@ -34,9 +35,11 @@ class ParamSchedule:
 
     def __post_init__(self):
         object.__setattr__(self, "zetas", tuple(
-            check_nonneg(z, "thresholds") for z in self.zetas))
+            check_nonneg(z, "thresholds")
+            for z in check_values(self.zetas, "zetas")))
         object.__setattr__(self, "etas", tuple(
-            check_positive(e, "step sizes") for e in self.etas))
+            check_positive(e, "step sizes")
+            for e in check_values(self.etas, "etas")))
         if len(self.zetas) != len(self.etas) + 1:
             raise InvalidInput("need len(zetas) == len(etas) + 1")
         check_positive(self.beta, "beta")

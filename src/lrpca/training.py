@@ -27,7 +27,7 @@ import numpy as np
 from .errors import InvalidInput, LrpcaError, TrainingDiverged
 from .schedule import ParamSchedule
 from .solver import _Scratch, _soft_backward, _soft_step, spectral_init
-from .validation import check_count, check_positive
+from .validation import check_count, check_positive, check_values
 
 __all__ = ["TrainConfig", "layerwise_train", "grid_search_tail",
            "train_schedule"]
@@ -59,7 +59,7 @@ class TrainConfig:
         check_positive(self.learning_rate, "learning_rate")
         # Every grid value, rounded as grid_values rounds it, becomes a tail
         # factor, which must be finite and > 0.
-        lo, hi, step = self.grid
+        lo, hi, step = check_values(self.grid, "grid", 3)
         for v, name in ((lo, "min"), (hi, "max"), (step, "step")):
             check_positive(v, f"grid {name}")
         if not 0 < round(lo, 12) <= hi:

@@ -7,7 +7,8 @@ import numpy as np
 from .errors import InvalidInput
 
 __all__ = ["check_count", "check_fraction", "check_matrix", "check_nonneg",
-           "check_positive", "check_rank", "check_same_shape", "check_seed"]
+           "check_positive", "check_rank", "check_same_shape", "check_seed",
+           "check_values"]
 
 
 def check_matrix(M, name="matrix"):
@@ -59,6 +60,19 @@ def check_positive(x, name):
                                    and 0 < x < np.inf):
         raise InvalidInput(f"{name} must be finite and > 0, got {x}")
     return float(x)
+
+
+def check_values(x, name, length=None):
+    """``x`` as a ``tuple``; it must be a tuple, a list or a 1-D array, of
+    ``length`` entries when that is given.  Its entries are checked by the
+    caller."""
+    if not (isinstance(x, (tuple, list))
+            or isinstance(x, np.ndarray) and x.ndim == 1):
+        raise InvalidInput(f"{name} must be a tuple, a list or a 1-D array, "
+                           f"got {x!r}")
+    if length is not None and len(x) != length:
+        raise InvalidInput(f"{name} must have {length} values, got {len(x)}")
+    return tuple(x)
 
 
 def check_rank(r, n1, n2):

@@ -203,6 +203,15 @@ class TestValidation:
         with pytest.raises(ValueError, match="step sizes"):
             ParamSchedule(zetas=(1.0, 0.5), etas=(eta,))
 
+    # zetas and etas are sequences; a scalar fails where it enters.
+    @pytest.mark.parametrize("kw, match", [
+        ({"zetas": 0.5, "etas": ()}, "zetas must be a tuple"),
+        ({"zetas": (1.0, 0.5), "etas": 0.5}, "etas must be a tuple"),
+    ], ids=["zetas", "etas"])
+    def test_scalar_sequence_rejected(self, kw, match):
+        with pytest.raises(InvalidInput, match=match):
+            ParamSchedule(**kw)
+
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             ParamSchedule(zetas=(1.0, 0.5), etas=(0.5, 0.4))

@@ -8,7 +8,8 @@ from lrpca import (ConvergenceFailure, FactorPair, FixedSchedule, InvalidInput,
                    lrpca_step, soft_threshold, solve,
                    solve_scaledgd, spectral_init, truncated_svd)
 from lrpca import solver as solver_module
-from lrpca.linalg import _SKETCH_OVERSAMPLE, _exact_svd, _sketch_svd
+from lrpca.linalg import (_GRAM_ASPECT, _GRAM_MAX_SHORT, _SKETCH_OVERSAMPLE,
+                          _exact_svd, _gram_svd, _sketch_svd)
 from lrpca.solver import (_block_rows, _factor_state, _low_rank_change,
                           _scaled_update, _Scratch, _soft_backward, _soft_pass,
                           _sparsify_pass)
@@ -37,17 +38,54 @@ def test_negative_seed_rejected(n, call):
 
 def separate_buffer_init(Y, r, zeta0, seed):
     """The init's factors and tangent from ``S_0`` and ``A = Y - S_0`` in
-    buffers of their own: ``(S_0, L, R, dL, dR)``."""
+    buffers of their own, and the SVD route taken: ``(S_0, L, R, dL, dR,
+    route)``."""
     S0 = soft_threshold(Y, zeta0)
     A = Y - S0
-    if min(A.shape) > 2 * (r + _SKETCH_OVERSAMPLE):
-        f, (dXV, dXtU) = _sketch_svd(A, r, seed, np.sign(S0))
-    else:
-        f, (dXV, dXtU) = _exact_svd(A, r, np.sign(S0))
+    short, long = sorted(A.shape)
+    gram = None
+    if short <= 2 * (r + _SKETCH_OVERSAMPLE):
+        route, (f, (dXV, dXtU)) = "exact", _exact_svd(A, r, np.sign(S0))
+    elif short <= _GRAM_MAX_SHORT and long >= _GRAM_ASPECT * short:
+        gram = _gram_svd(A, r, np.sign(S0))
+    if gram is not None:
+        route, (f, (dXV, dXtU)) = "gram", gram
+    elif short > 2 * (r + _SKETCH_OVERSAMPLE):
+        route, (f, (dXV, dXtU)) = "sketch", _sketch_svd(A, r, seed,
+                                                        np.sign(S0))
     root = np.sqrt(f.sigma)
     dL = (dXV - 0.5 * f.U @ (f.U.T @ dXV)) / root
     dR = (dXtU - 0.5 * f.V @ (f.V.T @ dXtU)) / root
-    return S0, f.U * root, f.V * root, dL, dR
+    return S0, f.U * root, f.V * root, dL, dR, route
+
+
+def assert_within_contract(A, X, r):
+    """``spectral_init``'s contract: ``X`` is within ``10 (s_{r+1} / s_r)^7
+    + 1e-12`` of the exact rank-r truncation of ``A``, relative."""
+    U, s, Vt = np.linalg.svd(A, full_matrices=False)
+    exact = (U[:, :r] * s[:r]) @ Vt[:r]
+    bound = 10 * (s[r] / s[r - 1]) ** 7 + 1e-12
+    assert np.linalg.norm(X - exact) <= bound * np.linalg.norm(exact)
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("the init took a route the test rules out")
+
+
+def record_routes(monkeypatch):
+    """Spy on the init's three SVD routes: the list of ``(route, returned
+    None)`` calls, in order."""
+    calls = []
+    for owner, name, route in ((solver_module, "truncated_svd", "exact"),
+                               (solver_module, "_exact_svd", "exact"),
+                               (solver_module, "_gram_svd", "gram"),
+                               (solver_module, "_sketch_svd", "sketch")):
+        def spy(*args, _f=getattr(owner, name), _route=route, **kwargs):
+            out = _f(*args, **kwargs)
+            calls.append((_route, out is None))
+            return out
+        monkeypatch.setattr(owner, name, spy)
+    return calls
 
 
 class TestSpectralInit:
@@ -55,13 +93,15 @@ class TestSpectralInit:
     # it, then S_0 again.  The round trip is exact, so the state and the
     # tangent are those that separate buffers give, to the bit, on both SVD
     # branches and at thresholds below max|Y| / 2 too.
-    @pytest.mark.parametrize("n1, n2", [(30, 20), (120, 90)],
-                             ids=["exact", "sketch"])
+    @pytest.mark.parametrize("n1, n2, route", [
+        (30, 20, "exact"), (120, 90, "sketch"), (400, 40, "gram")],
+        ids=["exact", "sketch", "gram"])
     @pytest.mark.parametrize("frac", [0.02, 0.2, 0.45, 0.7, 1.5])
-    def test_one_buffer_matches_separate_buffers(self, n1, n2, frac):
+    def test_one_buffer_matches_separate_buffers(self, n1, n2, route, frac):
         inst = gen_instance(n1, n2, 3, 0.1, 4)
         zeta0 = frac * float(np.abs(inst.Y).max())
         ref = separate_buffer_init(inst.Y, 3, zeta0, seed=2)
+        assert ref[5] == route
         state = spectral_init(inst.Y, 3, zeta0, seed=2)
         t_state, d = spectral_init(inst.Y, 3, zeta0, seed=2, tangent=True)
         for got in (state, t_state):
@@ -111,25 +151,60 @@ class TestSpectralInit:
         ref = truncated_svd(Y, 4).product()
         assert np.linalg.norm(state.low_rank() - ref) <= 1e-9 * np.linalg.norm(ref)
 
-    # Wide and tall shapes whose short side exceeds 2 (r + 10), so the init
-    # takes the range sketch, each at a loose and a tight threshold (the
-    # tight one leaves outliers in Y - S_0 and narrows the spectral gap).
+    # Wide and tall shapes whose short side exceeds 2 (r + 10), each at a
+    # loose and a tight threshold (the tight one leaves outliers in Y - S_0
+    # and narrows the spectral gap).  The init takes the sketch on the wide
+    # one only, so the sketch is called directly.
     @pytest.mark.parametrize("n1, n2, r, alpha", [(600, 2000, 5, 0.1),
                                                   (4000, 60, 1, 0.05)])
     @pytest.mark.parametrize("frac", [0.5, 0.1])
-    def test_sketch_within_contract_of_exact_truncation(
-            self, monkeypatch, n1, n2, r, alpha, frac):
-        def accurate_svd(*args, **kwargs):
-            raise AssertionError("init took the truncated_svd path")
+    def test_sketch_within_contract_of_exact_truncation(self, n1, n2, r,
+                                                        alpha, frac):
+        inst = gen_instance(n1, n2, r, alpha, 5)
+        A = inst.Y - soft_threshold(inst.Y, frac * np.abs(inst.Y).max())
+        assert_within_contract(A, _sketch_svd(A, r, 3)[0].product(), r)
 
-        monkeypatch.setattr(solver_module, "truncated_svd", accurate_svd)
+    # Tall and wide shapes at least 8 times as long as their short side take
+    # the short side's Gram, and it keeps the sketch's contract.
+    @pytest.mark.parametrize("n1, n2, r, alpha", [
+        (4000, 60, 1, 0.05), (60, 2400, 2, 0.1), (2400, 200, 3, 0.1)])
+    @pytest.mark.parametrize("frac", [0.5, 0.1])
+    def test_gram_within_contract_of_exact_truncation(
+            self, monkeypatch, n1, n2, r, alpha, frac):
+        monkeypatch.setattr(solver_module, "truncated_svd", _refuse)
+        monkeypatch.setattr(solver_module, "_sketch_svd", _refuse)
         inst = gen_instance(n1, n2, r, alpha, 5)
         state = spectral_init(inst.Y, r, frac * np.abs(inst.Y).max(), seed=3)
-        U, s, Vt = np.linalg.svd(inst.Y - state.S, full_matrices=False)
-        exact = (U[:, :r] * s[:r]) @ Vt[:r]
-        bound = 10 * (s[r] / s[r - 1]) ** 7 + 1e-12
-        err = np.linalg.norm(state.low_rank() - exact)
-        assert err <= bound * np.linalg.norm(exact)
+        assert_within_contract(inst.Y - state.S, state.low_rank(), r)
+
+    # sigma_1 / sigma_2 = 1e3 squares to 1e6 in the Gram, whose rounding
+    # would then exceed the contract's bound at sigma_3 / sigma_2 = 0.05;
+    # the init falls back to the sketch, which keeps it.
+    def test_badly_conditioned_tall_input_falls_back_to_sketch(
+            self, monkeypatch, rng):
+        U = np.linalg.qr(rng.standard_normal((2400, 60)))[0]
+        V = np.linalg.qr(rng.standard_normal((60, 60)))[0]
+        s = np.concatenate(([1e3, 1.0], 0.05 * 0.9 ** np.arange(58)))
+        A = (U * s) @ V.T
+        calls = record_routes(monkeypatch)
+        state = spectral_init(A, 2, 2 * np.abs(A).max(), seed=3)
+        assert calls == [("gram", True), ("sketch", False)]
+        assert not state.S.any()
+        assert_within_contract(A, state.low_rank(), 2)
+
+    # The route follows the shape alone: a short side up to 2 (r + 10)
+    # takes the exact SVD; past it, a side at least 8 times the short side,
+    # with the short side at most 256, takes the Gram; the rest the sketch.
+    @pytest.mark.parametrize("n1, n2, r, route", [
+        (2000, 2000, 5, "sketch"), (200, 200, 5, "sketch"),
+        (400, 100, 2, "sketch"), (3200, 400, 2, "sketch"),
+        (2400, 60, 1, "gram"), (60, 2400, 1, "gram"), (2048, 256, 1, "gram"),
+        (2400, 20, 1, "exact")])
+    def test_route_pinned_by_shape(self, monkeypatch, n1, n2, r, route):
+        calls = record_routes(monkeypatch)
+        inst = gen_instance(n1, n2, r, 0.1, 2)
+        spectral_init(inst.Y, r, 0.5 * np.abs(inst.Y).max(), seed=1)
+        assert calls == [(route, False)]
 
     def test_sketch_fixed_by_seed(self):
         inst = gen_instance(600, 2000, 5, 0.1, 5)
@@ -698,6 +773,41 @@ class TestEdgeShapes:
         X2, S2, trace2 = runs[1]
         assert np.array_equal(X, X2) and np.array_equal(S, S2)
         assert trace.residuals == trace2.residuals
+
+    # A shape that would take the Gram route, with a Y that leaves the Gram
+    # no gap to vouch for: all zero, or of rank below r.  The init falls
+    # back to the sketch, so each ends as the sketch makes it end.
+    @pytest.mark.parametrize("wide", [False, True], ids=["tall", "wide"])
+    @pytest.mark.parametrize("mode", ["residual_rel", "iterate_change"])
+    def test_all_zero_gram_shape(self, monkeypatch, wide, mode):
+        Y = np.zeros((60, 2400) if wide else (2400, 60))
+        calls = record_routes(monkeypatch)
+        X, S, trace = solve(Y, 1, FixedSchedule(0.1, 0.5),
+                            StopRule(mode, 1e-6, 30), seed=1)
+        assert calls == [("gram", True), ("sketch", False)]
+        assert not X.any() and not S.any()
+        assert (trace.iterations, trace.stop_reason) == (0, "converged")
+        with pytest.raises(SingularGram, match="numerical rank below 1"):
+            spectral_init(Y, 1, 0.1, seed=1, tangent=True)
+
+    @pytest.mark.parametrize("wide", [False, True], ids=["tall", "wide"])
+    @pytest.mark.parametrize("r", [2, 3])
+    def test_rank_below_r_gram_shape(self, monkeypatch, rng, wide, r):
+        Y = rng.standard_normal((2400, 1)) @ rng.standard_normal((1, 60))
+        Y = Y.T.copy() if wide else Y
+        calls = record_routes(monkeypatch)
+        # Nothing thresholded: the init is the rank-1 Y, which ends a
+        # residual solve at once and collapses the next Gram.
+        X, S, trace = solve(Y, r, FixedSchedule(1e9, 0.5),
+                            StopRule("residual_rel", 1e-6, 30), seed=1)
+        assert calls == [("gram", True), ("sketch", False)]
+        assert (trace.iterations, trace.stop_reason) == (0, "converged")
+        assert np.linalg.norm(X - Y) <= 1e-13 * np.linalg.norm(Y)
+        with pytest.raises(SingularGram, match="collapsed at iteration 1"):
+            solve(Y, r, FixedSchedule(1e9, 0.5),
+                  StopRule("iterate_change", 1e-3, 30), seed=1)
+        with pytest.raises(SingularGram, match=f"numerical rank below {r}"):
+            spectral_init(Y, r, 1e9, seed=1, tangent=True)
 
 
 class TestSolveScaledgd:

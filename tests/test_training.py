@@ -7,7 +7,7 @@ from lrpca import (InstanceSource, InvalidInput, ParamSchedule,
                    ProblemInstance, TrainConfig, TrainingDiverged,
                    gen_instance, grid_search_tail, layerwise_train,
                    train_schedule)
-from lrpca import training
+from lrpca import solver, training
 from lrpca.solver import FactorPair, _Scratch, spectral_init
 from lrpca.training import _advance, _stage_gradient
 from conftest import ListSource, run_concurrently, traced_peak
@@ -154,6 +154,25 @@ class TestInitTangent:
         (40, 40, 2, 15), (40, 150, 3, 3), (150, 40, 2, 3)])
     @pytest.mark.parametrize("frac", [1.0, 0.3])
     def test_matches_central_differences(self, n1, n2, r, seed, frac):
+        inst = gen_instance(n1, n2, r, 0.1, seed)
+        zeta0 = _off_kinks(inst.Y, frac * 0.5 * np.abs(inst.Y).max())
+        _check_init_tangent(inst.Y, r, zeta0, seed)
+
+    # Tall and wide shapes at least 8 times as long as their short side
+    # (over 2 (r + 10)) take the short side's Gram; the sketch is ruled out.
+    # Loose and tight thresholds where the entries near zeta_0 leave room
+    # for the differences: 2400 x 60 has none at the tight one.
+    @pytest.mark.parametrize("n1, n2, r, seed, frac", [
+        (400, 40, 2, 1, 1.0), (400, 40, 2, 1, 0.6),
+        (40, 400, 3, 1, 1.0), (40, 400, 3, 1, 0.6),
+        (520, 30, 1, 4, 1.0), (520, 30, 1, 4, 0.6),
+        (2400, 60, 1, 4, 1.0)])
+    def test_gram_route_matches_central_differences(self, monkeypatch, n1,
+                                                    n2, r, seed, frac):
+        def no_sketch(*args, **kwargs):
+            raise AssertionError("the init took the sketch")
+
+        monkeypatch.setattr(solver, "_sketch_svd", no_sketch)
         inst = gen_instance(n1, n2, r, 0.1, seed)
         zeta0 = _off_kinks(inst.Y, frac * 0.5 * np.abs(inst.Y).max())
         _check_init_tangent(inst.Y, r, zeta0, seed)
@@ -560,6 +579,17 @@ class TestTrainSchedule:
             TrainConfig(K=5, K_bar=4)
         with pytest.raises(ValueError):
             TrainConfig(grid=(0.1, 1.0, 0.0))
+
+    # The grid is (min, max, step); another length or a scalar fails where
+    # it enters, not when it is unpacked.
+    @pytest.mark.parametrize("grid, match", [
+        ((0.1, 1.0), "grid must have 3 values, got 2"),
+        ((0.1, 1.0, 0.1, 0.1), "grid must have 3 values, got 4"),
+        (0.1, "grid must be a tuple, a list or a 1-D array, got 0.1"),
+    ], ids=["two", "four", "scalar"])
+    def test_grid_not_three_values_rejected(self, grid, match):
+        with pytest.raises(InvalidInput, match=match):
+            TrainConfig(grid=grid)
 
     @pytest.mark.parametrize("grid, count", [
         ((0.1, 1.0, 0.1), 10), ((0.2, 1.0, 0.2), 5), ((0.5, 1.0, 0.5), 2),
