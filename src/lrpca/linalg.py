@@ -1,10 +1,11 @@
 """Dense linear-algebra substrate: norms, truncated SVD, Gram solves.
 
-Everything operates on plain 2-D float64 numpy arrays.  The truncated SVD and
-the spectral norm come straight from LAPACK.  The solver's initialization
-sketch is the only randomized routine in the package; it is deterministic for
-a fixed seed.  Tall or wide inputs get the init's SVD from the short side's
-Gram instead (see :func:`lrpca.solver.spectral_init`).
+Everything computes in float64: a float32 argument is read as float64, and
+every result (factors, singular values, norms, solves) is float64.  The
+truncated SVD and the spectral norm come straight from LAPACK.  The solver's
+initialization sketch is the only randomized routine in the package; it is
+deterministic for a fixed seed.  Tall or wide inputs get the init's SVD from
+the short side's Gram instead (see :func:`lrpca.solver.spectral_init`).
 """
 
 from dataclasses import dataclass
@@ -33,6 +34,11 @@ _GRAM_MAX_SHORT = 256
 # gram_solve rejects G when a squared Cholesky pivot falls to this fraction
 # of G's largest diagonal entry.
 _PIVOT_RTOL = 1e-14
+
+
+def _float64(M, name):
+    """:func:`~lrpca.validation.check_matrix`, then float64."""
+    return check_matrix(M, name).astype(np.float64, copy=False)
 
 
 @dataclass(frozen=True)
@@ -64,7 +70,7 @@ def matrix_norm(M, kind):
         l2 norm, 'one_inf' the largest row-wise l1 norm.  The spectral norm
         is the largest singular value from LAPACK (``np.linalg.norm(M, 2)``).
     """
-    A = check_matrix(M, "M")
+    A = _float64(M, "M")
     if kind == "fro":
         return float(np.linalg.norm(A))
     if kind == "inf":
@@ -95,7 +101,7 @@ def truncated_svd(M, r):
     InvalidInput
         If ``r`` exceeds ``min(M.shape)``.
     """
-    A = check_matrix(M, "M")
+    A = _float64(M, "M")
     return _exact_svd(A, check_rank(r, *A.shape))[0]
 
 
@@ -246,8 +252,8 @@ def gram_solve(V, G):
         ``_PIVOT_RTOL`` (1e-14) times the largest diagonal entry, i.e. G is
         numerically singular or indefinite.
     """
-    Vm = check_matrix(V, "V")
-    Gm = check_matrix(G, "G")
+    Vm = _float64(V, "V")
+    Gm = _float64(G, "G")
     if Gm.shape != (Vm.shape[1],) * 2:
         raise InvalidInput(f"shape mismatch: V {Vm.shape}, G {Gm.shape}")
     return _gram_solver(Gm)(Vm)

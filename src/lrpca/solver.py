@@ -32,6 +32,14 @@ every pass replaces ``S_k`` in it with ``S_{k+1}`` slab by slab.
 The passes' three slab-sized scratch buffers are allocated once per solve,
 or once per training run, and reused by every pass (see :class:`_Scratch`).
 
+A solve follows the dtype of ``Y`` where the bytes are: on a float32 ``Y``
+(a video read from 8-bit frames) every slab pass, the ``S`` it holds and
+the returned ``X`` and ``S`` are float32, which halves the memory traffic
+of a pass.  Everything n x r or smaller stays float64: the factors, the
+init's SVD (read from a float64 copy), the Gram solves, the stop tests and
+every sum, which the passes add across slabs in float64.  Any other ``Y``
+is solved in float64.
+
 Thresholds and step sizes come from one of two schedule sources, each
 checked when built: a :class:`~lrpca.schedule.ParamSchedule`, learned or
 fixed (see :func:`FixedSchedule`), or an :class:`OracleSchedule` that
@@ -123,8 +131,12 @@ class SolveTrace:
     between come from Gram products of the thin factors and the pass's
     sums.  They differ from the dense ``||Y - X_k - S_k||_F / ||Y||_F`` by
     about 1e-17 or less in absolute terms: about 1e-11 relative at a
-    residual of 1e-6, 1e-6 relative at 1e-12.  A row whose residual is not
-    finite means the iterates diverged: the solve raises
+    residual of 1e-6, 1e-6 relative at 1e-12.  A float32 solve's rows,
+    all of them, differ from that dense residual recomputed in float64 by
+    float32's rounding: at most 1.1e-7 in absolute terms on 120 x 160 video
+    clips and 300 x 200 and 2400 x 60 synthetic solves, that is 1e-5
+    relative at a residual of 1e-4 and 8e-5 at 1e-5.  A row whose residual
+    is not finite means the iterates diverged: the solve raises
     :class:`~lrpca.errors.ConvergenceFailure` naming the iteration.
     """
 
@@ -218,6 +230,13 @@ def spectral_init(Y, r, zeta0, seed=0, tangent=False):
     the SVD reads it and ``S_0`` before and after, and ``sign(S_0)`` with
     ``tangent``.  A tangent on the Gram route holds one more array of
     ``A``'s size, ``A`` times all the Gram's eigenvectors.
+
+    A float32 ``Y`` gives a float32 ``S_0``, while the factors and the
+    tangent (and ``sign(S_0)``) are float64: the SVD reads a float64 copy
+    of ``A``, which the init holds beside the float32 buffer, as many bytes
+    as a float64 init holds.  At float32's eps the Gram route's rounding
+    bound would reject every video and send it to the sketch, eight times
+    slower at 19200 x 60.
     """
     Ym = check_matrix(Y, "Y")
     r = check_rank(r, *Ym.shape)
@@ -236,19 +255,24 @@ def _factor_state(Y, S0, r, seed, tangent=False):
     ``S0`` is within a factor 2 of ``y`` otherwise; so ``y - S0`` is exact
     (Sterbenz), and ``y - (y - S0)`` gives ``S0`` back bit for bit.
     """
-    dA = np.sign(S0) if tangent else None
+    dA = np.sign(S0, dtype=np.float64) if tangent else None
     A = np.subtract(Y, S0, out=S0)
+    # The SVD reads a float32 A through a float64 copy: the Gram route's
+    # rounding bound holds for float64's eps, and at float32's it would
+    # turn down every video.
+    A64 = A.astype(np.float64, copy=False)
     short, long = sorted(A.shape)
     # Below a short side of twice the sketch width an exact SVD costs no
     # more than the sketch, so small inputs keep the exact truncation.
     if short > 2 * (r + _SKETCH_OVERSAMPLE):
-        gram = (_gram_svd(A, r, dA) if short <= _GRAM_MAX_SHORT
+        gram = (_gram_svd(A64, r, dA) if short <= _GRAM_MAX_SHORT
                 and long >= _GRAM_ASPECT * short else None)
-        f, dX = gram if gram is not None else _sketch_svd(A, r, seed, dA)
+        f, dX = gram if gram is not None else _sketch_svd(A64, r, seed, dA)
     elif dA is None:
-        f, dX = truncated_svd(A, r), None
+        f, dX = truncated_svd(A64, r), None
     else:
-        f, dX = _exact_svd(A, r, dA)
+        f, dX = _exact_svd(A64, r, dA)
+    del A64
     root = np.sqrt(f.sigma)
     state = SolverState(FactorPair(f.U * root, f.V * root),
                         np.subtract(Y, A, out=A))
@@ -279,10 +303,12 @@ class _Scratch:
     and again only when a pass needs another ``(rows per slab, n2)``, as
     when a training source yields instances of different shapes.  A set is
     never shared between solves, so concurrent solves on threads share
-    nothing.
+    nothing.  The buffers have the ``dtype`` of the passes that use them:
+    a pass forms its slabs in it (see :func:`_soft_pass`).
     """
 
-    def __init__(self):
+    def __init__(self, dtype=np.float64):
+        self.dtype = np.dtype(dtype)
         self._bufs = ()
 
     def slabs(self, n1, n2):
@@ -290,7 +316,8 @@ class _Scratch:
         step = _block_rows(n1, n2)
         if not self._bufs or self._bufs[0].shape != (step, n2):
             self._bufs = ()  # free the old set before making the new one
-            self._bufs = tuple(np.empty((step, n2)) for _ in range(3))
+            self._bufs = tuple(np.empty((step, n2), self.dtype)
+                               for _ in range(3))
         return step, self._bufs
 
     def rows(self, n1, n2):
@@ -316,7 +343,20 @@ class _Pass(NamedTuple):
 
 
 def _sq(A):
-    return float(np.vdot(A, A))
+    """``||A||_F^2`` as a float.  A float32 ``A`` is summed by BLAS in runs
+    of at most ``_SLAB_ELEMS`` entries, which are added in float64: one
+    float32 dot over 1.15 million entries was off by 1e-6 relative, one
+    over 65,536 by 6e-8, while a float64 sum would triple the time."""
+    if A.dtype == np.float64 or A.size <= _SLAB_ELEMS:
+        return float(np.vdot(A, A))
+    a = A.reshape(-1)
+    return sum(_sq(a[i:i + _SLAB_ELEMS]) for i in range(0, a.size, _SLAB_ELEMS))
+
+
+def _in_dtype(dtype, *mats):
+    """``mats`` in ``dtype``: themselves in their own dtype, else rounded
+    copies; a pass forms its slabs from the factors in the slabs' dtype."""
+    return tuple(M.astype(dtype, copy=False) for M in mats)
 
 
 def _product_rows(L_rows, RT, out=None):
@@ -350,14 +390,21 @@ def _soft_pass(Y, L, R, zeta, scratch, S=None, S_out=None, truth=None,
     in the one ``S`` it holds.  So one iteration reads Y once, and S only
     when asked to, and never holds an n1 x n2 temporary; without ``zeta``
     the pass only measures the iterate.
+
+    The slabs, ``C R`` and the copies of ``L`` and ``R`` they are formed
+    from are in ``scratch.dtype``, the dtype of ``Y``, ``S`` and ``truth``
+    in a solve: float32 halves the bytes the pass moves.  Each slab's sums
+    and products with ``C`` are added across slabs in float64, and every
+    returned array is float64.
     """
     n1, n2 = Y.shape
     r = L.shape[1]
+    L, R = _in_dtype(scratch.dtype, L, R)
     RT = R.T
     resid_sq = err_sq = dS_sq = S_sq = C_sq = 0.0
     CR = CtL = CtCR = None
     if zeta is not None:
-        CR = np.empty((n1, r))
+        CR = np.empty((n1, r), scratch.dtype)
         CtL = np.zeros((n2, r))
         if for_stop:
             CtCR = np.zeros((n2, r))
@@ -385,7 +432,7 @@ def _soft_pass(Y, L, R, zeta, scratch, S=None, S_out=None, truth=None,
             CtCR += C.T @ CR[sl]
             C_sq += _sq(C)
     if zeta is not None:
-        np.negative(CR, out=CR)
+        CR = np.negative(CR, out=CR).astype(np.float64, copy=False)
         np.negative(CtL, out=CtL)
     return _Pass(resid_sq, err_sq, dS_sq, S_sq, C_sq, CR, CtL, CtCR)
 
@@ -437,9 +484,11 @@ def _soft_backward(Y, L, R, zeta, eta, L_bar, R_bar, scratch):
 def _sparsify_pass(Y, L, R, alpha_tilde, scratch, S=None, S_out=None,
                    truth=None, for_stop=False):
     """:func:`_soft_pass` for top-fraction sparsification.  Its row and
-    column cutoffs need the whole residual, so ``T`` is materialized and
-    ``scratch`` goes unused."""
-    X = _product_rows(L, R.T)
+    column cutoffs need the whole residual, so ``T`` is materialized in
+    ``scratch.dtype`` and the slab buffers go unused; ``W`` is read in
+    float64 by the thin products."""
+    Lp, Rp = _in_dtype(scratch.dtype, L, R)
+    X = _product_rows(Lp, Rp.T)
     err_sq = _sq(X - truth) if truth is not None else 0.0
     T = np.subtract(Y, X, out=X)
     resid_sq = _sq(T - S) if S is not None else 0.0
@@ -451,7 +500,7 @@ def _sparsify_pass(Y, L, R, alpha_tilde, scratch, S=None, S_out=None,
         if for_stop:
             dS_sq, S_sq = _sq(S_new - S_out), _sq(S_out)
         np.copyto(S_out, S_new)
-    W = np.subtract(S_new, T, out=T)
+    W = np.subtract(S_new, T, out=T).astype(np.float64, copy=False)
     WR = W @ R
     WtWR = W.T @ WR if for_stop else None
     return _Pass(resid_sq, err_sq, dS_sq, S_sq, _sq(W), WR, W.T @ L, WtWR)
@@ -515,8 +564,9 @@ def _next_resid_sq(p, old, new, eta, dX_sq):
 
 
 def _max_abs_err(factors, truth, scratch):
-    """``||L R^T - truth||_inf`` over row slabs."""
-    L, RT = factors.L, factors.R.T
+    """``||L R^T - truth||_inf`` over row slabs, in ``scratch.dtype``."""
+    L, R = _in_dtype(scratch.dtype, factors.L, factors.R)
+    RT = R.T
     out = 0.0
     for sl, D, _, _ in scratch.rows(*truth.shape):
         _product_rows(L[sl], RT, D)
@@ -533,8 +583,9 @@ def lrpca_step(state, Y, zeta, eta):
     shape = (state.factors.L.shape[0], state.factors.R.shape[0])
     if shape != Ym.shape:
         raise InvalidInput(f"factors give shape {shape}, Y has {Ym.shape}")
-    S = np.empty(Ym.shape)
-    factors = _soft_step(Ym, state.factors, zeta, eta, _Scratch(), S_out=S)
+    S = np.empty(Ym.shape, Ym.dtype)
+    factors = _soft_step(Ym, state.factors, zeta, eta, _Scratch(Ym.dtype),
+                         S_out=S)
     return SolverState(factors, S)
 
 
@@ -585,12 +636,12 @@ def _run(Y, r, schedule, stop, truth, seed, init_fn, pass_fn):
     r = check_rank(r, *Y.shape)
     check_seed(seed)
     if truth is not None:
-        truth = check_matrix(truth, "truth")
+        truth = check_matrix(truth, "truth").astype(Y.dtype, copy=False)
         check_same_shape(Y, truth)
     zeta, params_fn = _resolve_schedule(schedule, truth, stop.max_iters)
     trace = SolveTrace()
-    ny = np.linalg.norm(Y)
-    nt = np.linalg.norm(truth) if truth is not None else 0.0
+    ny = np.sqrt(_sq(Y))
+    nt = np.sqrt(_sq(truth)) if truth is not None else 0.0
     track = stop.mode == "iterate_change"
     by_residual = stop.mode == "residual_rel"
     t0 = time.perf_counter()
@@ -614,7 +665,7 @@ def _run(Y, r, schedule, stop, truth, seed, init_fn, pass_fn):
     del state
     # The zero iterate before the init, whose pass at zeta_0 gives S_0.
     old = FactorPair(np.zeros((Y.shape[0], r)), np.zeros((Y.shape[1], r)))
-    scratch = _Scratch()
+    scratch = _Scratch(Y.dtype)
     eta, k = float("nan"), 0
     nxt = params_fn(1, factors, scratch) if stop.max_iters > 0 else (None, None)
     p = pass_fn(Y, factors.L, factors.R, nxt[0], scratch, S=S,
@@ -650,14 +701,14 @@ def _run(Y, r, schedule, stop, truth, seed, init_fn, pass_fn):
                     truth=truth, for_stop=True)
         append(k, zeta, eta, res, p.err_sq)
     if S is None or k == 0 < stop.max_iters:  # S_k from iterate k - 1
-        S = np.empty(Y.shape) if S is None else S
+        S = np.empty(Y.shape, Y.dtype) if S is None else S
         pass_fn(Y, old.L, old.R, zeta, scratch, S_out=S)
     if k > 0:  # measure the returned iterate against the returned S
         p = pass_fn(Y, factors.L, factors.R, None, scratch, S=S, truth=truth)
         append(k, zeta, eta, residual(k, p.resid_sq), p.err_sq)
     trace.stop_reason = "converged" if converged else "max_iters"
     del scratch  # free the slab buffers before X is formed
-    return factors.product(), S, trace
+    return _product_rows(*_in_dtype(Y.dtype, factors.L, factors.R.T)), S, trace
 
 
 def solve(Y, r, schedule, stop=StopRule(), truth=None, seed=0):

@@ -4,6 +4,12 @@ Frames are stored as float arrays in [0, 1].  A sequence is one matrix:
 each frame, flattened row-major, is one column; the static background of a
 scene is then the low-rank part of that matrix and moving objects land in
 the sparse part.
+
+Frames read from disk are float32, which holds every 8-bit sample divided
+by its maxval to within float32's rounding, so the solve on them runs its
+slab passes in float32 (see :func:`lrpca.solver.solve`); the background
+and foreground sequences it gives are float64, like every other frame the
+module returns.
 """
 
 import os
@@ -131,8 +137,8 @@ def read_pgm_sequence(directory):
     lexicographic filename order.
 
     The files' 8-bit samples are divided by their maxvals in one pass,
-    straight into the columns of one C-ordered frame matrix, with the
-    values :func:`read_pgm` gives.
+    straight into the columns of one C-ordered float32 frame matrix: each
+    value is the float32 rounding of the one :func:`read_pgm` gives.
     """
     if not os.path.isdir(directory):
         raise InvalidInput(f"frames directory not found: {directory}")
@@ -145,8 +151,8 @@ def read_pgm_sequence(directory):
     if len(shapes) != 1:
         raise InvalidInput(f"inconsistent frame dimensions: {sorted(shapes)}")
     samples = np.stack([img.reshape(-1) for img, _ in decoded])  # frame per row
-    maxvals = np.array([maxval for _, maxval in decoded], dtype=np.float64)
-    M = np.empty(samples.shape[::-1])
+    maxvals = np.array([maxval for _, maxval in decoded], dtype=np.float32)
+    M = np.empty(samples.shape[::-1], np.float32)
     np.divide(samples.T, maxvals, out=M)
     return FrameSequence(M, *shapes.pop())
 
@@ -165,16 +171,26 @@ def background_subtract(seq, r, schedule,
     """Split a frame sequence into background and foreground sequences.
 
     Runs the decomposition on the sequence's frame matrix (a C-ordered one,
-    as read from disk, uncopied); background frames come from the low-rank
-    columns and foreground frames from the magnitude of the sparse columns,
-    both clamped to [0, 1] in the solve's own output buffers.  Returns
+    as read from disk, uncopied), in its dtype; background frames come from
+    the low-rank columns and foreground frames from the magnitude of the
+    sparse columns, both clamped to [0, 1] and float64.  A float64 solve's
+    outputs are clamped in its own buffers; a float32 one's are clamped
+    into float64 copies, made one after the other, each freeing its source,
+    so that at most one float32 output is held beside them.  Returns
     ``(background, foreground, trace)``.
     """
     X, S, trace = solve(seq.matrix, r, schedule, stop=stop, seed=seed)
-    bg = FrameSequence(np.clip(X, 0.0, 1.0, out=X), seq.height, seq.width)
-    fg = FrameSequence(np.clip(np.abs(S, out=S), 0.0, 1.0, out=S),
-                       seq.height, seq.width)
-    return bg, fg, trace
+    X = _clamped64(X)
+    S = _clamped64(np.abs(S, out=S))
+    return (FrameSequence(X, seq.height, seq.width),
+            FrameSequence(S, seq.height, seq.width), trace)
+
+
+def _clamped64(M):
+    """``M`` clamped to [0, 1] as float64: in ``M`` itself if it is
+    float64, else into a new array."""
+    out = M if M.dtype == np.float64 else np.empty(M.shape)
+    return np.clip(M, 0.0, 1.0, out=out)
 
 
 def moving_blob_scene(height=24, width=32, n_frames=40, blob=5,

@@ -16,9 +16,10 @@ import pytest
 
 import lrpca
 from lrpca import (StopRule, banded_sparse_matrix, background_subtract,
-                   gen_instance, lrpca_step, matrix_norm, rescale_schedule,
-                   solve, solve_scaledgd, spectral_init,
-                   sparsify_top_fraction, soft_threshold, truncated_svd)
+                   gen_instance, lrpca_step, matrix_norm, read_pgm_sequence,
+                   rescale_schedule, solve, solve_scaledgd, spectral_init,
+                   sparsify_top_fraction, soft_threshold, truncated_svd,
+                   write_pgm)
 from lrpca.bench import (lrpca_spec, recoverability_sweep,
                          runtime_scaling_bench, scaledgd_spec)
 from conftest import make_scene_instance
@@ -223,6 +224,17 @@ def test_criterion_09_generalization(trained_base, trained_target_large_n,
                  f"{target_r:.1f} (slack +3)")
 
 
+def _detection(fg, masks):
+    """Precision and recall of the foreground above 0.1 against the masks."""
+    tp = fp = fn = 0
+    for frame, mask in zip(fg.frames, masks):
+        detected = frame > 0.1
+        tp += int((detected & mask).sum())
+        fp += int((detected & ~mask).sum())
+        fn += int((~detected & mask).sum())
+    return tp / max(tp + fp, 1), tp / max(tp + fn, 1)
+
+
 def test_criterion_10_background_subtraction(trained_video_schedule):
     theta = trained_video_schedule["theta"]
     # Held-out scene: a phase/amplitude combination not in the training set.
@@ -230,19 +242,33 @@ def test_criterion_10_background_subtraction(trained_video_schedule):
                                            seed=99)
     stop = StopRule("iterate_change", 1e-3, 100)
     bg, fg, trace = background_subtract(seq, 2, theta, stop=stop)
-    tp = fp = fn = 0
-    for frame, mask in zip(fg.frames, masks):
-        detected = frame > 0.1
-        tp += int((detected & mask).sum())
-        fp += int((detected & ~mask).sum())
-        fn += int((~detected & mask).sum())
-    precision = tp / max(tp + fp, 1)
-    recall = tp / max(tp + fn, 1)
+    precision, recall = _detection(fg, masks)
     assert precision >= 0.9
     assert recall >= 0.9
     assert trace.residuals[-1] < 1e-3
     report("C10", f"precision {precision:.3f}, recall {recall:.3f} (>= 0.9), "
                   f"residual {trace.residuals[-1]:.1e} < 1e-3")
+
+
+def test_criterion_10_background_subtraction_from_pgm(trained_video_schedule,
+                                                      tmp_path):
+    # C10's held-out scene as 8-bit PGM frames, read back: the float32 path
+    # that lrpca bgsub takes, at C10's bounds.
+    theta = trained_video_schedule["theta"]
+    _, seq, masks = make_scene_instance(phase=(4, 8), amplitude=0.78, seed=99)
+    for t, frame in enumerate(seq.frames):
+        write_pgm(frame, tmp_path / f"{t:05d}.pgm")
+    read = read_pgm_sequence(tmp_path)
+    assert read.matrix.dtype == np.float32
+    stop = StopRule("iterate_change", 1e-3, 100)
+    bg, fg, trace = background_subtract(read, 2, theta, stop=stop)
+    precision, recall = _detection(fg, masks)
+    assert precision >= 0.9
+    assert recall >= 0.9
+    assert trace.residuals[-1] < 1e-3
+    report("C10 (float32, from PGM)",
+           f"precision {precision:.3f}, recall {recall:.3f} (>= 0.9), "
+           f"residual {trace.residuals[-1]:.1e} < 1e-3")
 
 
 def _run_cli(args, cwd):

@@ -1,12 +1,14 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from lrpca import (ConvergenceFailure, FactorPair, FixedSchedule, InvalidInput,
                    OracleSchedule, ParamSchedule, SingularGram, SolverState, StopRule, gen_instance,
-                   lrpca_step, soft_threshold, solve,
-                   solve_scaledgd, spectral_init, truncated_svd)
+                   gram_solve, lrpca_step, matrix_norm, moving_blob_scene,
+                   soft_threshold, solve, solve_scaledgd, sparsify_top_fraction,
+                   spectral_init, truncated_svd)
 from lrpca import solver as solver_module
 from lrpca.linalg import (_GRAM_ASPECT, _GRAM_MAX_SHORT, _SKETCH_OVERSAMPLE,
                           _exact_svd, _gram_svd, _sketch_svd)
@@ -195,16 +197,34 @@ class TestSpectralInit:
     # The route follows the shape alone: a short side up to 2 (r + 10)
     # takes the exact SVD; past it, a side at least 8 times the short side,
     # with the short side at most 256, takes the Gram; the rest the sketch.
+    # A float32 Y takes its float64 twin's route: the SVD reads a float64
+    # copy of A, so float32's rounding cannot turn the Gram route down.
     @pytest.mark.parametrize("n1, n2, r, route", [
         (2000, 2000, 5, "sketch"), (200, 200, 5, "sketch"),
         (400, 100, 2, "sketch"), (3200, 400, 2, "sketch"),
         (2400, 60, 1, "gram"), (60, 2400, 1, "gram"), (2048, 256, 1, "gram"),
-        (2400, 20, 1, "exact")])
+        (19200, 60, 1, "gram"), (2400, 20, 1, "exact")])
     def test_route_pinned_by_shape(self, monkeypatch, n1, n2, r, route):
         calls = record_routes(monkeypatch)
         inst = gen_instance(n1, n2, r, 0.1, 2)
-        spectral_init(inst.Y, r, 0.5 * np.abs(inst.Y).max(), seed=1)
-        assert calls == [(route, False)]
+        for Y in (inst.Y, inst.Y.astype(np.float32)):
+            spectral_init(Y, r, 0.5 * np.abs(inst.Y).max(), seed=1)
+        assert calls == [(route, False)] * 2
+
+    def test_float32_video_takes_gram_route(self, monkeypatch):
+        # A 120 x 160, 60-frame clip as read from 8-bit PGMs: 19200 x 60.
+        # At zeta_0 = 0.5, S_0 and A = Y - S_0 are exact in float32, so an
+        # SVD that reads A in float64 gives the float64 twin's factors.
+        calls = record_routes(monkeypatch)
+        Y = video_clip(120, 160, 60)
+        state = spectral_init(Y, 1, 0.5, seed=0)
+        twin = spectral_init(Y.astype(np.float64), 1, 0.5, seed=0)
+        assert calls == [("gram", False)] * 2
+        assert state.S.dtype == np.float32 and state.S.any()
+        assert np.array_equal(state.S, twin.S)
+        assert state.factors.L.dtype == state.factors.R.dtype == np.float64
+        assert np.array_equal(state.factors.L, twin.factors.L)
+        assert np.array_equal(state.factors.R, twin.factors.R)
 
     def test_sketch_fixed_by_seed(self):
         inst = gen_instance(600, 2000, 5, 0.1, 5)
@@ -938,3 +958,168 @@ class TestSlabScratch:
             assert np.array_equal(X, X_s) and np.array_equal(S, S_s)
             assert trace.residuals == trace_s.residuals
             assert trace.rel_errs == trace_s.rel_errs
+
+
+def video_clip(height, width, n_frames):
+    """A blob scene's frame matrix as :func:`read_pgm_sequence` would give
+    it from 8-bit PGMs: quantized, float32, C-ordered."""
+    seq, _ = moving_blob_scene(height=height, width=width, n_frames=n_frames,
+                               blob=5, amplitude=0.85877, phase=(97, 64))
+    q = np.round(np.clip(seq.matrix, 0.0, 1.0) * 255.0)
+    return np.ascontiguousarray(q, dtype=np.float32) / np.float32(255.0)
+
+
+def video_schedule():
+    return ParamSchedule(zetas=tuple(0.425 * 0.65 ** k for k in range(11)),
+                         etas=(0.65,) * 10, beta=1.0, phi=0.65)
+
+
+def outcome(run):
+    """``(iterations, stop_reason)`` of ``run()``, or the type and message
+    of what it raised."""
+    try:
+        _, _, trace = run()
+    except Exception as exc:  # noqa: BLE001 - the outcome is compared
+        return type(exc).__name__, str(exc)
+    return trace.iterations, trace.stop_reason
+
+
+class TestFloat32:
+    """A float32 ``Y`` runs the slab passes in float32; everything n x r or
+    smaller, and every sum, stays float64.  The rule of every entry point:
+    outputs of ``Y``'s size keep its dtype, the rest is float64."""
+
+    # The float64 twin solves the same float32 values in float64.  Both end
+    # alike; their outputs differ by float32 rounding (measured 5e-8 on X).
+    @pytest.mark.parametrize("case", ["clip", "oracle", "learned"])
+    def test_matches_float64_solve_of_same_values(self, case):
+        if case == "clip":
+            Y, r, truth = video_clip(40, 60, 60), 1, None
+            theta, stop = video_schedule(), StopRule("iterate_change", 1e-3, 100)
+        else:
+            inst = gen_instance(300, 200, 3, 0.1, 7)
+            Y, r, truth = inst.Y.astype(np.float32), 3, inst.X_star
+            theta = (OracleSchedule(0.5) if case == "oracle" else
+                     ParamSchedule(zetas=tuple(0.3 * 0.7 ** k for k in range(6)),
+                                   etas=(0.6,) * 5, beta=1.0, phi=0.7))
+            stop = StopRule("residual_rel", 1e-5, 100)
+        X, S, trace = solve(Y, r, theta, stop, truth=truth, seed=1)
+        X64, S64, trace64 = solve(Y.astype(np.float64), r, theta, stop,
+                                  truth=truth, seed=1)
+        assert X.dtype == S.dtype == np.float32
+        assert trace.stop_reason == trace64.stop_reason == "converged"
+        assert trace.iterations == trace64.iterations > 1
+        assert np.linalg.norm(X - X64) <= 1e-6 * np.linalg.norm(X64)
+        assert np.linalg.norm(S - S64) <= 1e-6 * np.linalg.norm(Y)
+        np.testing.assert_allclose(trace.residuals, trace64.residuals,
+                                   rtol=1e-3, atol=1e-6)
+        # Against a dense float64 recomputation the last residual is off by
+        # float32 rounding, about 1e-7 of ||Y||_F (see SolveTrace).
+        Yd = Y.astype(np.float64)
+        dense = (np.linalg.norm(Yd - X.astype(np.float64) - S.astype(np.float64))
+                 / np.linalg.norm(Yd))
+        assert abs(trace.residuals[-1] - dense) <= 1e-6
+        if truth is not None:
+            assert trace.rel_errs[-1] == pytest.approx(trace64.rel_errs[-1],
+                                                       rel=1e-3)
+
+    def test_loop_holds_no_float64_video(self, monkeypatch):
+        # After the init, whose SVD reads a float64 copy of A, an
+        # iterate_change solve holds its float32 S, the slab scratch and
+        # then the returned float32 X: about 2.2 times Y's bytes.  A float64
+        # array of Y's size in the loop, or a float64 X cast down, would add
+        # 2 more.
+        Y = video_clip(120, 160, 60)
+        real_init = solver_module.spectral_init
+
+        def init_then_reset(*args):
+            state = real_init(*args)
+            tracemalloc.reset_peak()
+            return state
+        monkeypatch.setattr(solver_module, "spectral_init", init_then_reset)
+        (X, S, trace), peak = traced_peak(
+            lambda: solve(Y, 1, video_schedule(),
+                          StopRule("iterate_change", 1e-3, 100)))
+        assert trace.iterations > 1 and X.dtype == S.dtype == np.float32
+        assert peak < 2.5 * Y.nbytes
+
+    def test_entry_points_follow_the_rule(self, rng):
+        inst = gen_instance(60, 50, 2, 0.1, 3)
+        Y = inst.Y.astype(np.float32)
+        Y64 = Y.astype(np.float64)
+        z = 0.5 * float(np.abs(Y64).max())
+        assert soft_threshold(Y, z).dtype == np.float32
+        np.testing.assert_allclose(soft_threshold(Y, z), soft_threshold(Y64, z),
+                                   rtol=0, atol=1e-7)
+        assert np.array_equal(sparsify_top_fraction(Y, 0.2),
+                              sparsify_top_fraction(Y64, 0.2).astype(np.float32))
+        assert sparsify_top_fraction(Y, 0.2).dtype == np.float32
+
+        state, tangent = spectral_init(Y, 2, z, seed=1, tangent=True)
+        plain = spectral_init(Y, 2, z, seed=1)
+        assert state.S.dtype == np.float32
+        for M in (state.factors.L, state.factors.R, tangent.L, tangent.R):
+            assert M.dtype == np.float64
+        assert np.array_equal(state.S, plain.S)
+        assert np.array_equal(state.factors.L, plain.factors.L)
+
+        step = lrpca_step(plain, Y, z, 0.5)
+        assert step.S.dtype == np.float32
+        assert step.factors.L.dtype == step.factors.R.dtype == np.float64
+        step64 = lrpca_step(plain, Y64, z, 0.5)
+        assert np.linalg.norm(step.factors.L - step64.factors.L) <= (
+            1e-6 * np.linalg.norm(step64.factors.L))
+
+        stop = StopRule("residual_rel", 1e-5, 100)
+        X, S, trace = solve_scaledgd(Y, 2, 0.2, 0.5, stop, truth=inst.X_star)
+        _, _, trace64 = solve_scaledgd(Y64, 2, 0.2, 0.5, stop, truth=inst.X_star)
+        assert X.dtype == S.dtype == np.float32
+        assert trace.iterations == trace64.iterations
+
+    def test_linalg_stays_float64(self, rng):
+        A = rng.standard_normal((40, 30)).astype(np.float32)
+        A64 = A.astype(np.float64)
+        f, f64 = truncated_svd(A, 3), truncated_svd(A64, 3)
+        for got, want in zip((f.U, f.sigma, f.V), (f64.U, f64.sigma, f64.V)):
+            assert got.dtype == np.float64 and np.array_equal(got, want)
+        G = (A64.T @ A64).astype(np.float32)
+        V = A[:5]
+        W = gram_solve(V, G)
+        assert W.dtype == np.float64
+        assert np.array_equal(W, gram_solve(V.astype(np.float64),
+                                            G.astype(np.float64)))
+        for kind in ("fro", "inf", "two_inf", "one_inf", "spectral"):
+            assert matrix_norm(A, kind) == matrix_norm(A64, kind)
+            assert isinstance(matrix_norm(A, kind), float)
+
+    # The degenerate cases of TestEdgeShapes, in float32: each ends as its
+    # float64 twin (the same values in float64) ends, by the same routes.
+    # The rank-1 Y is an outer product of small integers over a power of
+    # two, so it is exactly rank 1 in both dtypes.
+    @pytest.mark.parametrize("mode", ["residual_rel", "iterate_change"])
+    @pytest.mark.parametrize("case, r", [
+        ("all_zero_20x30", 2), ("all_zero_2400x60", 1), ("all_zero_60x2400", 1),
+        ("rank1_2400x60", 2), ("rank1_2400x60", 3), ("rank1_60x2400", 2)])
+    def test_degenerate_ends_as_float64_twin(self, monkeypatch, rng, case,
+                                             mode, r):
+        kind, shape = case.rsplit("_", 1)
+        n1, n2 = map(int, shape.split("x"))
+        if kind == "all_zero":
+            Y, zeta = np.zeros((n1, n2)), 0.1
+        else:
+            Y = np.outer(rng.integers(1, 60, max(n1, n2)),
+                         rng.integers(-60, 60, min(n1, n2))) / 64.0
+            Y, zeta = (Y.T.copy() if n1 < n2 else Y), 1e9
+        stop = StopRule(mode, 1e-6 if mode == "residual_rel" else 1e-3, 30)
+        runs = []
+        for M in (Y, Y.astype(np.float32)):
+            calls = record_routes(monkeypatch)
+            end = outcome(lambda: solve(M, r, FixedSchedule(zeta, 0.5), stop,
+                                        seed=1))
+            init = outcome(lambda: (None, None, spectral_init(
+                M, r, zeta, seed=1, tangent=True)))
+            runs.append((end, init[0], calls))
+            monkeypatch.undo()
+        assert runs[0] == runs[1]
+        if kind == "all_zero":
+            assert runs[0][0] == (0, "converged")
