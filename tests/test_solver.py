@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from lrpca import (ConvergenceFailure, FactorPair, FixedSchedule, InvalidInput,
-                   OracleSchedule, ParamSchedule, SingularGram, SolverState, StopRule, gen_instance,
+                   LrpcaError, OracleSchedule, ParamSchedule, SingularGram, SolverState, StopRule, gen_instance,
                    gram_solve, lrpca_step, matrix_norm, moving_blob_scene,
                    soft_threshold, solve, solve_scaledgd, sparsify_top_fraction,
                    spectral_init, truncated_svd)
@@ -975,13 +975,12 @@ def video_schedule():
 
 
 def outcome(run):
-    """``(iterations, stop_reason)`` of ``run()``, or the type and message
-    of what it raised."""
+    """``(error, result)`` of ``run()``: the type and message of the error
+    it raised and None, or None and what it returned."""
     try:
-        _, _, trace = run()
-    except Exception as exc:  # noqa: BLE001 - the outcome is compared
-        return type(exc).__name__, str(exc)
-    return trace.iterations, trace.stop_reason
+        return None, run()
+    except LrpcaError as exc:
+        return f"{type(exc).__name__}: {exc}", None
 
 
 class TestFloat32:
@@ -1043,7 +1042,7 @@ class TestFloat32:
         assert trace.iterations > 1 and X.dtype == S.dtype == np.float32
         assert peak < 2.5 * Y.nbytes
 
-    def test_entry_points_follow_the_rule(self, rng):
+    def test_entry_points_follow_the_rule(self):
         inst = gen_instance(60, 50, 2, 0.1, 3)
         Y = inst.Y.astype(np.float32)
         Y64 = Y.astype(np.float64)
@@ -1114,11 +1113,12 @@ class TestFloat32:
         runs = []
         for M in (Y, Y.astype(np.float32)):
             calls = record_routes(monkeypatch)
-            end = outcome(lambda: solve(M, r, FixedSchedule(zeta, 0.5), stop,
-                                        seed=1))
-            init = outcome(lambda: (None, None, spectral_init(
-                M, r, zeta, seed=1, tangent=True)))
-            runs.append((end, init[0], calls))
+            err, out = outcome(lambda: solve(M, r, FixedSchedule(zeta, 0.5),
+                                             stop, seed=1))
+            end = err or (out[2].iterations, out[2].stop_reason)
+            init = outcome(lambda: spectral_init(M, r, zeta, seed=1,
+                                                 tangent=True))[0]
+            runs.append((end, init, calls))
             monkeypatch.undo()
         assert runs[0] == runs[1]
         if kind == "all_zero":
