@@ -241,9 +241,11 @@ def gram_solve(V, G):
 
     ``G`` is factored once by LAPACK Cholesky, ``G = Lc Lc^T``; ``V`` is
     multiplied by the r x r inverse ``Lc^{-T} Lc^{-1}`` and the result gets
-    one step of iterative refinement.  For cond(G) up to about 1e6 this keeps
-    the residual ``||W G - V||_F`` below 1e-10 * ||V||_F; beyond that it
-    grows with cond(G) (about 2e-9 relative at 1e8).
+    one step of iterative refinement.  Each product is a GEMM, or at r = 1
+    a broadcast multiply, which gives the same values.  For cond(G) up to
+    about 1e6 this keeps the residual ``||W G - V||_F`` below 1e-10 *
+    ||V||_F; beyond that it grows with cond(G) (about 2e-9 relative at
+    1e8).
 
     Raises
     ------
@@ -261,7 +263,9 @@ def gram_solve(V, G):
 
 def _gram_solver(G):
     """:func:`gram_solve` for a checked square ``G``, factored once:
-    returns ``V -> W``, the product with ``G^{-1}`` and one refinement."""
+    returns ``V -> W``, the product with ``G^{-1}`` and one refinement,
+    whose products are chosen here: ``np.matmul``, or ``np.multiply`` with
+    the 1 x 1 inverse at r = 1."""
     Gm = 0.5 * (G + G.T)
     try:
         Lc = np.linalg.cholesky(Gm)
@@ -273,9 +277,14 @@ def _gram_solver(G):
         raise SingularGram(f"pivot {pivot:.3e} below {threshold:.3e}")
     Lc_inv = np.linalg.inv(Lc)
     G_inv = Lc_inv.T @ Lc_inv
+    # At r = 1 each product is one multiply per entry: a broadcast makes it
+    # with the values a GEMM of inner dimension 1 gives, in a tenth of the
+    # time (best of 5 on a 2-vCPU VM with OpenBLAS, 19200 x 1 times 1 x 1:
+    # 5.1 against 55 us).
+    prod = np.multiply if Gm.shape[0] == 1 else np.matmul
 
     def solve(V):
-        W = V @ G_inv
-        W += (V - W @ Gm) @ G_inv
+        W = prod(V, G_inv)
+        W += prod(V - prod(W, Gm), G_inv)
         return W
     return solve

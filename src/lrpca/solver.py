@@ -663,6 +663,9 @@ def _run(Y, r, schedule, stop, truth, seed, init_fn, pass_fn):
     state = init_fn(Y, r, zeta, seed)
     factors, S = state.factors, state.S
     del state
+    # Diverging factors overflow in the slab passes, float32 ones before
+    # float64 ones, and in the bookkeeping below; residual() then raises.
+    pass_fn = np.errstate(over="ignore", invalid="ignore")(pass_fn)
     # The zero iterate before the init, whose pass at zeta_0 gives S_0.
     old = FactorPair(np.zeros((Y.shape[0], r)), np.zeros((Y.shape[1], r)))
     scratch = _Scratch(Y.dtype)
@@ -683,7 +686,6 @@ def _run(Y, r, schedule, stop, truth, seed, init_fn, pass_fn):
         except SingularGram as exc:
             raise SingularGram(
                 f"Gram factorization collapsed at iteration {k}: {exc}") from exc
-        # Diverging factors overflow here; residual() then raises.
         with np.errstate(over="ignore", invalid="ignore"):
             dX_sq, X_sq = _low_rank_change(factors, new)
             resid_sq = _next_resid_sq(p, factors, new, eta, dX_sq)

@@ -40,7 +40,10 @@ class FrameSequence:
     - :func:`read_pgm_sequence` builds a C-ordered matrix, which
       :func:`background_subtract` solves on without a copy;
     - :func:`moving_blob_scene` builds an F-ordered one, so each frame is
-      contiguous; a solve copies it once.
+      contiguous; a solve copies it once;
+    - :func:`background_subtract` returns F-ordered sequences from a
+      float32 solve, so each frame is contiguous, and C-ordered ones, the
+      solve's own buffers, from a float64 one.
 
     From separate frame arrays, build a sequence with
     ``FrameSequence(np.stack(frames).reshape(n, -1).T, height, width)``.
@@ -176,8 +179,9 @@ def background_subtract(seq, r, schedule,
     sparse columns, both clamped to [0, 1] and float64.  A float64 solve's
     outputs are clamped in its own buffers; a float32 one's are clamped
     into float64 copies, made one after the other, each freeing its source,
-    so that at most one float32 output is held beside them.  Returns
-    ``(background, foreground, trace)``.
+    so that at most one float32 output is held beside them.  The copies are
+    F-ordered, so each frame that :func:`write_pgm` copies is contiguous.
+    Returns ``(background, foreground, trace)``.
     """
     X, S, trace = solve(seq.matrix, r, schedule, stop=stop, seed=seed)
     X = _clamped64(X)
@@ -188,9 +192,11 @@ def background_subtract(seq, r, schedule,
 
 def _clamped64(M):
     """``M`` clamped to [0, 1] as float64: in ``M`` itself if it is
-    float64, else into a new array."""
-    out = M if M.dtype == np.float64 else np.empty(M.shape)
-    return np.clip(M, 0.0, 1.0, out=out)
+    float64, else into a new C-ordered frames x pixels array, returned
+    transposed, so each frame (column) is contiguous."""
+    if M.dtype == np.float64:
+        return np.clip(M, 0.0, 1.0, out=M)
+    return np.clip(M.T, 0.0, 1.0, out=np.empty(M.shape[::-1])).T
 
 
 def moving_blob_scene(height=24, width=32, n_frames=40, blob=5,

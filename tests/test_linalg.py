@@ -182,6 +182,19 @@ class TestGramSolve:
         for V in (rng.standard_normal((30, 5)),
                   rng.standard_normal((40, 10))[:, 3:8]):
             assert np.array_equal(solve(V), gram_solve(V, G))
+        # At r = 1 the products are broadcast multiplies; they give what
+        # the GEMMs of inner dimension 1 give, on a strided V as well.
+        G = np.array([[rng.uniform(0.5, 2.0) / cond]])
+        Lc_inv = np.linalg.inv(np.linalg.cholesky(G))
+        G_inv = Lc_inv.T @ Lc_inv
+        solve = _gram_solver(G)
+        for n in (7, 60, 19200):
+            for V in (rng.standard_normal((n, 1)),
+                      rng.standard_normal((n, 3))[:, 1:2]):
+                W = V @ G_inv
+                W += (V - W @ G) @ G_inv
+                assert np.array_equal(solve(V), W)
+                assert np.array_equal(gram_solve(V, G), W)
 
     def test_round_trip_property(self, rng):
         V = rng.standard_normal((9, 4))

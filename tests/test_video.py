@@ -5,7 +5,8 @@ import pytest
 
 from lrpca import (FormatError, FrameSequence, InvalidInput, ParamSchedule,
                    StopRule, background_subtract, frames_to_matrix,
-                   moving_blob_scene, read_pgm, read_pgm_sequence, write_pgm)
+                   moving_blob_scene, read_pgm, read_pgm_sequence, solve,
+                   write_pgm)
 from conftest import traced_peak
 
 
@@ -377,16 +378,24 @@ class TestBackgroundSubtract:
         # and foreground come back float64, so a foreground frame written
         # as PGM and read back is its own 8-bit quantization exactly; with
         # float32 frames, that comparison fails at 254 of the 256 levels.
+        # They are clamped into F-ordered matrices, so each frame that
+        # write_pgm copies is contiguous.
         seq, _ = moving_blob_scene(height=24, width=32, n_frames=40)
         for t, frame in enumerate(seq.frames):
             write_pgm(frame, tmp_path / f"{t:05d}.pgm")
         read = read_pgm_sequence(tmp_path)
         assert read.matrix.dtype == np.float32
-        bg, fg, trace = background_subtract(
-            read, 1, self.geometric_schedule(0.5),
-            stop=StopRule("iterate_change", 1e-3, 100))
+        theta = self.geometric_schedule(0.5)
+        stop = StopRule("iterate_change", 1e-3, 100)
+        bg, fg, trace = background_subtract(read, 1, theta, stop=stop)
         assert bg.matrix.dtype == fg.matrix.dtype == np.float64
         assert trace.iterations > 1
+        X, S, _ = solve(read.matrix, 1, theta, stop=stop)
+        assert X.dtype == S.dtype == np.float32
+        for out, M in ((bg, X), (fg, np.abs(S))):
+            assert out.matrix.flags.f_contiguous
+            assert all(f.flags.c_contiguous for f in out.frames)
+            assert np.array_equal(out.matrix, np.clip(M, 0.0, 1.0))
         F = np.stack(fg.frames)
         assert F.max() > 0.5  # the blob is in the foreground
         for t in (0, len(F) - 1):
