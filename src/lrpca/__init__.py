@@ -3,7 +3,7 @@ per-iteration thresholds and step sizes."""
 
 from .errors import (ConvergenceFailure, FormatError, InvalidInput,
                      LrpcaError, ParseError, SingularGram, TrainingDiverged)
-from .linalg import gram_solve, matrix_norm, truncated_svd
+from .linalg import matrix_norm, truncated_svd
 from .operators import soft_threshold, sparsify_top_fraction
 from .schedule import (ParamSchedule, read_schedule, rescale_schedule,
                        write_schedule)
@@ -19,7 +19,7 @@ from .video import (FrameSequence, background_subtract, frames_to_matrix,
 __version__ = "0.1.0"
 
 __all__ = [
-    "matrix_norm", "truncated_svd", "gram_solve",
+    "matrix_norm", "truncated_svd",
     "soft_threshold", "sparsify_top_fraction",
     "ParamSchedule", "rescale_schedule", "read_schedule", "write_schedule",
     "FactorPair", "SolverState", "StopRule",

@@ -1,8 +1,11 @@
-"""Dense linear-algebra substrate: norms, truncated SVD, Gram solves.
+"""Dense linear-algebra substrate: norms, truncated SVD, the Gram solver.
 
 Everything computes in float64: a float32 argument is read as float64, and
-every result (factors, singular values, norms, solves) is float64.  The
-truncated SVD and the spectral norm come straight from LAPACK.  The solver's
+every result (factors, singular values, norms) is float64.  The public
+functions check their arguments.  The Gram solver, :func:`gram_solve`, is
+internal: it takes the solver's own float64 Grams, factors each once and
+keeps its ``SingularGram`` checks on the factorization.  The truncated SVD
+and the spectral norm come straight from LAPACK.  The solver's
 initialization sketch is the only randomized routine in the package; it is
 deterministic for a fixed seed.  Tall or wide inputs get the init's SVD from
 the short side's Gram instead (see :func:`lrpca.solver.spectral_init`).
@@ -15,7 +18,7 @@ import numpy as np
 from .errors import InvalidInput, SingularGram
 from .validation import check_matrix, check_rank
 
-__all__ = ["matrix_norm", "truncated_svd", "gram_solve"]
+__all__ = ["matrix_norm", "truncated_svd"]
 
 # Width beyond r and power passes of the solver's initialization sketch.
 _SKETCH_OVERSAMPLE = 10
@@ -236,16 +239,21 @@ def _gram_svd(A, r, dA=None):
     return f, (dBtU, dBV) if wide else (dBV, dBtU)
 
 
-def gram_solve(V, G):
-    """Solve ``W @ G = V`` for symmetric positive definite ``G``.
+def gram_solve(G):
+    """Factor the r x r Gram ``G`` once; return the solver ``V -> W`` of
+    ``W @ G = V``.
 
-    ``G`` is factored once by LAPACK Cholesky, ``G = Lc Lc^T``; ``V`` is
-    multiplied by the r x r inverse ``Lc^{-T} Lc^{-1}`` and the result gets
-    one step of iterative refinement.  Each product is a GEMM, or at r = 1
-    a broadcast multiply, which gives the same values.  For cond(G) up to
-    about 1e6 this keeps the residual ``||W G - V||_F`` below 1e-10 *
-    ||V||_F; beyond that it grows with cond(G) (about 2e-9 relative at
-    1e8).
+    Internal: a solver step or a backward layer of training factors each
+    of its Grams, ``R^T R`` and ``L^T L``, once here and applies it to
+    every n x r matrix it scales.  ``G`` and ``V`` are the caller's own
+    float64 arrays and are not checked; a non-finite ``V`` (diverging
+    iterates) gives a non-finite ``W``, which the solve's residual reports.
+    ``G`` is factored by LAPACK Cholesky, ``G = Lc Lc^T``; ``V`` is
+    multiplied by the inverse ``Lc^{-T} Lc^{-1}`` and gets one step of
+    iterative refinement.  Each product is a GEMM, or at r = 1 a broadcast
+    multiply, which gives the same values.  For cond(G) up to about 1e6
+    this keeps the residual ``||W G - V||_F`` below 1e-10 * ||V||_F; beyond
+    that it grows with cond(G) (about 2e-9 relative at 1e8).
 
     Raises
     ------
@@ -254,18 +262,6 @@ def gram_solve(V, G):
         ``_PIVOT_RTOL`` (1e-14) times the largest diagonal entry, i.e. G is
         numerically singular or indefinite.
     """
-    Vm = _float64(V, "V")
-    Gm = _float64(G, "G")
-    if Gm.shape != (Vm.shape[1],) * 2:
-        raise InvalidInput(f"shape mismatch: V {Vm.shape}, G {Gm.shape}")
-    return _gram_solver(Gm)(Vm)
-
-
-def _gram_solver(G):
-    """:func:`gram_solve` for a checked square ``G``, factored once:
-    returns ``V -> W``, the product with ``G^{-1}`` and one refinement,
-    whose products are chosen here: ``np.matmul``, or ``np.multiply`` with
-    the 1 x 1 inverse at r = 1."""
     Gm = 0.5 * (G + G.T)
     try:
         Lc = np.linalg.cholesky(Gm)

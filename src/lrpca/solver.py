@@ -21,9 +21,11 @@ step size; both solvers run one driver, :func:`_run`.
 One iteration makes a single pass over ``Y`` in row slabs (see
 :func:`_soft_pass`): each slab forms its rows of ``L R^T`` once, thresholds
 and accumulates the thin products ``W R``, ``W^T L`` and ``W^T W R``; the
-rest is ``O(n r^2)`` work on the factors.  The next iterate's residual
-follows from those products (:func:`_next_resid_sq`), so the loop neither
-reads nor writes an ``S``.  The returned ``S_k`` is the outlier rule's pass
+rest is ``O(n r^2)`` work on the factors, for which each step forms each
+Gram, ``L^T L`` and ``R^T R``, once and factors it once (see
+:func:`_scaled_update`).  The next iterate's residual follows from those
+products and Grams (:func:`_step_sums`), so the loop neither reads nor
+writes an ``S``.  The returned ``S_k`` is the outlier rule's pass
 at the previous iterate, built once, at the end; before the init that
 iterate is zero, whose pass gives ``S_0``.  Besides ``Y``, a solve holds
 one ``S`` and the returned ``X``.  The ``iterate_change`` stop, which
@@ -56,8 +58,8 @@ import numpy as np
 
 from .errors import ConvergenceFailure, InvalidInput, SingularGram
 from .linalg import (_GRAM_ASPECT, _GRAM_MAX_SHORT, _SKETCH_OVERSAMPLE,
-                     _exact_svd, _gram_solver, _gram_svd, _sketch_svd,
-                     gram_solve, truncated_svd)
+                     _exact_svd, _gram_svd, _sketch_svd, gram_solve,
+                     truncated_svd)
 from .operators import _sparsify_unchecked, soft_threshold
 from .schedule import ParamSchedule
 from .validation import (check_count, check_fraction, check_matrix,
@@ -217,7 +219,8 @@ def spectral_init(Y, r, zeta0, seed=0, tangent=False):
     follows the spectral gap rather than an accuracy target, which the
     iteration does not need: it corrects the factors from the first step
     on.  Only the sketch reads ``seed``, which must be >= 0 on every route.
-    Whatever the route, the factors are fixed bit for bit.
+    Whatever the route, the factors are fixed bit for bit on one machine,
+    numpy/BLAS build and BLAS thread count (not across thread counts).
 
     With ``tangent``, returns ``(state, FactorPair(dL, dR))``: forward mode
     through the route taken, from ``dA/dzeta0 = sign(S_0)``, gives
@@ -382,7 +385,7 @@ def _soft_pass(Y, L, R, zeta, scratch, S=None, S_out=None, truth=None,
     ``W_sl = -clip(T_sl, +-zeta)``.  With ``S_out`` it forms
     ``S'_sl = T_sl + W_sl`` in the slab scratch and copies it into
     ``S_out``.  With ``for_stop`` it also adds ``||W_sl||^2`` and
-    accumulates ``W_sl^T W_sl R``, from which :func:`_next_resid_sq` takes
+    accumulates ``W_sl^T W_sl R``, from which :func:`_step_sums` takes
     the residual of the next iterate, and, when ``S_out`` is given, adds
     ``||S'_sl - S_sl||^2`` and ``||S_sl||^2`` for the ``S_sl`` that
     ``S_out`` holds until ``S'_sl`` overwrites it: so an ``iterate_change``
@@ -452,7 +455,7 @@ def _soft_backward(Y, L, R, zeta, eta, L_bar, R_bar, scratch):
     n1, n2 = Y.shape
     r = L.shape[1]
     RT = R.T
-    solve_R, solve_L = _gram_solver(R.T @ R), _gram_solver(L.T @ L)
+    solve_R, solve_L = gram_solve(R.T @ R), gram_solve(L.T @ L)
     P_bar, Q_bar = eta * solve_R(L_bar), eta * solve_L(R_bar)
     # C_bar = left right^T; C right = [C R, C Q_bar] and C^T left =
     # [C^T P_bar, C^T L] give the forward products and the factor adjoints.
@@ -507,17 +510,23 @@ def _sparsify_pass(Y, L, R, alpha_tilde, scratch, S=None, S_out=None,
 
 
 def _scaled_update(factors, p, eta):
-    # Both factor updates read the pre-step L and R.
+    """The factors after a step of size ``eta`` with the products of the
+    pass ``p`` at ``factors``, and for a ``for_stop`` pass the step's sums
+    (:func:`_step_sums`, else None).  Both updates read the pre-step L and
+    R; each Gram is formed and factored once, and the sums reuse both."""
     L, R = factors.L, factors.R
-    L_new = L - eta * gram_solve(p.WR, R.T @ R)
-    R_new = R - eta * gram_solve(p.WtL, L.T @ L)
-    return FactorPair(L_new, R_new)
+    GL, GR = L.T @ L, R.T @ R
+    solve_R = gram_solve(GR)
+    new = FactorPair(L - eta * solve_R(p.WR), R - eta * gram_solve(GL)(p.WtL))
+    if p.WtWR is None:
+        return new, None
+    return new, _step_sums(p, factors, new, eta, GL, GR, solve_R)
 
 
 def _soft_step(Y, factors, zeta, eta, scratch, S_out=None):
     """Factors after one soft-threshold iteration (S' into ``S_out``)."""
     p = _soft_pass(Y, factors.L, factors.R, zeta, scratch, S_out=S_out)
-    return _scaled_update(factors, p, eta)
+    return _scaled_update(factors, p, eta)[0]
 
 
 def _ratio(num_sq, den_sq):
@@ -526,41 +535,31 @@ def _ratio(num_sq, den_sq):
     return float(np.sqrt(num_sq / den_sq))
 
 
-def _low_rank_change(old, new):
-    """``(||L' R'^T - L R^T||_F^2, ||L R^T||_F^2)`` from Gram products of the
-    thin factors, without forming either product.
+def _step_sums(p, old, new, eta, GL, GR, solve_R):
+    """``(||X' - X||_F^2, ||X||_F^2, ||Y - X' - S'||_F^2)`` for the step of
+    size ``eta`` that the pass ``p`` made from ``old`` (``X = L R^T``, Grams
+    ``GL``, ``GR``, ``solve_R`` the solver of ``GR``) to ``new``, from Gram
+    products of thin factors: ``X``, ``X'`` and ``S'`` are never read.
 
-    The difference is ``A B^T`` with ``A = [L' - L, L]`` and
-    ``B = [R', R' - R]``, so ``||A B^T||_F^2 = tr((A^T A)(B^T B))``.  No term
-    of size ``||X||^2`` cancels, which keeps small changes accurate.
-    """
-    L, R = old.L, old.R
-    A = np.hstack((new.L - L, L))
-    B = np.hstack((new.R, new.R - R))
-    diff_sq = max(float(np.sum((A.T @ A) * (B.T @ B))), 0.0)
-    return diff_sq, float(np.sum((L.T @ L) * (R.T @ R)))
-
-
-def _next_resid_sq(p, old, new, eta, dX_sq):
-    """``||Y - L' R'^T - S'||_F^2`` of the iterate ``new`` that one step of
-    size ``eta`` took from ``old``, from the sums of the pass ``p`` that made
-    the step, so neither ``S'`` nor ``L' R'^T`` is read or formed.
-
-    The residual is ``-(W + dX)`` with ``W = L R^T + S' - Y`` and
-    ``dX = dL R'^T + L dR^T``, hence
+    ``dX = A B^T`` with ``A = [dL, L]`` and ``B = [R', dR]``, so ``||dX||^2
+    = tr((A^T A)(B^T B))``: no term of size ``||X||^2`` cancels, which keeps
+    small changes accurate.  The residual is ``-(W + dX)`` with ``W = L R^T
+    + S' - Y``, hence
 
         ||W + dX||^2 = ||W||^2 + 2 (<W R, dL> + <W^T dL, dR> + <W^T L, dR>)
                        + ||dX||^2,
 
-    where ``W^T dL = -eta (W^T W R)(R^T R)^{-1}`` and ``dX_sq = ||dX||^2``
-    comes from :func:`_low_rank_change`.  The terms cancel as the residual
-    falls, so its rounding error stays near a fixed ``1e-17 ||Y||_F``
-    rather than shrinking with it (see :class:`SolveTrace`).
+    where ``W^T dL = -eta (W^T W R)(R^T R)^{-1}``.  The terms cancel as the
+    residual falls, so its rounding error stays near a fixed ``1e-17
+    ||Y||_F`` rather than shrinking with it (see :class:`SolveTrace`).
     """
     dL, dR = new.L - old.L, new.R - old.R
-    WtdL = -eta * gram_solve(p.WtWR, old.R.T @ old.R)
+    A, B = np.hstack((dL, old.L)), np.hstack((new.R, dR))
+    dX_sq = max(float(np.sum((A.T @ A) * (B.T @ B))), 0.0)
+    WtdL = -eta * solve_R(p.WtWR)
     cross = float(np.vdot(p.WR, dL) + np.vdot(WtdL + p.WtL, dR))
-    return max(p.W_sq + 2.0 * cross + dX_sq, 0.0)
+    resid_sq = max(p.W_sq + 2.0 * cross + dX_sq, 0.0)
+    return dX_sq, float(np.sum(GL * GR)), resid_sq
 
 
 def _max_abs_err(factors, truth, scratch):
@@ -580,6 +579,8 @@ def lrpca_step(state, Y, zeta, eta):
     Ym = check_matrix(Y, "Y")
     zeta = check_nonneg(zeta, "threshold")
     eta = check_positive(eta, "step size")
+    check_matrix(state.factors.L, "L")
+    check_matrix(state.factors.R, "R")
     shape = (state.factors.L.shape[0], state.factors.R.shape[0])
     if shape != Ym.shape:
         raise InvalidInput(f"factors give shape {shape}, Y has {Ym.shape}")
@@ -615,10 +616,9 @@ def _run(Y, r, schedule, stop, truth, seed, init_fn, pass_fn):
     pass ``pass_fn``.  Row 0 of the trace is measured against the init's
     ``S_0`` by the pass that thresholds for iteration 1.  The pass at
     iterate k measures its error against ``truth`` and returns the sums
-    from which, once the factor update is made, iterate k + 1's residual
-    follows (:func:`_next_resid_sq`), so the stop rule decides before the
-    next pass.  An init whose residual is exactly zero ends the solve in
-    every mode.
+    from which the factor update also gives iterate k + 1's residual
+    (:func:`_step_sums`), so the stop rule decides before the next pass.
+    An init whose residual is exactly zero ends the solve in every mode.
 
     The returned ``S_k`` is the rule's pass at the previous iterate; before
     the init that iterate is zero, whose pass reads ``Y - 0 = Y`` and so
@@ -663,51 +663,49 @@ def _run(Y, r, schedule, stop, truth, seed, init_fn, pass_fn):
     state = init_fn(Y, r, zeta, seed)
     factors, S = state.factors, state.S
     del state
-    # Diverging factors overflow in the slab passes, float32 ones before
-    # float64 ones, and in the bookkeeping below; residual() then raises.
-    pass_fn = np.errstate(over="ignore", invalid="ignore")(pass_fn)
     # The zero iterate before the init, whose pass at zeta_0 gives S_0.
     old = FactorPair(np.zeros((Y.shape[0], r)), np.zeros((Y.shape[1], r)))
     scratch = _Scratch(Y.dtype)
     eta, k = float("nan"), 0
-    nxt = params_fn(1, factors, scratch) if stop.max_iters > 0 else (None, None)
-    p = pass_fn(Y, factors.L, factors.R, nxt[0], scratch, S=S,
-                S_out=S if track else None, truth=truth, for_stop=True)
-    if not track:
-        S = None  # free S_0: the final step builds the returned S
-    res = residual(0, p.resid_sq)
-    append(0, zeta, eta, res, p.err_sq)
-    converged = res == 0.0 or (by_residual and res < stop.tolerance)
-    while not converged and k < stop.max_iters:
-        k += 1
-        zeta, eta = nxt
-        try:
-            new = _scaled_update(factors, p, eta)
-        except SingularGram as exc:
-            raise SingularGram(
-                f"Gram factorization collapsed at iteration {k}: {exc}") from exc
-        with np.errstate(over="ignore", invalid="ignore"):
-            dX_sq, X_sq = _low_rank_change(factors, new)
-            resid_sq = _next_resid_sq(p, factors, new, eta, dX_sq)
-        res = residual(k, resid_sq)
-        if track:
-            change = max(_ratio(dX_sq, X_sq), _ratio(p.dS_sq, p.S_sq))
-            converged = change < stop.tolerance
-        else:
-            converged = by_residual and res < stop.tolerance
-        old, factors = factors, new
-        if converged or k == stop.max_iters:
-            break
-        nxt = params_fn(k + 1, factors, scratch)
-        p = pass_fn(Y, factors.L, factors.R, nxt[0], scratch, S_out=S,
-                    truth=truth, for_stop=True)
-        append(k, zeta, eta, res, p.err_sq)
-    if S is None or k == 0 < stop.max_iters:  # S_k from iterate k - 1
-        S = np.empty(Y.shape, Y.dtype) if S is None else S
-        pass_fn(Y, old.L, old.R, zeta, scratch, S_out=S)
-    if k > 0:  # measure the returned iterate against the returned S
-        p = pass_fn(Y, factors.L, factors.R, None, scratch, S=S, truth=truth)
-        append(k, zeta, eta, residual(k, p.resid_sq), p.err_sq)
+    # Diverging factors overflow in the slab passes, float32 ones before
+    # float64 ones, and in the factor update and its sums; residual() then
+    # raises.
+    with np.errstate(over="ignore", invalid="ignore"):
+        nxt = params_fn(1, factors, scratch) if stop.max_iters > 0 else (None, None)
+        p = pass_fn(Y, factors.L, factors.R, nxt[0], scratch, S=S,
+                    S_out=S if track else None, truth=truth, for_stop=True)
+        if not track:
+            S = None  # free S_0: the final step builds the returned S
+        res = residual(0, p.resid_sq)
+        append(0, zeta, eta, res, p.err_sq)
+        converged = res == 0.0 or (by_residual and res < stop.tolerance)
+        while not converged and k < stop.max_iters:
+            k += 1
+            zeta, eta = nxt
+            try:
+                new, (dX_sq, X_sq, resid_sq) = _scaled_update(factors, p, eta)
+            except SingularGram as exc:
+                raise SingularGram(
+                    f"Gram factorization collapsed at iteration {k}: {exc}") from exc
+            res = residual(k, resid_sq)
+            if track:
+                change = max(_ratio(dX_sq, X_sq), _ratio(p.dS_sq, p.S_sq))
+                converged = change < stop.tolerance
+            else:
+                converged = by_residual and res < stop.tolerance
+            old, factors = factors, new
+            if converged or k == stop.max_iters:
+                break
+            nxt = params_fn(k + 1, factors, scratch)
+            p = pass_fn(Y, factors.L, factors.R, nxt[0], scratch, S_out=S,
+                        truth=truth, for_stop=True)
+            append(k, zeta, eta, res, p.err_sq)
+        if S is None or k == 0 < stop.max_iters:  # S_k from iterate k - 1
+            S = np.empty(Y.shape, Y.dtype) if S is None else S
+            pass_fn(Y, old.L, old.R, zeta, scratch, S_out=S)
+        if k > 0:  # measure the returned iterate against the returned S
+            p = pass_fn(Y, factors.L, factors.R, None, scratch, S=S, truth=truth)
+            append(k, zeta, eta, residual(k, p.resid_sq), p.err_sq)
     trace.stop_reason = "converged" if converged else "max_iters"
     del scratch  # free the slab buffers before X is formed
     return _product_rows(*_in_dtype(Y.dtype, factors.L, factors.R.T)), S, trace
@@ -732,7 +730,9 @@ def solve(Y, r, schedule, stop=StopRule(), truth=None, seed=0):
         ``rel_err`` trace column.
     seed : int
         Seed of the initialization's range sketch (see
-        :func:`spectral_init`); fixes the output bit-for-bit.
+        :func:`spectral_init`); fixes the output bit for bit on one
+        machine, numpy/BLAS build and BLAS thread count.  Across thread
+        counts the last bits differ, the iteration counts do not.
 
     Returns
     -------
@@ -747,7 +747,8 @@ def solve_scaledgd(Y, r, alpha_tilde, eta, stop=StopRule(), truth=None, seed=0):
     It runs :func:`solve`'s driver with ``FixedSchedule(alpha_tilde, eta)``
     and the sparsification operator ``T_alpha`` in place of the threshold:
     ``S_0 = T_alpha(Y)``, then the rank-r SVD of :func:`spectral_init`, whose
-    range sketch ``seed`` fixes bit-for-bit, and the returned ``S`` is
+    range sketch ``seed`` fixes bit for bit (on one machine, numpy/BLAS build
+    and BLAS thread count, as for :func:`solve`), and the returned ``S`` is
     ``T_alpha`` of the residual at the previous iterate.
     """
     check_fraction(alpha_tilde, "fraction")

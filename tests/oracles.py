@@ -68,9 +68,10 @@ def jacobi_svd(M, sweeps=60, tol=1e-15):
     return U, sig, V
 
 
-def jacobi_rank_r(M, r):
-    """Best rank-r reconstruction according to the Jacobi oracle."""
-    U, s, V = jacobi_svd(M)
+def jacobi_rank_r(M, r, svd=None):
+    """Best rank-r reconstruction according to the Jacobi oracle; ``svd``
+    is ``jacobi_svd(M)`` when already computed, so one SVD serves every r."""
+    U, s, V = jacobi_svd(M) if svd is None else svd
     return (U[:, :r] * s[:r]) @ V[:, :r].T
 
 

@@ -23,7 +23,7 @@ from lrpca import (StopRule, banded_sparse_matrix, background_subtract,
 from lrpca.bench import (lrpca_spec, recoverability_sweep,
                          runtime_scaling_bench, scaledgd_spec)
 from conftest import make_scene_instance
-from oracles import brute_force_sparsify, jacobi_rank_r
+from oracles import brute_force_sparsify, jacobi_rank_r, jacobi_svd
 
 
 # One verdict line per criterion; collected here and echoed in the terminal
@@ -94,9 +94,10 @@ def test_criterion_04_truncated_svd_vs_jacobi_oracle():
     worst = 0.0
     for trial in range(50):
         M = rng.standard_normal((30, 30))
+        svd = jacobi_svd(M)  # one oracle SVD, truncated per r
         for r in (1, 3, 5):
             f = truncated_svd(M, r)
-            ref = jacobi_rank_r(M, r)
+            ref = jacobi_rank_r(M, r, svd)
             rel = np.linalg.norm(f.product() - ref) / np.linalg.norm(ref)
             assert rel <= 1e-9
             worst = max(worst, rel)
@@ -340,4 +341,5 @@ def test_criterion_11_cli_determinism(tmp_path):
     assert _strip_wall(tmp_path / "b1" / "report.csv") == \
         _strip_wall(tmp_path / "b2" / "report.csv")
     report("C11", "gen/train/solve/bench reproduce byte-identical payloads "
-                  "(wall-clock columns excluded)")
+                  "(wall-clock columns excluded) in one environment: one "
+                  "machine, numpy/BLAS build and BLAS thread count")

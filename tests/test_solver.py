@@ -7,15 +7,15 @@ import pytest
 from lrpca import (ConvergenceFailure, FactorPair, FixedSchedule, FrameSequence,
                    InvalidInput, LrpcaError, OracleSchedule, ParamSchedule,
                    SingularGram, SolverState, StopRule, background_subtract,
-                   gen_instance, gram_solve, lrpca_step, matrix_norm,
+                   gen_instance, lrpca_step, matrix_norm,
                    moving_blob_scene, soft_threshold, solve, solve_scaledgd,
                    sparsify_top_fraction, spectral_init, truncated_svd)
 from lrpca import solver as solver_module
 from lrpca.linalg import (_GRAM_ASPECT, _GRAM_MAX_SHORT, _SKETCH_OVERSAMPLE,
-                          _exact_svd, _gram_svd, _sketch_svd)
-from lrpca.solver import (_block_rows, _factor_state, _low_rank_change,
-                          _scaled_update, _Scratch, _soft_backward, _soft_pass,
-                          _sparsify_pass)
+                          _exact_svd, _gram_svd, _sketch_svd, gram_solve)
+from lrpca.solver import (_block_rows, _factor_state, _Pass, _scaled_update,
+                          _Scratch, _soft_backward, _soft_pass, _sparsify_pass,
+                          _step_sums)
 from conftest import run_concurrently, traced_peak
 from oracles import (dense_layer_vjp, dense_reference_solve,
                      scalar_lrpca_step, sort_sparsify)
@@ -323,6 +323,19 @@ class TestLrpcaStep:
         with pytest.raises(InvalidInput, match=message):
             lrpca_step(state, Y, zeta=zeta, eta=eta)
 
+    # The caller's factors are checked like Y: the factor step's Gram
+    # solves take them unchecked.
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("name", ["L", "R"])
+    def test_nonfinite_factors_rejected(self, rng, name, bad):
+        Y = rng.standard_normal((6, 5))
+        f = spectral_init(Y, 2, 0.1).factors
+        L, R = f.L.copy(), f.R.copy()
+        (L if name == "L" else R)[0, 0] = bad
+        state = SolverState(FactorPair(L, R), Y)
+        with pytest.raises(InvalidInput, match=f"{name} contains NaN or Inf"):
+            lrpca_step(state, Y, zeta=0.1, eta=0.5)
+
     def test_shape_mismatch_rejected(self, rng):
         state = spectral_init(rng.standard_normal((4, 4)), 2, 0.1)
         with pytest.raises(InvalidInput, match="factors give shape"):
@@ -335,7 +348,7 @@ def scaledgd_step(state, Y, alpha_tilde, eta):
     S = np.empty(Y.shape)
     p = _sparsify_pass(Y, state.factors.L, state.factors.R, alpha_tilde,
                        _Scratch(), S_out=S)
-    return SolverState(_scaled_update(state.factors, p, eta), S)
+    return SolverState(_scaled_update(state.factors, p, eta)[0], S)
 
 
 class TestScaledgdStep:
@@ -725,10 +738,16 @@ class TestSlabStreamedIteration:
         L2 = L + scale * rng.standard_normal(L.shape)
         R2 = R + scale * rng.standard_normal(R.shape)
         dense = np.linalg.norm((L2 - L) @ R2.T + L @ (R2 - R).T)
-        diff_sq, base_sq = _low_rank_change(FactorPair(L, R),
-                                            FactorPair(L2, R2))
+        # A pass with W = 0: the next residual is the change itself.
+        p = _Pass(0.0, 0.0, WR=np.zeros(L.shape), WtL=np.zeros(R.shape),
+                  WtWR=np.zeros(R.shape))
+        GR = R.T @ R
+        diff_sq, base_sq, resid_sq = _step_sums(
+            p, FactorPair(L, R), FactorPair(L2, R2), 0.5, L.T @ L, GR,
+            gram_solve(GR))
         assert np.sqrt(diff_sq / base_sq) == pytest.approx(
             dense / np.linalg.norm(L @ R.T), rel=1e-9)
+        assert resid_sq == diff_sq
 
     @pytest.mark.parametrize("n1, n2, r, alpha", MULTI_SLAB)
     def test_learned_schedule_matches_dense_reference(self, n1, n2, r, alpha):
@@ -899,7 +918,7 @@ def _slab_calls(inst, r, scratch=None):
     S_out = inst.S_star.copy()
     p = _soft_pass(inst.Y, f.L, f.R, zeta, buffers(), S=inst.S_star,
                    S_out=S_out, truth=inst.X_star, for_stop=True)
-    new = _scaled_update(f, p, 0.6)
+    new = _scaled_update(f, p, 0.6)[0]
     rng = np.random.default_rng(8)
     L_bar, R_bar = rng.standard_normal(f.L.shape), rng.standard_normal(f.R.shape)
     back = _soft_backward(inst.Y, f.L, f.R, zeta, 0.6, L_bar, R_bar, buffers())
@@ -1082,12 +1101,6 @@ class TestFloat32:
         f, f64 = truncated_svd(A, 3), truncated_svd(A64, 3)
         for got, want in zip((f.U, f.sigma, f.V), (f64.U, f64.sigma, f64.V)):
             assert got.dtype == np.float64 and np.array_equal(got, want)
-        G = (A64.T @ A64).astype(np.float32)
-        V = A[:5]
-        W = gram_solve(V, G)
-        assert W.dtype == np.float64
-        assert np.array_equal(W, gram_solve(V.astype(np.float64),
-                                            G.astype(np.float64)))
         for kind in ("fro", "inf", "two_inf", "one_inf", "spectral"):
             assert matrix_norm(A, kind) == matrix_norm(A64, kind)
             assert isinstance(matrix_norm(A, kind), float)
@@ -1138,6 +1151,14 @@ class TestFloat32:
         assert trace.residuals[-1] == pytest.approx(7.7e29, rel=0.01)
         with pytest.raises(ConvergenceFailure, match=r"at iteration \d+:"):
             solve(Y.astype(np.float32), 2, theta, stop)
+        # ScaledGD diverges in both dtypes.  The float32 sparsify pass
+        # overflows into W R first; the factor update carries the NaN to
+        # the residual, which names the iteration in both, as it does for
+        # the float64 twin.
+        for M in (Y, Y.astype(np.float32)):
+            with pytest.raises(ConvergenceFailure,
+                               match=r"is nan at iteration \d+:"):
+                solve_scaledgd(M, 2, 0.1, 1e30, stop)
 
 
 def test_traced_call_sites_are_called(monkeypatch):
@@ -1161,9 +1182,23 @@ def test_traced_call_sites_are_called(monkeypatch):
     frames = FrameSequence(seq.matrix.astype(np.float32), 12, 16)
     Y = gen_instance(40, 30, 2, 0.1, 1).Y
     theta = FixedSchedule(0.5 * float(np.abs(Y).max()), 0.5)
-    for run in (lambda: background_subtract(frames, 1, FixedSchedule(0.5, 0.5),
-                                            StopRule("fixed_iters", 0, 2)),
-                lambda: solve(Y, 2, theta, StopRule("fixed_iters", 0, 2))):
+    k = 2
+    stop = StopRule("fixed_iters", 0, k)
+    # ScaledGD's init and outlier rule call neither soft_threshold nor
+    # spectral_init.
+    for run, seen in (
+            (lambda: background_subtract(frames, 1, FixedSchedule(0.5, 0.5),
+                                         stop), names),
+            (lambda: solve(Y, 2, theta, stop), names),
+            (lambda: solve_scaledgd(Y, 2, 0.1, 0.5, stop), ("gram_solve",))):
         calls.update(dict.fromkeys(names, 0))
         run()
-        assert all(calls[name] > 0 for name in names), calls
+        assert all(calls[name] > 0 for name in seen), calls
+        # Each iteration factors R^T R and L^T L once each, the step's sums
+        # included.
+        assert calls["gram_solve"] == 2 * k, calls
+    # So does one backward layer of training.
+    f = spectral_init(Y, 2, theta.zeta0).factors
+    calls["gram_solve"] = 0
+    _soft_backward(Y, f.L, f.R, 0.01, 0.5, f.L, f.R, _Scratch())
+    assert calls["gram_solve"] == 2
