@@ -2,7 +2,7 @@
 per-iteration thresholds and step sizes."""
 
 from .errors import (ConvergenceFailure, FormatError, InvalidInput,
-                     LrpcaError, ParseError, SingularGram, TrainingDiverged)
+                     LrpcaError, SingularGram, TrainingDiverged)
 from .linalg import matrix_norm, truncated_svd
 from .operators import soft_threshold, sparsify_top_fraction
 from .schedule import (ParamSchedule, read_schedule, rescale_schedule,
@@ -32,5 +32,5 @@ __all__ = [
     "FrameSequence", "read_pgm", "write_pgm", "read_pgm_sequence",
     "frames_to_matrix", "background_subtract", "moving_blob_scene",
     "LrpcaError", "InvalidInput", "ConvergenceFailure", "SingularGram",
-    "TrainingDiverged", "FormatError", "ParseError",
+    "TrainingDiverged", "FormatError",
 ]

@@ -7,9 +7,9 @@ learning), ``solve`` (decompose a matrix), ``bench`` (benchmark harnesses),
 Each setting is declared once, as a flag of its subcommand's parser with
 its type and default; the flag ``--some-key`` is also the config key
 ``some_key``.  Config files are flat ``key = value`` text with ``#``
-comments.  Precedence: flag > config > ``LRPCA_SEED`` (seed only) >
-default.  A config key that names no setting of the subcommand is a usage
-error (``command``, which manifests carry, is allowed).  Every run writes a
+comments.  Precedence: flag > config > default, for every setting.  A
+config key that names no setting of the subcommand is a usage error
+(``command``, which manifests carry, is allowed).  Every run writes a
 ``manifest.txt`` listing every setting of the subcommand in the syntax
 ``--config`` reads, so ``--config manifest.txt`` reproduces the outputs
 (modulo wall-clock columns).
@@ -39,10 +39,8 @@ __all__ = ["main"]
 
 def parse_config(path):
     """Flat ``key = value`` file; '#' starts a comment."""
-    if not os.path.isfile(path):
-        raise InvalidInput(f"config file not found: {path}")
     out, first = {}, {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(_existing(path, "config"), "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -275,7 +273,7 @@ def build_parser():
         p.set_defaults(func=func)
         p.add_argument("--config", help="flat key = value config file")
         p.add_argument("--out", help="output directory")
-        p.add_argument("--seed", type=int, default=os.environ.get("LRPCA_SEED") or 0)
+        p.add_argument("--seed", type=int, default=0)
         return p
 
     def stop_rule(p, mode, tol, max_iters):

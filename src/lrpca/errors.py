@@ -31,8 +31,6 @@ class TrainingDiverged(LrpcaError):
 
 
 class FormatError(LrpcaError):
-    """Binary payload does not match the expected file format."""
-
-
-class ParseError(LrpcaError):
-    """Text records could not be parsed."""
+    """A file does not hold what its format says: a matrix, a PGM frame or
+    a schedule CSV that is malformed, truncated or gives an invalid
+    schedule."""

@@ -16,7 +16,7 @@ not converted.
 
 from dataclasses import dataclass, replace
 
-from .errors import InvalidInput, ParseError
+from .errors import FormatError, InvalidInput
 from .validation import (check_count, check_nonneg, check_positive,
                          check_values)
 
@@ -96,7 +96,7 @@ def write_schedule(theta, path):
 def read_schedule(path):
     """Read a schedule CSV produced by :func:`write_schedule`.
 
-    Raises :class:`~lrpca.errors.ParseError` on an empty file, a bad
+    Raises :class:`~lrpca.errors.FormatError` on an empty file, a bad
     header, a malformed line, an unknown kind, a repeated row, zeta rows
     that miss some k = 0..K or eta rows some k = 1..K, and values the
     schedule rejects.
@@ -104,30 +104,30 @@ def read_schedule(path):
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
     if not lines:
-        raise ParseError(f"{path}: empty schedule file")
+        raise FormatError(f"{path}: empty schedule file")
     if lines[0] != _HEADER:
-        raise ParseError(f"{path}: expected header {_HEADER!r}, got {lines[0]!r}")
+        raise FormatError(f"{path}: expected header {_HEADER!r}, got {lines[0]!r}")
     zetas, etas, tail = {}, {}, {}
     for ln in lines[1:]:
         try:
             kind, k, value = ln.split(",")
             k, value = int(k), float(value)
         except ValueError as exc:
-            raise ParseError(f"{path}: malformed line {ln!r}") from exc
+            raise FormatError(f"{path}: malformed line {ln!r}") from exc
         table = {"zeta": zetas, "eta": etas, "beta": tail, "phi": tail}.get(kind)
         if table is None:
-            raise ParseError(f"{path}: unknown schedule kind {kind!r}")
+            raise FormatError(f"{path}: unknown schedule kind {kind!r}")
         key = kind if table is tail else k
         if key in table:
-            raise ParseError(f"{path}: repeated schedule row {kind!r} at k = {k}")
+            raise FormatError(f"{path}: repeated schedule row {kind!r} at k = {k}")
         table[key] = value
     if not zetas or sorted(zetas) != list(range(len(zetas))):
-        raise ParseError(f"{path}: zeta rows must cover k = 0..K exactly once")
+        raise FormatError(f"{path}: zeta rows must cover k = 0..K exactly once")
     if sorted(etas) != list(range(1, len(zetas))):
-        raise ParseError(f"{path}: eta rows must cover k = 1..K exactly once")
+        raise FormatError(f"{path}: eta rows must cover k = 1..K exactly once")
     try:
         return ParamSchedule(zetas=tuple(zetas[k] for k in sorted(zetas)),
                              etas=tuple(etas[k] for k in sorted(etas)),
                              beta=tail.get("beta", 1.0), phi=tail.get("phi", 1.0))
     except InvalidInput as exc:
-        raise ParseError(f"{path}: {exc}") from exc
+        raise FormatError(f"{path}: {exc}") from exc

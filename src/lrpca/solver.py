@@ -24,13 +24,13 @@ and accumulates the thin products ``W R``, ``W^T L`` and ``W^T W R``; the
 rest is ``O(n r^2)`` work on the factors, for which each step forms each
 Gram, ``L^T L`` and ``R^T R``, once and factors it once (see
 :func:`_scaled_update`).  The next iterate's residual follows from those
-products and Grams (:func:`_step_sums`), so the loop neither reads nor
-writes an ``S``.  The returned ``S_k`` is the outlier rule's pass
-at the previous iterate, built once, at the end; before the init that
-iterate is zero, whose pass gives ``S_0``.  Besides ``Y``, a solve holds
-one ``S`` and the returned ``X``.  The ``iterate_change`` stop, which
-compares consecutive ``S``, keeps its ``S`` through the loop instead, and
-every pass replaces ``S_k`` in it with ``S_{k+1}`` slab by slab.
+products and Grams (:func:`_step_sums`), so the residual stop reads no
+``S``.  Besides ``Y``, a solve holds one ``S`` buffer, ``S_0`` at the
+init, and the returned ``X``; it returns the buffer holding ``S_k``, the
+outlier rule's pass at the previous iterate (zero before the init, whose
+pass gives ``S_0``).  Under the ``iterate_change`` stop, which compares
+consecutive ``S``, every pass replaces ``S_k`` with ``S_{k+1}`` in it
+slab by slab; the other stops write ``S_k`` into it at the end.
 The passes' three slab-sized scratch buffers are allocated once per solve,
 or once per training run, and reused by every pass (see :class:`_Scratch`).
 
@@ -620,17 +620,18 @@ def _run(Y, r, schedule, stop, truth, seed, init_fn, pass_fn):
     (:func:`_step_sums`), so the stop rule decides before the next pass.
     An init whose residual is exactly zero ends the solve in every mode.
 
-    The returned ``S_k`` is the rule's pass at the previous iterate; before
-    the init that iterate is zero, whose pass reads ``Y - 0 = Y`` and so
-    gives ``S_0`` bit for bit.  Under ``iterate_change``, whose stop
-    compares ``S_k`` with ``S_{k+1}``, every ``for_stop`` pass compares S'
-    with the S in its ``S_out`` before writing over it, slab by slab, so
-    the solve holds the returned S already, unless it ended at the init,
-    where the row-0 pass wrote ``S_1`` over ``S_0``.  Every other solve
-    frees ``S_0`` after row 0.  One more ``pass_fn`` at the previous
-    iterate makes a missing S, and a measure-only pass then measures the
-    returned iterate against it.  Every pass reuses the solve's one set of
-    slab buffers.  ``wall_ms[k]`` is the time since the previous row.
+    Every solve holds the init's ``S_0`` buffer to the end and returns it
+    holding ``S_k``, the rule's pass at the previous iterate; before the
+    init that iterate is zero, whose pass reads ``Y - 0 = Y`` and so gives
+    ``S_0`` bit for bit.  Under ``iterate_change``, whose stop compares
+    ``S_k`` with ``S_{k+1}``, every ``for_stop`` pass compares S' with the
+    S in the buffer before writing over it, slab by slab, so the buffer
+    holds ``S_k`` already, unless the solve ended at the init, where the
+    row-0 pass wrote ``S_1`` over ``S_0``.  Otherwise one more ``pass_fn``
+    at the previous iterate writes ``S_k`` into it, and a measure-only pass
+    measures the returned iterate against it.  Every pass reuses the
+    solve's one set of slab buffers.  ``wall_ms[k]`` is the time since the
+    previous row.
     """
     Y = check_matrix(Y, "Y")
     r = check_rank(r, *Y.shape)
@@ -672,10 +673,9 @@ def _run(Y, r, schedule, stop, truth, seed, init_fn, pass_fn):
     # raises.
     with np.errstate(over="ignore", invalid="ignore"):
         nxt = params_fn(1, factors, scratch) if stop.max_iters > 0 else (None, None)
+        S_out = S if track else None  # only iterate_change compares S_k, S_{k+1}
         p = pass_fn(Y, factors.L, factors.R, nxt[0], scratch, S=S,
-                    S_out=S if track else None, truth=truth, for_stop=True)
-        if not track:
-            S = None  # free S_0: the final step builds the returned S
+                    S_out=S_out, truth=truth, for_stop=True)
         res = residual(0, p.resid_sq)
         append(0, zeta, eta, res, p.err_sq)
         converged = res == 0.0 or (by_residual and res < stop.tolerance)
@@ -697,11 +697,10 @@ def _run(Y, r, schedule, stop, truth, seed, init_fn, pass_fn):
             if converged or k == stop.max_iters:
                 break
             nxt = params_fn(k + 1, factors, scratch)
-            p = pass_fn(Y, factors.L, factors.R, nxt[0], scratch, S_out=S,
+            p = pass_fn(Y, factors.L, factors.R, nxt[0], scratch, S_out=S_out,
                         truth=truth, for_stop=True)
             append(k, zeta, eta, res, p.err_sq)
-        if S is None or k == 0 < stop.max_iters:  # S_k from iterate k - 1
-            S = np.empty(Y.shape, Y.dtype) if S is None else S
+        if not track or k == 0 < stop.max_iters:  # S_k from iterate k - 1
             pass_fn(Y, old.L, old.R, zeta, scratch, S_out=S)
         if k > 0:  # measure the returned iterate against the returned S
             p = pass_fn(Y, factors.L, factors.R, None, scratch, S=S, truth=truth)

@@ -14,15 +14,18 @@ __all__ = ["check_count", "check_fraction", "check_matrix", "check_nonneg",
 def check_matrix(M, name="matrix"):
     """Coerce ``M`` to a finite, nonempty, C-contiguous 2-D float array.
 
-    A float32 array stays float32; anything else becomes float64.  Every
-    public operation funnels its matrix arguments through here, so the rest
-    of the code base can assume finite inputs of one of those two dtypes.
+    ``M`` must hold integers or floats.  A float32 array stays float32;
+    any other becomes float64.  Every public operation funnels its matrix
+    arguments through here, so the rest of the code base can assume finite
+    inputs of one of those two dtypes.
     What each operation makes of a float32 input is one rule: an output the
     size of its matrix argument (a solve's ``X`` and ``S``, a threshold's
     result) keeps the input's dtype, and everything smaller (factors,
     singular values, Gram solves, norms and sums) is float64.
     """
     A = np.asarray(M)
+    if A.dtype.kind not in "iuf":  # no bools, complex, strings or objects
+        raise InvalidInput(f"{name} must hold real numbers, got dtype {A.dtype}")
     if A.dtype != np.float32:
         A = np.asarray(A, dtype=np.float64)
     if A.ndim != 2:

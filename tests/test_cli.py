@@ -56,15 +56,16 @@ class TestGen:
         assert run(["gen", "--n", 10, "--r", 2, "--alpha", "1.5",
                     "--seed", 0, "--out", tmp_path / "x"]) == 2
 
-    def test_env_seed_fallback(self, tmp_path, monkeypatch):
+    def test_seed_ignores_environment(self, tmp_path, monkeypatch):
+        # The seed follows flag > config > default like every setting.
         monkeypatch.setenv("LRPCA_SEED", "77")
         out = tmp_path / "env"
-        run(["gen", "--n", 10, "--r", 2, "--alpha", "0.1", "--out", out])
+        assert run(["gen", "--n", 10, "--r", 2, "--alpha", "0.1",
+                    "--out", out]) == 0
         manifest = parse_config(out / "manifest.txt")
-        assert manifest["seed"] == "77"
+        assert manifest["seed"] == "0"
 
-    def test_seed_precedence_flag_config_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("LRPCA_SEED", "77")
+    def test_seed_precedence_flag_config(self, tmp_path):
         cfg = tmp_path / "c.txt"
         cfg.write_text("seed = 5\nalpha = 0.2\n")
         base = ["gen", "--n", 10, "--r", 2, "--config", cfg]
@@ -74,6 +75,13 @@ class TestGen:
             assert run(base + extra + ["--out", out]) == 0
             manifest = parse_config(out / "manifest.txt")
             assert (manifest["seed"], manifest["alpha"]) == (seed, alpha)
+
+    def test_missing_config_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "m"
+        assert run(["gen", "--n", 10, "--r", 2, "--alpha", "0.1", "--config",
+                    tmp_path / "absent.txt", "--out", out]) == 2
+        assert "config file not found" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_config_keys_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "c.txt"

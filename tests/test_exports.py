@@ -10,7 +10,7 @@ from lrpca import (FixedSchedule, FrameSequence, InstanceSource, InvalidInput,
                    banded_sparse_matrix, gen_instance, grid_search_tail,
                    lrpca_step, matrix_norm, rescale_schedule, soft_threshold,
                    solve, solve_scaledgd, spectral_init, sparsify_top_fraction,
-                   truncated_svd)
+                   truncated_svd, write_matrix)
 from lrpca.bench import runtime_scaling_bench
 from lrpca.validation import check_fraction, check_nonneg, check_positive
 
@@ -57,6 +57,30 @@ def test_invalid_input_is_the_one_caller_mistake_error():
 def test_range_errors_are_invalid_input(call, match):
     with pytest.raises(InvalidInput, match=match):
         call()
+
+
+# A matrix must hold integers or floats: a complex one lost its imaginary
+# part (with a ComplexWarning), numeric strings and bools were converted,
+# and other strings raised a bare ValueError.
+@pytest.mark.parametrize("M", [
+    np.eye(3) * (1 + 1j),
+    np.eye(3, dtype=bool),
+    [["1", "2"], ["3", "4"]],
+    [["a"]],
+    np.eye(3).astype(object),
+], ids=["complex", "bool", "numeric_str", "str", "object"])
+@pytest.mark.parametrize("op", [
+    lambda M, tmp: soft_threshold(M, 0.1),
+    lambda M, tmp: solve(M, 1, FixedSchedule(0.1, 0.5)),
+    lambda M, tmp: matrix_norm(M, "fro"),
+    lambda M, tmp: truncated_svd(M, 1),
+    lambda M, tmp: write_matrix(M, tmp / "M.lrpm"),
+], ids=["soft_threshold", "solve", "matrix_norm", "truncated_svd",
+        "write_matrix"])
+def test_matrix_not_real_numbers_rejected(op, M, tmp_path):
+    with pytest.raises(InvalidInput, match="must hold real numbers, got dtype"):
+        op(M, tmp_path)
+    assert not (tmp_path / "M.lrpm").exists()
 
 
 @pytest.mark.parametrize("call", [

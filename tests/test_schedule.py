@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lrpca import (InvalidInput, ParamSchedule, ParseError, read_schedule,
+from lrpca import (FormatError, InvalidInput, ParamSchedule, read_schedule,
                    rescale_schedule, write_schedule)
 
 
@@ -128,33 +128,33 @@ class TestSerialization:
         assert kinds.count("phi") == 1
 
     def test_header_only_rejected(self, tmp_path):
-        with pytest.raises(ParseError, match="zeta rows must cover"):
+        with pytest.raises(FormatError, match="zeta rows must cover"):
             read_schedule(write_text(tmp_path, HEADER))
 
     @pytest.mark.parametrize("line", ["zeta,0,not-a-number", "zeta,0",
                                       "zeta,0,1.0,2.0", "zeta,x,1.0"],
                              ids=["value", "short", "long", "index"])
     def test_malformed_line_rejected(self, tmp_path, line):
-        with pytest.raises(ParseError, match="malformed line"):
+        with pytest.raises(FormatError, match="malformed line"):
             read_schedule(write_text(tmp_path, HEADER + line + "\n"))
 
     def test_unknown_kind_rejected(self, tmp_path):
-        with pytest.raises(ParseError, match="unknown schedule kind 'gamma'"):
+        with pytest.raises(FormatError, match="unknown schedule kind 'gamma'"):
             read_schedule(write_text(tmp_path, HEADER + "gamma,0,1.0\n"))
 
     def test_gap_in_indices_rejected(self, tmp_path):
-        with pytest.raises(ParseError, match="zeta rows must cover"):
+        with pytest.raises(FormatError, match="zeta rows must cover"):
             read_schedule(write_text(tmp_path,
                                      HEADER + "zeta,0,1.0\nzeta,2,0.5\n"))
 
     def test_gap_in_eta_indices_rejected(self, tmp_path):
-        with pytest.raises(ParseError, match="eta rows must cover"):
+        with pytest.raises(FormatError, match="eta rows must cover"):
             read_schedule(write_text(tmp_path, HEADER + "zeta,0,1.0\n"
                                      "zeta,1,0.5\nzeta,2,0.2\neta,2,0.5\n"))
 
     @pytest.mark.parametrize("eta", [-3.0, 0.0])
     def test_nonpositive_eta_rejected(self, tmp_path, eta):
-        with pytest.raises(ParseError, match="step sizes"):
+        with pytest.raises(FormatError, match="step sizes"):
             read_schedule(write_text(tmp_path, HEADER + "zeta,0,1.0\n"
                                      f"zeta,1,0.5\neta,1,{eta}\n"))
 
@@ -176,20 +176,20 @@ class TestSerialization:
                         "eta,1,0.7\neta,2,0.7\nbeta,0,0.9\nphi,0,0.5\n"
                         f"{repeat}\n")
         kind, k, _ = repeat.split(",")
-        with pytest.raises(ParseError,
+        with pytest.raises(FormatError,
                            match=f"repeated schedule row '{kind}' at k = {k}"):
             read_schedule(path)
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "schedule.csv"
         path.write_text("a,b\n1,2\n")
-        with pytest.raises(ParseError):
+        with pytest.raises(FormatError):
             read_schedule(path)
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "schedule.csv"
         path.write_text("")
-        with pytest.raises(ParseError):
+        with pytest.raises(FormatError):
             read_schedule(path)
 
 
@@ -238,5 +238,5 @@ class TestValidation:
                    ("beta", 0): 0.8, ("phi", 0): 0.6}
         records[(kind, k)] = "nan"
         text = HEADER + "".join(f"{kd},{i},{v}\n" for (kd, i), v in records.items())
-        with pytest.raises(ParseError):
+        with pytest.raises(FormatError):
             read_schedule(write_text(tmp_path, text))

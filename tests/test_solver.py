@@ -732,6 +732,26 @@ class TestSlabStreamedIteration:
         assert trace.iterations > 1
         assert peak < 2.1 * inst.Y.nbytes
 
+    @pytest.mark.parametrize("max_iters", [0, 1, 25])
+    @pytest.mark.parametrize("mode", ["residual_rel", "iterate_change",
+                                      "fixed_iters"])
+    def test_returns_the_init_S_buffer(self, monkeypatch, mode, max_iters):
+        # Every stop mode holds the init's S_0 buffer to the end and returns
+        # it, holding S_k; no solve allocates a second S.
+        inits = []
+
+        def recording_init(*args, **kwargs):
+            inits.append(spectral_init(*args, **kwargs))
+            return inits[-1]
+
+        monkeypatch.setattr(solver_module, "spectral_init", recording_init)
+        inst = gen_instance(300, 200, 3, 0.1, 4)
+        z0 = float(np.abs(inst.X_star).max())
+        theta = ParamSchedule(zetas=(z0, 0.3 * z0), etas=(0.5,), phi=0.7)
+        _, S, trace = solve(inst.Y, 3, theta, StopRule(mode, 1e-5, max_iters))
+        assert len(inits) == 1 and (trace.iterations > 0) == (max_iters > 0)
+        assert np.shares_memory(S, inits[0].S)
+
     @pytest.mark.parametrize("scale", [1e-1, 1e-6, 1e-10])
     def test_low_rank_change_from_grams(self, rng, scale):
         L, R = rng.standard_normal((50, 3)), rng.standard_normal((40, 3))
