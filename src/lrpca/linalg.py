@@ -243,9 +243,10 @@ def gram_solve(G):
     """Factor the r x r Gram ``G`` once; return the solver ``V -> W`` of
     ``W @ G = V``.
 
-    Internal: a solver step or a backward layer of training factors each
-    of its Grams, ``R^T R`` and ``L^T L``, once here and applies it to
-    every n x r matrix it scales.  ``G`` and ``V`` are the caller's own
+    Internal: a solver step factors each of its Grams, ``R^T R`` and
+    ``L^T L``, once here and applies it to every n x r matrix it scales;
+    a backward layer of training applies its forward step's solvers and
+    factors nothing.  ``G`` and ``V`` are the caller's own
     float64 arrays and are not checked; a non-finite ``V`` (diverging
     iterates) gives a non-finite ``W``, which the solve's residual reports.
     ``G`` is factored by LAPACK Cholesky, ``G = Lc Lc^T``; ``V`` is

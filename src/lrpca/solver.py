@@ -23,7 +23,9 @@ One iteration makes a single pass over ``Y`` in row slabs (see
 and accumulates the thin products ``W R``, ``W^T L`` and ``W^T W R``; the
 rest is ``O(n r^2)`` work on the factors, for which each step forms each
 Gram, ``L^T L`` and ``R^T R``, once and factors it once (see
-:func:`_scaled_update`).  The next iterate's residual follows from those
+:func:`_scaled_update`); training's backward pass through the step takes
+those factorizations from its forward step and factors no Gram of its own
+(see :func:`_soft_backward`).  The next iterate's residual follows from those
 products and Grams (:func:`_step_sums`), so the residual stop reads no
 ``S``.  Besides ``Y``, a solve holds one ``S`` buffer, ``S_0`` at the
 init, and the returned ``X``; it returns the buffer holding ``S_k``, the
@@ -440,7 +442,7 @@ def _soft_pass(Y, L, R, zeta, scratch, S=None, S_out=None, truth=None,
     return _Pass(resid_sq, err_sq, dS_sq, S_sq, C_sq, CR, CtL, CtCR)
 
 
-def _soft_backward(Y, L, R, zeta, eta, L_bar, R_bar, scratch):
+def _soft_backward(Y, L, R, zeta, eta, L_bar, R_bar, scratch, solvers):
     """Reverse mode through one soft-threshold iteration.
 
     The iteration maps ``(L, R)`` to ``(L + eta P, R + eta Q)``, where
@@ -450,12 +452,15 @@ def _soft_backward(Y, L, R, zeta, eta, L_bar, R_bar, scratch):
     ``P_bar = eta L_bar (R^T R)^{-1}`` and ``Q_bar = eta R_bar (L^T L)^{-1}``,
     goes to ``T`` where ``|T| < zeta`` and, times ``sign(T)``, to ``zeta``
     elsewhere.  ``T`` and ``C`` are recomputed in the row slabs of
-    :func:`_soft_pass`, never as an n1 x n2 temporary.
+    :func:`_soft_pass`, never as an n1 x n2 temporary.  ``solvers`` is
+    ``(solve_R, solve_L)``, the Gram solvers of ``(L, R)`` that the
+    forward step made (:func:`_scaled_update`), so the layer forms and
+    factors no Gram.
     """
     n1, n2 = Y.shape
     r = L.shape[1]
     RT = R.T
-    solve_R, solve_L = gram_solve(R.T @ R), gram_solve(L.T @ L)
+    solve_R, solve_L = solvers
     P_bar, Q_bar = eta * solve_R(L_bar), eta * solve_L(R_bar)
     # C_bar = left right^T; C right = [C R, C Q_bar] and C^T left =
     # [C^T P_bar, C^T L] give the forward products and the factor adjoints.
@@ -466,14 +471,15 @@ def _soft_backward(Y, L, R, zeta, eta, L_bar, R_bar, scratch):
     for sl, T, C, G in scratch.rows(n1, n2):
         T = np.subtract(Y[sl], _product_rows(L[sl], RT, T), out=T)
         np.clip(T, -zeta, zeta, out=C)
+        np.matmul(C, right, out=C_right[sl])
+        Ct_left += C.T @ left[sl]
         np.matmul(left[sl], right.T, out=G)
         # T - C is nonzero exactly where |T| > zeta, with the sign of T.
-        D = np.sign(np.subtract(T, C, out=T), out=T)
+        # Not in place: numpy's in-place sign is a scalar loop, 5x slower.
+        D = np.sign(np.subtract(T, C, out=C), out=T)
         zeta_bar += float(np.vdot(G, D))
         # T_bar = C_bar where |T| <= zeta: take out the part where D != 0.
         G -= np.multiply(G, np.abs(D, out=D), out=D)
-        np.matmul(C, right, out=C_right[sl])
-        Ct_left += C.T @ left[sl]
         np.matmul(G, R, out=Tb_R[sl])
         Tbt_L += G.T @ L[sl]
     P, Q = solve_R(C_right[:, :r]), solve_L(Ct_left[:, r:])
@@ -511,22 +517,26 @@ def _sparsify_pass(Y, L, R, alpha_tilde, scratch, S=None, S_out=None,
 
 def _scaled_update(factors, p, eta):
     """The factors after a step of size ``eta`` with the products of the
-    pass ``p`` at ``factors``, and for a ``for_stop`` pass the step's sums
-    (:func:`_step_sums`, else None).  Both updates read the pre-step L and
-    R; each Gram is formed and factored once, and the sums reuse both."""
+    pass ``p`` at ``factors``; for a ``for_stop`` pass the step's sums
+    (:func:`_step_sums`, else None); and ``(solve_R, solve_L)``, the Gram
+    solvers of ``factors``, which a backward layer through the step reuses.
+    Both updates read the pre-step L and R; each Gram is formed and
+    factored once, and the sums reuse both."""
     L, R = factors.L, factors.R
     GL, GR = L.T @ L, R.T @ R
-    solve_R = gram_solve(GR)
-    new = FactorPair(L - eta * solve_R(p.WR), R - eta * gram_solve(GL)(p.WtL))
+    solvers = solve_R, solve_L = gram_solve(GR), gram_solve(GL)
+    new = FactorPair(L - eta * solve_R(p.WR), R - eta * solve_L(p.WtL))
     if p.WtWR is None:
-        return new, None
-    return new, _step_sums(p, factors, new, eta, GL, GR, solve_R)
+        return new, None, solvers
+    return new, _step_sums(p, factors, new, eta, GL, GR, solve_R), solvers
 
 
 def _soft_step(Y, factors, zeta, eta, scratch, S_out=None):
-    """Factors after one soft-threshold iteration (S' into ``S_out``)."""
+    """Factors after one soft-threshold iteration (S' into ``S_out``) and
+    the Gram solvers of ``factors`` (see :func:`_scaled_update`)."""
     p = _soft_pass(Y, factors.L, factors.R, zeta, scratch, S_out=S_out)
-    return _scaled_update(factors, p, eta)[0]
+    new, _, solvers = _scaled_update(factors, p, eta)
+    return new, solvers
 
 
 def _ratio(num_sq, den_sq):
@@ -585,8 +595,8 @@ def lrpca_step(state, Y, zeta, eta):
     if shape != Ym.shape:
         raise InvalidInput(f"factors give shape {shape}, Y has {Ym.shape}")
     S = np.empty(Ym.shape, Ym.dtype)
-    factors = _soft_step(Ym, state.factors, zeta, eta, _Scratch(Ym.dtype),
-                         S_out=S)
+    factors, _ = _soft_step(Ym, state.factors, zeta, eta,
+                            _Scratch(Ym.dtype), S_out=S)
     return SolverState(factors, S)
 
 
@@ -683,7 +693,8 @@ def _run(Y, r, schedule, stop, truth, seed, init_fn, pass_fn):
             k += 1
             zeta, eta = nxt
             try:
-                new, (dX_sq, X_sq, resid_sq) = _scaled_update(factors, p, eta)
+                new, (dX_sq, X_sq, resid_sq), _ = _scaled_update(
+                    factors, p, eta)
             except SingularGram as exc:
                 raise SingularGram(
                     f"Gram factorization collapsed at iteration {k}: {exc}") from exc

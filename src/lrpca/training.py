@@ -91,7 +91,7 @@ def _advance(factors, Y, theta, j0, k, scratch):
     states = [factors]
     for j in range(j0, k + 1):
         zeta, eta = theta.at(j)
-        states.append(_soft_step(Y, states[-1], zeta, eta, scratch))
+        states.append(_soft_step(Y, states[-1], zeta, eta, scratch)[0])
     return states
 
 
@@ -115,13 +115,19 @@ def _stage_gradient(theta, inst, k, scratch):
     layers k..1.  Its adjoints ``(L_bar_0, R_bar_0)`` of the init's factors
     give ``zeta_bar_0 = <L_bar_0, dL_0> + <R_bar_0, dR_0>`` with the init's
     tangent in zeta_0.  Parameters past iteration k get zero.  The forward
-    and backward passes share the slab buffers ``scratch``.
+    pass keeps each layer's input factors and Gram solvers, which its
+    backward layer reuses, and both passes share the slab buffers
+    ``scratch``.
     """
     init, d_init = spectral_init(inst.Y, inst.r, theta.zeta0, seed=inst.seed,
                                  tangent=True)
-    factors = init.factors
+    states, grams = [init.factors], []
     del init  # S_0 is not needed past the init
-    states = _advance(factors, inst.Y, theta, 1, k, scratch)
+    for j in range(1, k + 1):
+        zeta, eta = theta.at(j)
+        new, solvers = _soft_step(inst.Y, states[-1], zeta, eta, scratch)
+        states.append(new)
+        grams.append(solvers)
     scale = max(float(np.linalg.norm(inst.X_star) ** 2), 1e-300)
     X = states[-1].product()
     X_bar = np.subtract(X, inst.X_star, out=X)
@@ -133,7 +139,7 @@ def _stage_gradient(theta, inst, k, scratch):
         zeta, eta = theta.at(j)
         f = states[j - 1]
         L_bar, R_bar, zeta_grad[j], eta_grad[j - 1] = _soft_backward(
-            inst.Y, f.L, f.R, zeta, eta, L_bar, R_bar, scratch)
+            inst.Y, f.L, f.R, zeta, eta, L_bar, R_bar, scratch, grams[j - 1])
     zeta_grad[0] = float(np.vdot(L_bar, d_init.L) + np.vdot(R_bar, d_init.R))
     return loss, zeta_grad, eta_grad
 

@@ -23,7 +23,10 @@ def check_matrix(M, name="matrix"):
     result) keeps the input's dtype, and everything smaller (factors,
     singular values, Gram solves, norms and sums) is float64.
     """
-    A = np.asarray(M)
+    try:
+        A = np.asarray(M)
+    except ValueError as exc:  # a ragged nested list
+        raise InvalidInput(f"{name} must be a rectangular array: {exc}") from exc
     if A.dtype.kind not in "iuf":  # no bools, complex, strings or objects
         raise InvalidInput(f"{name} must hold real numbers, got dtype {A.dtype}")
     if A.dtype != np.float32:

@@ -83,6 +83,21 @@ def test_matrix_not_real_numbers_rejected(op, M, tmp_path):
     assert not (tmp_path / "M.lrpm").exists()
 
 
+# A ragged nested list raised numpy's bare ValueError ("inhomogeneous
+# shape").
+@pytest.mark.parametrize("M", [[[1.0, 2.0], [3.0]], [[1.0], [2.0, [3.0]]]],
+                         ids=["short_row", "nested_deeper"])
+@pytest.mark.parametrize("op", [
+    lambda M, tmp: soft_threshold(M, 0.1),
+    lambda M, tmp: solve(M, 1, FixedSchedule(0.1, 0.5)),
+    lambda M, tmp: write_matrix(M, tmp / "M.lrpm"),
+], ids=["soft_threshold", "solve", "write_matrix"])
+def test_ragged_matrix_rejected(op, M, tmp_path):
+    with pytest.raises(InvalidInput, match="must be a rectangular array"):
+        op(M, tmp_path)
+    assert not (tmp_path / "M.lrpm").exists()
+
+
 @pytest.mark.parametrize("call", [
     lambda: ParamSchedule(zetas=(-1.0, 0.5), etas=(0.5,)),
     lambda: OracleSchedule(eta=0.0),

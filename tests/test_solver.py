@@ -16,6 +16,7 @@ from lrpca.linalg import (_GRAM_ASPECT, _GRAM_MAX_SHORT, _SKETCH_OVERSAMPLE,
 from lrpca.solver import (_block_rows, _factor_state, _Pass, _scaled_update,
                           _Scratch, _soft_backward, _soft_pass, _sparsify_pass,
                           _step_sums)
+from lrpca.training import _stage_gradient
 from conftest import run_concurrently, traced_peak
 from oracles import (dense_layer_vjp, dense_reference_solve,
                      scalar_lrpca_step, sort_sparsify)
@@ -900,27 +901,64 @@ class TestSolveScaledgd:
             solve_scaledgd(Y, 2, 0.2, eta, StopRule("fixed_iters", max_iters=5))
 
 
+def _fresh_solvers(L, R):
+    """The Gram solvers ``(solve_R, solve_L)`` of ``(L, R)``, factored anew."""
+    return gram_solve(R.T @ R), gram_solve(L.T @ L)
+
+
 class TestSoftBackward:
     @pytest.mark.parametrize("n1, n2, r, alpha", MULTI_SLAB)
-    def test_matches_dense_vjp(self, n1, n2, r, alpha):
+    @pytest.mark.parametrize("where", ["between", "zero", "above"])
+    def test_matches_dense_vjp(self, n1, n2, r, alpha, where):
         # MULTI_SLAB spans several slabs with a partial last one, at r > 1
-        # and at r = 1 (the broadcast outer-product path).
+        # and at r = 1 (the broadcast outer-product path).  The threshold
+        # clips some entries and not others, clips every one (zeta = 0,
+        # which learned schedules reach), or clips none (zeta above
+        # max |T|, where zeta_bar is exactly 0).
         inst = gen_instance(n1, n2, r, alpha, 5)
         f = spectral_init(inst.Y, r, float(np.abs(inst.Y).max()),
                           seed=1).factors
         L, R = f.L, f.R
         T = inst.Y - L @ R.T
-        zeta = float(np.quantile(np.abs(T), 0.7))  # both sides of the clip
+        zeta = {"between": float(np.quantile(np.abs(T), 0.7)), "zero": 0.0,
+                "above": 2.0 * float(np.abs(T).max())}[where]
         rng = np.random.default_rng(8)
         L_bar = rng.standard_normal(L.shape)
         R_bar = rng.standard_normal(R.shape)
-        got = _soft_backward(inst.Y, L, R, zeta, 0.6, L_bar, R_bar, _Scratch())
+        got = _soft_backward(inst.Y, L, R, zeta, 0.6, L_bar, R_bar, _Scratch(),
+                             _fresh_solvers(L, R))
         ref = dense_layer_vjp(inst.Y, L, R, zeta, 0.6, L_bar, R_bar)
         for a, b in zip(got[:2], ref[:2]):
             assert np.linalg.norm(a - b) <= 1e-11 * np.linalg.norm(b)
         assert got[2] == pytest.approx(ref[2], rel=1e-11)
         assert got[3] == pytest.approx(ref[3], rel=1e-11)
-        assert ref[2] != 0.0
+        if where == "above":
+            assert got[2] == 0.0 == ref[2]
+        else:
+            assert ref[2] != 0.0
+
+    @pytest.mark.parametrize("n1, n2, r, alpha", MULTI_SLAB)
+    def test_reuses_forward_factorizations(self, monkeypatch, n1, n2, r,
+                                           alpha):
+        # The layer takes the Gram solvers its forward step made: it
+        # factors no Gram, and its outputs are those of fresh solvers.
+        inst = gen_instance(n1, n2, r, alpha, 5)
+        f = spectral_init(inst.Y, r, float(np.abs(inst.Y).max()),
+                          seed=1).factors
+        zeta = float(np.quantile(np.abs(inst.Y - f.product()), 0.7))
+        p = _soft_pass(inst.Y, f.L, f.R, zeta, _Scratch())
+        solvers = _scaled_update(f, p, 0.6)[2]
+        rng = np.random.default_rng(8)
+        L_bar, R_bar = rng.standard_normal(f.L.shape), rng.standard_normal(f.R.shape)
+        args = (inst.Y, f.L, f.R, zeta, 0.6, L_bar, R_bar, _Scratch())
+        fresh = _fresh_solvers(f.L, f.R)
+        calls, real = [], solver_module.gram_solve
+        monkeypatch.setattr(solver_module, "gram_solve",
+                            lambda G: calls.append(G) or real(G))
+        got = _soft_backward(*args, solvers)
+        assert calls == []
+        ref = _soft_backward(*args, fresh)
+        assert _bit_equal(got, ref)
 
 
 def _slab_calls(inst, r, scratch=None):
@@ -938,10 +976,11 @@ def _slab_calls(inst, r, scratch=None):
     S_out = inst.S_star.copy()
     p = _soft_pass(inst.Y, f.L, f.R, zeta, buffers(), S=inst.S_star,
                    S_out=S_out, truth=inst.X_star, for_stop=True)
-    new = _scaled_update(f, p, 0.6)[0]
+    new, _, solvers = _scaled_update(f, p, 0.6)
     rng = np.random.default_rng(8)
     L_bar, R_bar = rng.standard_normal(f.L.shape), rng.standard_normal(f.R.shape)
-    back = _soft_backward(inst.Y, f.L, f.R, zeta, 0.6, L_bar, R_bar, buffers())
+    back = _soft_backward(inst.Y, f.L, f.R, zeta, 0.6, L_bar, R_bar, buffers(),
+                          solvers)
     last = _soft_pass(inst.Y, new.L, new.R, None, buffers(), S=S_out,
                       truth=inst.X_star)
     return [*p, S_out, *back, *last]
@@ -1217,8 +1256,10 @@ def test_traced_call_sites_are_called(monkeypatch):
         # Each iteration factors R^T R and L^T L once each, the step's sums
         # included.
         assert calls["gram_solve"] == 2 * k, calls
-    # So does one backward layer of training.
-    f = spectral_init(Y, 2, theta.zeta0).factors
+    # So does each forward step of a training gradient, and its backward
+    # layer reuses the step's factorizations: a stage-k gradient factors
+    # 2 k Grams, not 4 k.
+    theta = ParamSchedule(zetas=(theta.zeta0,) * (k + 1), etas=(0.5,) * k)
     calls["gram_solve"] = 0
-    _soft_backward(Y, f.L, f.R, 0.01, 0.5, f.L, f.R, _Scratch())
-    assert calls["gram_solve"] == 2
+    _stage_gradient(theta, gen_instance(40, 30, 2, 0.1, 1), k, _Scratch())
+    assert calls["gram_solve"] == 2 * k
