@@ -475,7 +475,7 @@ def _soft_backward(Y, L, R, zeta, eta, L_bar, R_bar, scratch, solvers):
         Ct_left += C.T @ left[sl]
         np.matmul(left[sl], right.T, out=G)
         # T - C is nonzero exactly where |T| > zeta, with the sign of T.
-        # Not in place: numpy's in-place sign is a scalar loop, 5x slower.
+        # Not in place: numpy 2.4's in-place sign is a 5x slower scalar loop.
         D = np.sign(np.subtract(T, C, out=C), out=T)
         zeta_bar += float(np.vdot(G, D))
         # T_bar = C_bar where |T| <= zeta: take out the part where D != 0.

@@ -82,17 +82,16 @@ class TrainConfig:
 
 
 def _advance(factors, Y, theta, j0, k, scratch):
-    """``factors``, then the factors after each of the iterations j0..k
-    from them, whose passes share the slab buffers ``scratch``.
+    """The factors after the iterations j0..k from ``factors``, whose
+    passes share the slab buffers ``scratch``.
 
     Only the factors carry state from one iteration to the next: the soft
     threshold reads ``Y - L R^T``, never the previous S.
     """
-    states = [factors]
     for j in range(j0, k + 1):
         zeta, eta = theta.at(j)
-        states.append(_soft_step(Y, states[-1], zeta, eta, scratch)[0])
-    return states
+        factors = _soft_step(Y, factors, zeta, eta, scratch)[0]
+    return factors
 
 
 def _initial_schedule(source, cfg):
@@ -235,12 +234,12 @@ def grid_search_tail(theta, dataset, cfg):
         raise InvalidInput("dataset must be nonempty")
     scratch = _Scratch()
     # The first K iterations do not depend on (beta, phi); cache them.
-    cached = [(Y, X_star, _advance(f, Y, theta, 1, K, scratch)[-1])
+    cached = [(Y, X_star, _advance(f, Y, theta, 1, K, scratch))
               for Y, X_star, f in inits]
     del inits
 
     def tail_loss(cand, Y, X_star, factors):
-        X_final = _advance(factors, Y, cand, K + 1, K_bar, scratch)[-1].product()
+        X_final = _advance(factors, Y, cand, K + 1, K_bar, scratch).product()
         X_final -= X_star
         return float(np.linalg.norm(X_final) ** 2)
 

@@ -265,14 +265,14 @@ def exhaustive_tail_search(theta, dataset, cfg):
     for inst in dataset:
         init = spectral_init(inst.Y, inst.r, theta.zeta0, seed=inst.seed)
         cached.append((inst, training._advance(init.factors, inst.Y, theta,
-                                               1, K, scratch)[-1]))
+                                               1, K, scratch)))
 
     def tail_loss(beta, phi):
         cand = replace(theta, beta=beta, phi=phi)
         total = 0.0
         for inst, factors in cached:
             X_final = training._advance(factors, inst.Y, cand, K + 1, K_bar,
-                                        scratch)[-1].product()
+                                        scratch).product()
             X_final -= inst.X_star
             total += float(np.linalg.norm(X_final) ** 2)
         return total / len(cached)

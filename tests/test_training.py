@@ -61,7 +61,7 @@ def _kink_gap(theta, inst, k):
         zeta, _ = theta.at(j)
         T = inst.Y - factors.product()
         gap = min(gap, float(np.abs(np.abs(T) - zeta).min()))
-        factors = _advance(factors, inst.Y, theta, j, j, _Scratch())[-1]
+        factors = _advance(factors, inst.Y, theta, j, j, _Scratch())
     return gap
 
 
@@ -418,12 +418,11 @@ class TestGridSearchTail:
         real = training._advance
 
         def poisoned(factors, Y, theta, j0, k, scratch):
-            states = real(factors, Y, theta, j0, k, scratch)
+            out = real(factors, Y, theta, j0, k, scratch)
             if (j0 == theta.K + 1 and (theta.beta, theta.phi) in pair
                     and (on_instance is None or Y is on_instance)):
-                nan = np.full_like(states[-1].L, np.nan)
-                states[-1] = FactorPair(nan, states[-1].R)
-            return states
+                out = FactorPair(np.full_like(out.L, np.nan), out.R)
+            return out
 
         monkeypatch.setattr(training, "_advance", poisoned)
 
