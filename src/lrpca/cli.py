@@ -29,7 +29,7 @@ from . import bench as bench_mod
 from .errors import InvalidInput, LrpcaError
 from .matrixio import read_matrix, write_matrix
 from .schedule import read_schedule, write_schedule
-from .solver import FixedSchedule, OracleSchedule, StopRule, solve
+from .solver import _STOP_MODES, FixedSchedule, OracleSchedule, StopRule, solve
 from .synth import InstanceSource, gen_instance
 from .training import _GRID_INSTANCES, TrainConfig, train_schedule
 from .video import background_subtract, read_pgm_sequence, write_pgm
@@ -38,20 +38,24 @@ __all__ = ["main"]
 
 
 def parse_config(path):
-    """Flat ``key = value`` file; '#' starts a comment."""
+    """Flat UTF-8 ``key = value`` file; '#' starts a comment."""
     out, first = {}, {}
     with open(_existing(path, "config"), "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise InvalidInput(f"{path}:{lineno}: expected 'key = value'")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key in first:
-                raise InvalidInput(f"{path}:{lineno}: {key} is set again "
-                                   f"(first on line {first[key]})")
-            first[key], out[key] = lineno, value
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise InvalidInput(f"{path}: config file is not UTF-8 text") from exc
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise InvalidInput(f"{path}:{lineno}: expected 'key = value'")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in first:
+            raise InvalidInput(f"{path}:{lineno}: {key} is set again "
+                               f"(first on line {first[key]})")
+        first[key], out[key] = lineno, value
     return out
 
 
@@ -277,8 +281,7 @@ def build_parser():
         return p
 
     def stop_rule(p, mode, tol, max_iters):
-        p.add_argument("--stop-mode", default=mode,
-                       choices=["residual_rel", "iterate_change", "fixed_iters"])
+        p.add_argument("--stop-mode", default=mode, choices=_STOP_MODES)
         p.add_argument("--tol", type=float, default=tol)
         p.add_argument("--max-iters", type=int, default=max_iters)
 
@@ -352,6 +355,8 @@ def main(argv=None):
             _layer_config(commands[args.command], args.config)
             args = parser.parse_args(argv)
         _require(args, "out")
+        if os.path.lexists(args.out) and not os.path.isdir(args.out):
+            raise InvalidInput(f"--out {args.out} exists and is not a directory")
         args.func(args)
     except LrpcaError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -2,6 +2,9 @@
 :class:`InvalidInput` (a ``ValueError``); every other :class:`LrpcaError`
 is a failure found while the work runs."""
 
+__all__ = ["LrpcaError", "InvalidInput", "ConvergenceFailure", "SingularGram",
+           "TrainingDiverged", "FormatError"]
+
 
 class LrpcaError(Exception):
     """Base class for all package errors."""

@@ -96,13 +96,16 @@ def write_schedule(theta, path):
 def read_schedule(path):
     """Read a schedule CSV produced by :func:`write_schedule`.
 
-    Raises :class:`~lrpca.errors.FormatError` on an empty file, a bad
-    header, a malformed line, an unknown kind, a repeated row, zeta rows
-    that miss some k = 0..K or eta rows some k = 1..K, and values the
-    schedule rejects.
+    Raises :class:`~lrpca.errors.FormatError` on a file that is not UTF-8
+    text, an empty file, a bad header, a malformed line, an unknown kind, a
+    repeated row, zeta rows that miss some k = 0..K or eta rows some
+    k = 1..K, and values the schedule rejects.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+        try:
+            lines = [ln.strip() for ln in fh if ln.strip()]
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: not UTF-8 text") from exc
     if not lines:
         raise FormatError(f"{path}: empty schedule file")
     if lines[0] != _HEADER:

@@ -74,6 +74,8 @@ __all__ = [
     "spectral_init", "lrpca_step", "solve", "solve_scaledgd",
 ]
 
+_STOP_MODES = ("residual_rel", "iterate_change", "fixed_iters")
+
 
 @dataclass(frozen=True)
 class FactorPair:
@@ -114,7 +116,7 @@ class StopRule:
     max_iters: int = 100
 
     def __post_init__(self):
-        if self.mode not in ("residual_rel", "iterate_change", "fixed_iters"):
+        if self.mode not in _STOP_MODES:
             raise InvalidInput(f"unknown stop mode {self.mode!r}")
         check_count(self.max_iters, "max_iters", 0)
         check_nonneg(self.tolerance, "tolerance")
@@ -122,7 +124,7 @@ class StopRule:
 
 @dataclass
 class SolveTrace:
-    """Per-iteration diagnostics; row 0 describes the initialization.
+    """Per-iteration diagnostics: row k describes iterate k, row 0 the init.
 
     ``stop_reason`` says how the solve ended: ``"converged"`` when the stop
     rule's tolerance test passed (``residual_rel`` or ``iterate_change``),
@@ -144,7 +146,6 @@ class SolveTrace:
     :class:`~lrpca.errors.ConvergenceFailure` naming the iteration.
     """
 
-    iters: list = field(default_factory=list)
     zetas: list = field(default_factory=list)
     etas: list = field(default_factory=list)
     residuals: list = field(default_factory=list)
@@ -152,8 +153,7 @@ class SolveTrace:
     wall_ms: list = field(default_factory=list)
     stop_reason: str = ""
 
-    def append(self, k, zeta, eta, residual, rel_err, wall):
-        self.iters.append(k)
+    def append(self, zeta, eta, residual, rel_err, wall):
         self.zetas.append(zeta)
         self.etas.append(eta)
         self.residuals.append(residual)
@@ -161,16 +161,16 @@ class SolveTrace:
         self.wall_ms.append(wall)
 
     def __len__(self):
-        return len(self.iters)
+        return len(self.zetas)
 
     @property
     def iterations(self):
         """Number of update iterations executed (excludes initialization)."""
-        return len(self.iters) - 1
+        return len(self) - 1
 
     def rows(self):
-        return list(zip(self.iters, self.zetas, self.etas, self.residuals,
-                        self.rel_errs, self.wall_ms))
+        return list(zip(range(len(self)), self.zetas, self.etas,
+                        self.residuals, self.rel_errs, self.wall_ms))
 
 
 def FixedSchedule(zeta, eta):
@@ -657,11 +657,11 @@ def _run(Y, r, schedule, stop, truth, seed, init_fn, pass_fn):
     by_residual = stop.mode == "residual_rel"
     t0 = time.perf_counter()
 
-    def append(k, zeta, eta, res, err_sq):
+    def append(zeta, eta, res, err_sq):
         nonlocal t0
         rel = float(np.sqrt(err_sq) / nt) if nt > 0 else float("nan")
         t1 = time.perf_counter()
-        trace.append(k, zeta, eta, res, rel, (t1 - t0) * 1e3)
+        trace.append(zeta, eta, res, rel, (t1 - t0) * 1e3)
         t0 = t1
 
     def residual(k, resid_sq):
@@ -687,7 +687,7 @@ def _run(Y, r, schedule, stop, truth, seed, init_fn, pass_fn):
         p = pass_fn(Y, factors.L, factors.R, nxt[0], scratch, S=S,
                     S_out=S_out, truth=truth, for_stop=True)
         res = residual(0, p.resid_sq)
-        append(0, zeta, eta, res, p.err_sq)
+        append(zeta, eta, res, p.err_sq)
         converged = res == 0.0 or (by_residual and res < stop.tolerance)
         while not converged and k < stop.max_iters:
             k += 1
@@ -710,12 +710,12 @@ def _run(Y, r, schedule, stop, truth, seed, init_fn, pass_fn):
             nxt = params_fn(k + 1, factors, scratch)
             p = pass_fn(Y, factors.L, factors.R, nxt[0], scratch, S_out=S_out,
                         truth=truth, for_stop=True)
-            append(k, zeta, eta, res, p.err_sq)
+            append(zeta, eta, res, p.err_sq)
         if not track or k == 0 < stop.max_iters:  # S_k from iterate k - 1
             pass_fn(Y, old.L, old.R, zeta, scratch, S_out=S)
         if k > 0:  # measure the returned iterate against the returned S
             p = pass_fn(Y, factors.L, factors.R, None, scratch, S=S, truth=truth)
-            append(k, zeta, eta, residual(k, p.resid_sq), p.err_sq)
+            append(zeta, eta, residual(k, p.resid_sq), p.err_sq)
     trace.stop_reason = "converged" if converged else "max_iters"
     del scratch  # free the slab buffers before X is formed
     return _product_rows(*_in_dtype(Y.dtype, factors.L, factors.R.T)), S, trace

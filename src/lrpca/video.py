@@ -136,8 +136,8 @@ def write_pgm(frame, path):
 
 
 def read_pgm_sequence(directory):
-    """Read the frame sequence of a directory: all ``*.pgm`` files, in
-    lexicographic filename order.
+    """Read the frame sequence of a directory: all regular ``*.pgm`` files,
+    in lexicographic filename order.
 
     The files' 8-bit samples are divided by their maxvals in one pass,
     straight into the columns of one C-ordered float32 frame matrix: each
@@ -145,8 +145,9 @@ def read_pgm_sequence(directory):
     """
     if not os.path.isdir(directory):
         raise InvalidInput(f"frames directory not found: {directory}")
-    paths = sorted(os.path.join(directory, name) for name in os.listdir(directory)
-                   if name.lower().endswith(".pgm"))
+    with os.scandir(directory) as entries:
+        paths = sorted(e.path for e in entries
+                       if e.name.lower().endswith(".pgm") and e.is_file())
     if not paths:
         raise InvalidInput("no PGM frames found")
     decoded = [_decode_pgm(p) for p in paths]

@@ -218,9 +218,9 @@ class TestReportCsv:
 
     def test_trace_golden_bytes(self, tmp_path):
         trace = SolveTrace()
-        trace.append(0, 0.5, float("nan"), 1 / 3, 0.25, 1.23449)
-        trace.append(1, 0.5 * 0.65, 0.65, 1e-5 / 3, 2e-3 / 3, 0.5)
-        trace.append(2, 0.1 + 0.2, 0.7, 0.0, float("nan"), 1000.0)
+        trace.append(0.5, float("nan"), 1 / 3, 0.25, 1.23449)
+        trace.append(0.5 * 0.65, 0.65, 1e-5 / 3, 2e-3 / 3, 0.5)
+        trace.append(0.1 + 0.2, 0.7, 0.0, float("nan"), 1000.0)
         path = tmp_path / "trace.csv"
         write_trace(trace, path)
         assert path.read_bytes() == (

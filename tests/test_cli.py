@@ -654,18 +654,38 @@ def test_bad_setting_exits_2_before_output(tmp_path, capsys, name):
     assert not out.exists()
 
 
+# A byte that is not UTF-8 printed a UnicodeDecodeError traceback (exit 1).
 @pytest.mark.parametrize("text, message", [
-    ("n 20\n", "expected 'key = value'"),
-    ("oracle = yes\n", "oracle must be True or False, got 'yes'"),
-], ids=["no_equals", "switch_value"])
+    (b"n 20\n", "expected 'key = value'"),
+    (b"oracle = yes\n", "oracle must be True or False, got 'yes'"),
+    (b"n = 20\n# caf\xe9\n", "config file is not UTF-8 text"),
+], ids=["no_equals", "switch_value", "not_utf8"])
 def test_bad_config_line_exits_2_before_output(tmp_path, capsys, text, message):
     cfg = tmp_path / "c.txt"
-    cfg.write_text(text)
+    cfg.write_bytes(text)
     out = tmp_path / "out"
     capsys.readouterr()
     assert run(["solve", "--config", cfg, "--out", out]) == 2
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and message in err[0], err
     assert not out.exists()
+
+
+# An --out naming a file failed in os.makedirs with a traceback (exit 1),
+# after the whole run.
+@pytest.mark.parametrize("args", [
+    ["gen", "--n", 10, "--r", 2, "--alpha", "0.1"],
+    ["train", "--n", 20, "--r", 2, "--K", 1, "--K-bar", 2,
+     "--sgd-steps-per-stage", 1, "--grid-instances", 1],
+], ids=["gen", "train"])
+def test_out_naming_a_file_exits_2_and_keeps_it(tmp_path, capsys, args):
+    out = tmp_path / "afile"
+    out.write_bytes(b"keep")
+    capsys.readouterr()
+    assert run(args + ["--out", out]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: --out {out} exists and is not a directory"]
+    assert out.read_bytes() == b"keep"
 
 
 def test_config_key_set_twice_exits_2_before_output(tmp_path, capsys):

@@ -6,16 +6,16 @@ import pytest
 
 import lrpca
 from lrpca import (FixedSchedule, FrameSequence, InstanceSource, InvalidInput,
-                   OracleSchedule, ParamSchedule, StopRule, TrainConfig,
-                   banded_sparse_matrix, gen_instance, grid_search_tail,
-                   lrpca_step, matrix_norm, rescale_schedule, soft_threshold,
-                   solve, solve_scaledgd, spectral_init, sparsify_top_fraction,
-                   truncated_svd, write_matrix)
+                   LrpcaError, OracleSchedule, ParamSchedule, StopRule,
+                   TrainConfig, banded_sparse_matrix, errors, gen_instance,
+                   grid_search_tail, lrpca_step, matrix_norm, rescale_schedule,
+                   soft_threshold, solve, solve_scaledgd, spectral_init,
+                   sparsify_top_fraction, truncated_svd, write_matrix)
 from lrpca.bench import runtime_scaling_bench
 from lrpca.validation import check_fraction, check_nonneg, check_positive
 
 # The modules whose public names lrpca/__init__.py re-exports.
-REEXPORTED = ("linalg", "operators", "schedule", "solver", "synth",
+REEXPORTED = ("errors", "linalg", "operators", "schedule", "solver", "synth",
               "training", "matrixio", "video")
 
 
@@ -31,6 +31,14 @@ def test_every_exported_name_resolves():
                 for name in importlib.import_module(f"lrpca.{mod}").__all__
                 if name not in lrpca.__all__]
     assert not unlisted
+    # Star imports let a name two modules declare shadow one silently.
+    assert len(set(lrpca.__all__)) == len(lrpca.__all__)
+
+
+def test_every_error_type_is_public():
+    defined = [name for name, obj in vars(errors).items()
+               if isinstance(obj, type) and issubclass(obj, LrpcaError)]
+    assert defined and set(defined) <= set(errors.__all__)
 
 
 def test_invalid_input_is_the_one_caller_mistake_error():

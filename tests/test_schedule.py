@@ -192,6 +192,13 @@ class TestSerialization:
         with pytest.raises(FormatError):
             read_schedule(path)
 
+    def test_not_utf8_rejected(self, tmp_path):
+        # A byte that is not UTF-8 raised UnicodeDecodeError.
+        path = tmp_path / "schedule.csv"
+        path.write_bytes(b"kind,k,value\nzeta,0,1.0\xff\n")
+        with pytest.raises(FormatError, match="not UTF-8 text"):
+            read_schedule(path)
+
 
 class TestValidation:
     def test_negative_zeta_rejected(self):

@@ -434,7 +434,7 @@ class TestSolve:
                             StopRule("fixed_iters", max_iters=7))
         assert len(trace) == 8
         assert trace.iterations == 7
-        assert trace.iters == list(range(8))
+        assert [row[0] for row in trace.rows()] == list(range(8))
 
     def test_fixed_iters_zero_only_init(self, rng):
         inst = gen_instance(20, 20, 2, 0.1, 4)

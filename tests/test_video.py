@@ -152,6 +152,14 @@ class TestSequences:
         with pytest.raises(InvalidInput):
             read_pgm_sequence(tmp_path)
 
+    def test_directory_named_pgm_skipped(self, tmp_path):
+        # A directory sub.pgm raised IsADirectoryError.
+        (tmp_path / "sub.pgm").mkdir()
+        with pytest.raises(InvalidInput, match="no PGM frames found"):
+            read_pgm_sequence(tmp_path)
+        write_pgm(np.full((2, 3), 0.5), tmp_path / "a.pgm")
+        assert len(read_pgm_sequence(tmp_path)) == 1
+
     def test_missing_directory(self, tmp_path):
         with pytest.raises(InvalidInput, match="frames directory not found"):
             read_pgm_sequence(tmp_path / "missing")
