@@ -14,6 +14,13 @@ config key that names no setting of the subcommand is a usage error
 ``--config`` reads, so ``--config manifest.txt`` reproduces the outputs
 (modulo wall-clock columns).
 
+One name per quantity: ``gen`` and ``train`` take an instance's rows as
+``--n`` and its columns as ``--n2`` (default ``--n``), and ``bench --kind
+generalization`` reads its base schedule's size from ``--n`` and ``--r``.
+A default the library also has is read from it: the stop rules from
+``StopRule()`` and ``background_subtract``'s ``stop``, ``--eta`` from
+``OracleSchedule``, the training knobs from ``TrainConfig``.
+
 Exit codes: 0 success, 1 runtime/solver failure, 2 for any
 :class:`~lrpca.errors.InvalidInput`: a usage or config error, or a setting
 or input that cannot be run (a negative seed, ``--oracle`` without
@@ -32,7 +39,7 @@ from .schedule import read_schedule, write_schedule
 from .solver import _STOP_MODES, FixedSchedule, OracleSchedule, StopRule, solve
 from .synth import InstanceSource, gen_instance
 from .training import _GRID_INSTANCES, TrainConfig, train_schedule
-from .video import background_subtract, read_pgm_sequence, write_pgm
+from .video import _BGSUB_STOP, background_subtract, read_pgm_sequence, write_pgm
 
 __all__ = ["main"]
 
@@ -133,6 +140,16 @@ def _existing(path, what):
     return path
 
 
+def _check_out(out):
+    """``out``, or else its nearest existing ancestor, must be a directory,
+    so that the first output can create it."""
+    path = out
+    while path and not os.path.lexists(path):
+        path = os.path.dirname(path)
+    if path and not os.path.isdir(path):
+        raise InvalidInput(f"--out {out}: {path} exists and is not a directory")
+
+
 def _path(args, name):
     """Output file ``name`` in ``--out``, which the first output creates."""
     os.makedirs(args.out, exist_ok=True)
@@ -144,14 +161,12 @@ def _stop(args):
 
 
 def cmd_gen(args):
-    _fill(args, n1=args.n, n2=args.n)
-    if args.n1 is None or args.n2 is None:
-        raise InvalidInput("need --n or both --n1/--n2")
-    _require(args, "r", "alpha")
-    inst = gen_instance(args.n1, args.n2, args.r, args.alpha, args.seed)
+    _require(args, "n", "r", "alpha")
+    _fill(args, n2=args.n)
+    inst = gen_instance(args.n, args.n2, args.r, args.alpha, args.seed)
     for name in ("Y", "X_star", "S_star"):
         write_matrix(getattr(inst, name), _path(args, f"{name}.lrpm"))
-    print(f"gen: wrote {args.n1}x{args.n2} instance (r={args.r}, "
+    print(f"gen: wrote {args.n}x{args.n2} instance (r={args.r}, "
           f"alpha={args.alpha}) to {args.out}")
 
 
@@ -237,11 +252,11 @@ def cmd_bench(args):
             args.alphas, args.trials, factory, args.success_tol,
             n=args.n, r=args.r, base_seed=seed, max_iters=args.max_iters)
     elif kind == "generalization":
-        _require(args, "schedule", "base_n", "base_r", "targets")
+        _require(args, "schedule", "targets")
         _fill(args, max_iters=200, trials=5)
         theta = read_schedule(_existing(args.schedule, "schedule"))
         report = bench_mod.generalization_bench(
-            theta, (args.base_n, args.base_r), args.targets, args.tol,
+            theta, (args.n, args.r), args.targets, args.tol,
             trials=args.trials, alpha=args.alpha, base_seed=seed,
             max_iters=args.max_iters)
 
@@ -280,23 +295,26 @@ def build_parser():
         p.add_argument("--seed", type=int, default=0)
         return p
 
-    def stop_rule(p, mode, tol, max_iters):
-        p.add_argument("--stop-mode", default=mode, choices=_STOP_MODES)
-        p.add_argument("--tol", type=float, default=tol)
-        p.add_argument("--max-iters", type=int, default=max_iters)
+    def instance(p, n=None, r=None, alpha=None, n2=True):
+        p.add_argument("--n", type=int, default=n)
+        if n2:
+            p.add_argument("--n2", type=int)
+        p.add_argument("--r", type=int, default=r)
+        p.add_argument("--alpha", type=float, default=alpha)
+
+    def stop_rule(p, rule, fill_max_iters=False):
+        p.add_argument("--stop-mode", default=rule.mode, choices=_STOP_MODES)
+        p.add_argument("--tol", type=float, default=rule.tolerance)
+        p.add_argument("--max-iters", type=int,
+                       default=None if fill_max_iters else rule.max_iters)
+
+    base = (500, 5, 0.1)  # the (n, r, alpha) that train and bench default to
 
     p = command("gen", cmd_gen, "generate a synthetic instance")
-    p.add_argument("--n", type=int)
-    p.add_argument("--n1", type=int)
-    p.add_argument("--n2", type=int)
-    p.add_argument("--r", type=int)
-    p.add_argument("--alpha", type=float)
+    instance(p)
 
     p = command("train", cmd_train, "learn an iteration schedule")
-    p.add_argument("--n", type=int, default=500)
-    p.add_argument("--n2", type=int)
-    p.add_argument("--r", type=int, default=5)
-    p.add_argument("--alpha", type=float, default=0.1)
+    instance(p, *base)
     p.add_argument("--K", type=int, default=TrainConfig.K)
     p.add_argument("--K-bar", type=int, default=TrainConfig.K_bar)
     p.add_argument("--sgd-steps-per-stage", type=int,
@@ -316,8 +334,8 @@ def build_parser():
     p.add_argument("--truth", help="true low-rank matrix")
     p.add_argument("--fixed", nargs=2, type=float, metavar=("ZETA", "ETA"),
                    help="constant threshold and step size")
-    p.add_argument("--eta", type=float, default=0.5)
-    stop_rule(p, "residual_rel", 1e-4, 100)
+    p.add_argument("--eta", type=float, default=OracleSchedule.eta)
+    stop_rule(p, StopRule())
 
     # Each kind reads some of these; max_iters and trials get kind-dependent
     # defaults in cmd_bench.
@@ -325,24 +343,20 @@ def build_parser():
     p.add_argument("--kind", choices=["convergence", "recoverability",
                                       "generalization"])
     p.add_argument("--schedule")
-    p.add_argument("--eta", type=float, default=0.5)
-    p.add_argument("--n", type=int, default=500)
-    p.add_argument("--r", type=int, default=5)
-    p.add_argument("--alpha", type=float, default=0.1)
-    stop_rule(p, "residual_rel", 1e-4, None)
+    p.add_argument("--eta", type=float, default=OracleSchedule.eta)
+    instance(p, *base, n2=False)  # bench solves square instances
+    stop_rule(p, StopRule(), fill_max_iters=True)
     p.add_argument("--scaledgd-eta", type=float, default=0.5)
     p.add_argument("--alphas", type=float_list, help="comma-separated alphas")
     p.add_argument("--trials", type=int)
     p.add_argument("--success-tol", type=float, default=1e-3)
-    p.add_argument("--base-n", type=int)
-    p.add_argument("--base-r", type=int)
     p.add_argument("--targets", type=pair_list, help="comma-separated n:r pairs")
 
     p = command("bgsub", cmd_bgsub, "background subtraction on PGM frames")
     p.add_argument("--frames", help="directory of P5 PGM frames")
     p.add_argument("--r", type=int)
     p.add_argument("--schedule")
-    stop_rule(p, "iterate_change", 1e-3, 100)
+    stop_rule(p, _BGSUB_STOP)
 
     return parser, sub.choices
 
@@ -355,8 +369,7 @@ def main(argv=None):
             _layer_config(commands[args.command], args.config)
             args = parser.parse_args(argv)
         _require(args, "out")
-        if os.path.lexists(args.out) and not os.path.isdir(args.out):
-            raise InvalidInput(f"--out {args.out} exists and is not a directory")
+        _check_out(args.out)
         args.func(args)
     except LrpcaError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -637,12 +637,15 @@ def _run(Y, r, schedule, stop, truth, seed, init_fn, pass_fn):
     ``S_k`` with ``S_{k+1}``, every ``for_stop`` pass compares S' with the
     S in the buffer before writing over it, slab by slab, so the buffer
     holds ``S_k`` already, unless the solve ended at the init, where the
-    row-0 pass wrote ``S_1`` over ``S_0``.  Otherwise one more ``pass_fn``
-    at the previous iterate writes ``S_k`` into it, and a measure-only pass
-    measures the returned iterate against it.  Every pass reuses the
-    solve's one set of slab buffers.  ``wall_ms[k]`` is the time since the
-    previous row.
+    row-0 pass wrote ``S_1`` over ``S_0``.  The other modes' row-0 pass
+    leaves ``S_0`` in place, so a solve that ends at the init returns it
+    as it is.  Otherwise one more ``pass_fn`` at the previous iterate
+    writes ``S_k`` into the buffer, and a measure-only pass measures the
+    returned iterate against it.  Every pass reuses the solve's one set of
+    slab buffers.  ``wall_ms[k]`` is the time since the previous row.
     """
+    if not isinstance(stop, StopRule):
+        raise InvalidInput(f"stop must be a StopRule, got {type(stop).__name__}")
     Y = check_matrix(Y, "Y")
     r = check_rank(r, *Y.shape)
     check_seed(seed)
@@ -711,7 +714,7 @@ def _run(Y, r, schedule, stop, truth, seed, init_fn, pass_fn):
             p = pass_fn(Y, factors.L, factors.R, nxt[0], scratch, S_out=S_out,
                         truth=truth, for_stop=True)
             append(zeta, eta, res, p.err_sq)
-        if not track or k == 0 < stop.max_iters:  # S_k from iterate k - 1
+        if (not track and k > 0) or (track and k == 0 < stop.max_iters):
             pass_fn(Y, old.L, old.R, zeta, scratch, S_out=S)
         if k > 0:  # measure the returned iterate against the returned S
             p = pass_fn(Y, factors.L, factors.R, None, scratch, S=S, truth=truth)

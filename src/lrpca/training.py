@@ -81,6 +81,11 @@ class TrainConfig:
         return np.floor((hi - lo) / step + 1e-9) + 1
 
 
+def _check_config(cfg):
+    if not isinstance(cfg, TrainConfig):
+        raise InvalidInput(f"cfg must be a TrainConfig, got {type(cfg).__name__}")
+
+
 def _advance(factors, Y, theta, j0, k, scratch):
     """The factors after the iterations j0..k from ``factors``, whose
     passes share the slab buffers ``scratch``.
@@ -170,6 +175,7 @@ def layerwise_train(source, cfg, callback=None):
     TrainingDiverged
         If the training loss or its gradient becomes NaN/Inf at some stage.
     """
+    _check_config(cfg)
     theta = _initial_schedule(source, cfg)
     counter = 1  # instance 0 was the probe
     lr = cfg.learning_rate
@@ -224,6 +230,7 @@ def grid_search_tail(theta, dataset, cfg):
     TrainingDiverged
         If no grid pair has a finite mean loss.
     """
+    _check_config(cfg)
     K, K_bar = theta.K, cfg.K_bar
     # Every init runs before the first pass allocates the run's one set of
     # slab buffers, so the two never add up in memory.

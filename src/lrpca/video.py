@@ -25,6 +25,9 @@ from .validation import check_count, check_matrix
 __all__ = ["FrameSequence", "read_pgm", "write_pgm", "read_pgm_sequence",
            "frames_to_matrix", "background_subtract", "moving_blob_scene"]
 
+# The stop rule of a background subtraction, by default.
+_BGSUB_STOP = StopRule("iterate_change", 1e-3, 100)
+
 
 @dataclass(frozen=True, eq=False)
 class FrameSequence:
@@ -170,8 +173,7 @@ def frames_to_matrix(seq):
     return seq.matrix
 
 
-def background_subtract(seq, r, schedule,
-                        stop=StopRule("iterate_change", 1e-3, 100), seed=0):
+def background_subtract(seq, r, schedule, stop=_BGSUB_STOP, seed=0):
     """Split a frame sequence into background and foreground sequences.
 
     Runs the decomposition on the sequence's frame matrix (a C-ordered one,
@@ -184,6 +186,8 @@ def background_subtract(seq, r, schedule,
     F-ordered, so each frame that :func:`write_pgm` copies is contiguous.
     Returns ``(background, foreground, trace)``.
     """
+    if not isinstance(seq, FrameSequence):
+        raise InvalidInput(f"seq must be a FrameSequence, got {type(seq).__name__}")
     X, S, trace = solve(seq.matrix, r, schedule, stop=stop, seed=seed)
     X = _clamped64(X)
     S = _clamped64(np.abs(S, out=S))

@@ -1,12 +1,16 @@
+import inspect
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from lrpca import (FixedSchedule, InstanceSource, ParamSchedule, TrainConfig,
-                   gen_instance, read_matrix, read_schedule, train_schedule,
-                   write_matrix, write_pgm, write_schedule)
-from lrpca.cli import main, parse_config
+from lrpca import (FixedSchedule, InstanceSource, OracleSchedule, ParamSchedule,
+                   StopRule, TrainConfig, background_subtract, gen_instance,
+                   read_matrix, read_schedule, train_schedule, write_matrix,
+                   write_pgm, write_schedule)
+from lrpca.cli import build_parser, main, parse_config
 from lrpca.video import moving_blob_scene
 
 
@@ -45,7 +49,7 @@ class TestGen:
 
     def test_files_are_instance_of_seed(self, tmp_path):
         out = tmp_path / "g"
-        assert run(["gen", "--n1", 20, "--n2", 24, "--r", 3, "--alpha", "0.15",
+        assert run(["gen", "--n", 20, "--n2", 24, "--r", 3, "--alpha", "0.15",
                     "--seed", 11, "--out", out]) == 0
         inst = gen_instance(20, 24, 3, 0.15, 11)
         for name in ("Y", "X_star", "S_star"):
@@ -298,10 +302,13 @@ class TestTrainCommand:
             out / "manifest.txt")
 
     def test_removed_flags_rejected(self, tmp_path):
+        gen = ["gen", "--n", 20, "--r", 2, "--alpha", "0.1"]
         train = ["train", "--n", 20, "--r", 2]
         bench = ["bench", "--kind", "recoverability"]
-        for args, flag in ((train, "--fd-epsilon"), (train, "--jobs"),
-                           (bench, "--jobs"), (bench, "--scaledgd-alpha-tilde")):
+        for args, flag in ((gen, "--n1"), (train, "--fd-epsilon"),
+                           (train, "--jobs"), (bench, "--jobs"),
+                           (bench, "--scaledgd-alpha-tilde"),
+                           (bench, "--base-n"), (bench, "--base-r")):
             with pytest.raises(SystemExit) as info:
                 run(args + [flag, "1", "--out", tmp_path / "t4"])
             assert info.value.code == 2
@@ -389,6 +396,20 @@ max_iters = 5
         assert "iters, n_list, r_list" in err
         assert not out.exists()
 
+    # gen's rows are --n and generalization's base size is --n/--r: a
+    # config or an older manifest that sets n1, base_n or base_r exits 2
+    # and names the key.
+    @pytest.mark.parametrize("command, key", [
+        ("gen", "n1"), ("bench", "base_n"), ("bench", "base_r")])
+    def test_removed_size_keys_rejected(self, tmp_path, capsys, command, key):
+        out = tmp_path / "old"
+        cfg = self._cfg(tmp_path, f"{key} = 20\n")
+        capsys.readouterr()
+        assert run([command, "--config", cfg, "--out", out]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: unknown config keys in {cfg}: {key}"]
+        assert not out.exists()
+
     def test_generalization_kind(self, tmp_path):
         sched = tmp_path / "sched.csv"
         write_schedule(
@@ -398,8 +419,8 @@ max_iters = 5
         code = run(["bench", "--kind", "generalization", "--seed", 2,
                     "--schedule", sched, "--out", out,
                     "--config", self._cfg(tmp_path, """
-base_n = 50
-base_r = 2
+n = 50
+r = 2
 targets = 100:2,50:4
 tol = 1e-3
 trials = 2
@@ -492,7 +513,7 @@ class TestBgsubCommand:
 # of a config file read with them.  Bench settings go through the config,
 # the way the bench docs configure them.
 MANIFEST_RUNS = {
-    "gen": (["gen", "--n1", 20, "--n2", 15, "--r", 2, "--alpha", "0.1",
+    "gen": (["gen", "--n", 20, "--n2", 15, "--r", 2, "--alpha", "0.1",
              "--seed", 3], ""),
     "train": (["train", "--n", 20, "--r", 2, "--seed", 2],
               "K = 1\nK_bar = 2\nsgd_steps_per_stage = 1\ngrid_min = 0.5\n"
@@ -511,7 +532,7 @@ MANIFEST_RUNS = {
                              "max_iters = 4\n"),
     "bench-generalization": (["bench", "--kind", "generalization",
                               "--schedule", "{sched}", "--seed", 2],
-                             "base_n = 20\nbase_r = 1\ntargets = 30:1,20:2\n"
+                             "n = 20\nr = 1\ntargets = 30:1,20:2\n"
                              "tol = 1e-2\ntrials = 1\nmax_iters = 20\n"),
 }
 
@@ -599,14 +620,14 @@ BAD_SETTINGS = {
         "bench", "--kind", "recoverability", "--alphas", "0.1", "--trials", 1,
         "--n", 30, "--r", 2, "--success-tol", "nan"],
     "bench_generalization_missing": ["bench", "--kind", "generalization",
-                                     "--schedule", "{missing}", "--base-n", 40,
-                                     "--base-r", 2, "--targets", "40:2"],
+                                     "--schedule", "{missing}", "--n", 40,
+                                     "--r", 2, "--targets", "40:2"],
     "bench_generalization_base_n": ["bench", "--kind", "generalization",
-                                    "--schedule", "{sched}", "--base-n", 0,
-                                    "--base-r", 2, "--targets", "40:2"],
+                                    "--schedule", "{sched}", "--n", 0,
+                                    "--r", 2, "--targets", "40:2"],
     "bench_generalization_trials": ["bench", "--kind", "generalization",
-                                    "--schedule", "{sched}", "--base-n", 40,
-                                    "--base-r", 2, "--targets", "40:2",
+                                    "--schedule", "{sched}", "--n", 40,
+                                    "--r", 2, "--targets", "40:2",
                                     "--trials", 0],
     "bgsub_max_iters": ["bgsub", "--frames", "{frames}", "--r", 1,
                         "--schedule", "{sched}", "--max-iters", -1],
@@ -625,7 +646,7 @@ BAD_SETTINGS = {
                         "--grid-step", "1e-9"],
     "config_missing": ["gen", "--config", "{missing}", "--n", 10, "--r", 2,
                        "--alpha", "0.1"],
-    "gen_size_missing": ["gen", "--n1", 10, "--r", 2, "--alpha", "0.1"],
+    "gen_size_missing": ["gen", "--n2", 10, "--r", 2, "--alpha", "0.1"],
     "solve_y_missing": ["solve", "--r", 2, "--fixed", "0.1", "0.5"],
     "bgsub_frames_missing": ["bgsub", "--frames", "{missing}", "--r", 1,
                              "--schedule", "{sched}"],
@@ -671,21 +692,23 @@ def test_bad_config_line_exits_2_before_output(tmp_path, capsys, text, message):
     assert not out.exists()
 
 
-# An --out naming a file failed in os.makedirs with a traceback (exit 1),
-# after the whole run.
+# An --out naming a file, or a path below one, failed in os.makedirs with
+# a traceback (exit 1), after the whole run.
 @pytest.mark.parametrize("args", [
     ["gen", "--n", 10, "--r", 2, "--alpha", "0.1"],
     ["train", "--n", 20, "--r", 2, "--K", 1, "--K-bar", 2,
      "--sgd-steps-per-stage", 1, "--grid-instances", 1],
 ], ids=["gen", "train"])
 def test_out_naming_a_file_exits_2_and_keeps_it(tmp_path, capsys, args):
-    out = tmp_path / "afile"
-    out.write_bytes(b"keep")
-    capsys.readouterr()
-    assert run(args + ["--out", out]) == 2
-    err = capsys.readouterr().err.splitlines()
-    assert err == [f"error: --out {out} exists and is not a directory"]
-    assert out.read_bytes() == b"keep"
+    afile = tmp_path / "afile"
+    afile.write_bytes(b"keep")
+    for out in (afile, afile / "sub", afile / "sub" / "dir"):
+        capsys.readouterr()
+        assert run(args + ["--out", out]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: --out {out}: {afile} exists and is not a directory"]
+        assert afile.read_bytes() == b"keep"
+        assert list(tmp_path.iterdir()) == [afile]
 
 
 def test_config_key_set_twice_exits_2_before_output(tmp_path, capsys):
@@ -719,7 +742,7 @@ def test_generalization_rows_report_each_trial(tmp_path):
     write_schedule(FixedSchedule(0.1, 0.5), sched)
     out = tmp_path / "gen"
     assert run(["bench", "--kind", "generalization", "--schedule", sched,
-                "--base-n", 40, "--base-r", 2, "--targets", "40:2",
+                "--n", 40, "--r", 2, "--targets", "40:2",
                 "--trials", 2, "--tol", "1e-8", "--max-iters", 5,
                 "--seed", 3, "--out", out]) == 0
     lines = read_lines(out / "report.csv")
@@ -730,3 +753,32 @@ def test_generalization_rows_report_each_trial(tmp_path):
         assert (row["iters"], row["success"]) == ("5", "0")
         assert 0 < float(row["final_rel_err"]) < float("inf")
         assert float(row["wall_ms"]) > 0
+
+
+def test_parser_defaults_come_from_the_library():
+    _, commands = build_parser()
+
+    def defaults(command, *keys):
+        return tuple(commands[command].get_default(key) for key in keys)
+
+    def stop_settings(rule):
+        return rule.mode, rule.tolerance, rule.max_iters
+
+    stop = ("stop_mode", "tol", "max_iters")
+    bgsub = inspect.signature(background_subtract).parameters["stop"].default
+    assert defaults("solve", *stop) == stop_settings(StopRule())
+    # bench fills max_iters by kind.
+    assert defaults("bench", *stop) == stop_settings(StopRule())[:2] + (None,)
+    assert defaults("bgsub", *stop) == stop_settings(bgsub)
+    assert defaults("solve", "eta") == defaults("bench", "eta") == \
+        (OracleSchedule().eta,)
+
+
+def test_readme_names_only_declared_flags():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"(?<![\w-])--[A-Za-z][\w-]*", section))
+    _, commands = build_parser()
+    declared = {flag for p in commands.values() for action in p._actions
+                for flag in action.option_strings}
+    assert named and not named - declared

@@ -7,10 +7,12 @@ import pytest
 import lrpca
 from lrpca import (FixedSchedule, FrameSequence, InstanceSource, InvalidInput,
                    LrpcaError, OracleSchedule, ParamSchedule, StopRule,
-                   TrainConfig, banded_sparse_matrix, errors, gen_instance,
-                   grid_search_tail, lrpca_step, matrix_norm, rescale_schedule,
-                   soft_threshold, solve, solve_scaledgd, spectral_init,
-                   sparsify_top_fraction, truncated_svd, write_matrix)
+                   TrainConfig, background_subtract, banded_sparse_matrix,
+                   errors, gen_instance, grid_search_tail, layerwise_train,
+                   lrpca_step, matrix_norm, moving_blob_scene,
+                   rescale_schedule, soft_threshold, solve, solve_scaledgd,
+                   spectral_init, sparsify_top_fraction, train_schedule,
+                   truncated_svd, write_matrix)
 from lrpca.bench import runtime_scaling_bench
 from lrpca.validation import check_fraction, check_nonneg, check_positive
 
@@ -60,8 +62,23 @@ def test_invalid_input_is_the_one_caller_mistake_error():
     (lambda: solve(np.eye(4), 1, OracleSchedule()), "requires the true"),
     (lambda: solve(np.eye(4), 1, FixedSchedule(0.1, 0.5), truth=np.eye(3)),
      "shape mismatch"),
+    # An argument of the wrong type raised AttributeError from its first
+    # attribute read.
+    (lambda: solve(np.eye(4), 2, FixedSchedule(0.1, 0.5), stop="residual_rel"),
+     "stop must be a StopRule, got str"),
+    (lambda: layerwise_train(InstanceSource(10, 10, 2, 0.1), None),
+     "cfg must be a TrainConfig, got NoneType"),
+    (lambda: train_schedule(InstanceSource(10, 10, 2, 0.1), {"K": 2}),
+     "cfg must be a TrainConfig, got dict"),
+    (lambda: grid_search_tail(FixedSchedule(0.1, 0.5),
+                              [gen_instance(10, 10, 2, 0.1, 1)], None),
+     "cfg must be a TrainConfig, got NoneType"),
+    (lambda: background_subtract(moving_blob_scene(8, 10, 6)[0].matrix, 1,
+                                 FixedSchedule(0.1, 0.5)),
+     "seq must be a FrameSequence, got ndarray"),
 ], ids=["rank", "fraction", "threshold", "empty", "seed", "oracle_truth",
-        "shapes"])
+        "shapes", "stop_type", "layerwise_cfg_type", "train_cfg_type",
+        "grid_cfg_type", "seq_type"])
 def test_range_errors_are_invalid_input(call, match):
     with pytest.raises(InvalidInput, match=match):
         call()

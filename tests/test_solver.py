@@ -393,6 +393,25 @@ class TestSolve:
         assert trace.iterations == 0
         assert trace.residuals[0] <= 1e-8
 
+    @pytest.mark.parametrize("max_iters", [0, 50])
+    def test_init_ended_solve_makes_one_outlier_pass(self, monkeypatch, rng,
+                                                     max_iters):
+        # The row-0 pass leaves S_0 in the returned buffer; a second pass at
+        # the zero iterate rewrote S_0 into it.
+        calls = []
+
+        def counting_pass(*args, **kwargs):
+            calls.append(kwargs.get("S_out"))
+            return _soft_pass(*args, **kwargs)
+
+        monkeypatch.setattr(solver_module, "_soft_pass", counting_pass)
+        X = rank_r_instance(rng)
+        _, S, trace = solve(X, 3, OracleSchedule(0.5),
+                            StopRule("residual_rel", 1e-8, max_iters), truth=X)
+        assert trace.iterations == 0
+        assert calls == [None]
+        assert np.array_equal(S, soft_threshold(X, np.abs(X).max()))
+
     def test_unsupported_schedule_source_rejected(self, rng):
         Y = rng.standard_normal((10, 10))
         with pytest.raises(InvalidInput, match="unsupported schedule source"):
