@@ -19,7 +19,9 @@ One name per quantity: ``gen`` and ``train`` take an instance's rows as
 generalization`` reads its base schedule's size from ``--n`` and ``--r``.
 A default the library also has is read from it: the stop rules from
 ``StopRule()`` and ``background_subtract``'s ``stop``, ``--eta`` from
-``OracleSchedule``, the training knobs from ``TrainConfig``.
+``OracleSchedule``, the training knobs from ``TrainConfig``,
+``--scaledgd-eta`` from ``bench.scaledgd_spec`` and the bench kinds'
+iteration caps and trial counts from their harnesses.
 
 Exit codes: 0 success, 1 runtime/solver failure, 2 for any
 :class:`~lrpca.errors.InvalidInput`: a usage or config error, or a setting
@@ -29,6 +31,7 @@ so a run that exits 2 leaves none.
 """
 
 import argparse
+import inspect
 import os
 import sys
 
@@ -134,6 +137,11 @@ def _fill(args, **defaults):
             setattr(args, key, value)
 
 
+def _defaults(func, *names):
+    """The defaults of ``func``'s parameters ``names``, by name."""
+    return {name: inspect.signature(func).parameters[name].default for name in names}
+
+
 def _existing(path, what):
     if not os.path.isfile(path):
         raise InvalidInput(f"{what} file not found: {path}")
@@ -215,8 +223,8 @@ def cmd_solve(args):
     write_matrix(X, _path(args, "X_hat.lrpm"))
     write_matrix(S, _path(args, "S_hat.lrpm"))
     bench_mod.write_trace(trace, _path(args, "trace.csv"))
-    print(f"solve: {trace.iterations} iterations, final residual "
-          f"{trace.residuals[-1]:.3e}; outputs in {args.out}")
+    print(f"solve: {trace.iterations} iterations ({trace.stop_reason}), final "
+          f"residual {trace.residuals[-1]:.3e}; outputs in {args.out}")
 
 
 def _lrpca_spec(args):
@@ -231,7 +239,7 @@ def cmd_bench(args):
     seed, kind = args.seed, args.kind
 
     if kind == "convergence":
-        _fill(args, max_iters=100)
+        _fill(args, max_iters=StopRule().max_iters)
         inst = gen_instance(args.n, args.n, args.r, args.alpha, seed)
         specs = [_lrpca_spec(args),
                  bench_mod.scaledgd_spec(min(2 * args.alpha, 1.0),
@@ -241,7 +249,7 @@ def cmd_bench(args):
             bench_mod.write_trace(trace, _path(args, f"trace_{spec_name}.csv"))
     elif kind == "recoverability":
         _require(args, "alphas")
-        _fill(args, max_iters=150, trials=10)
+        _fill(args, trials=10, **_defaults(bench_mod.recoverability_sweep, "max_iters"))
         lrpca = _lrpca_spec(args)
 
         def factory(alpha):
@@ -253,7 +261,7 @@ def cmd_bench(args):
             n=args.n, r=args.r, base_seed=seed, max_iters=args.max_iters)
     elif kind == "generalization":
         _require(args, "schedule", "targets")
-        _fill(args, max_iters=200, trials=5)
+        _fill(args, **_defaults(bench_mod.generalization_bench, "max_iters", "trials"))
         theta = read_schedule(_existing(args.schedule, "schedule"))
         report = bench_mod.generalization_bench(
             theta, (args.n, args.r), args.targets, args.tol,
@@ -276,8 +284,8 @@ def cmd_bgsub(args):
     for i, frame in enumerate(fg.frames):
         write_pgm(frame, _path(args, f"fg_{i:05d}.pgm"))
     bench_mod.write_trace(trace, _path(args, "trace.csv"))
-    print(f"bgsub: processed {len(seq)} frames in {trace.iterations} iterations; "
-          f"outputs in {args.out}")
+    print(f"bgsub: processed {len(seq)} frames in {trace.iterations} iterations "
+          f"({trace.stop_reason}); outputs in {args.out}")
 
 
 def build_parser():
@@ -346,7 +354,8 @@ def build_parser():
     p.add_argument("--eta", type=float, default=OracleSchedule.eta)
     instance(p, *base, n2=False)  # bench solves square instances
     stop_rule(p, StopRule(), fill_max_iters=True)
-    p.add_argument("--scaledgd-eta", type=float, default=0.5)
+    p.add_argument("--scaledgd-eta", type=float,
+                   default=_defaults(bench_mod.scaledgd_spec, "eta")["eta"])
     p.add_argument("--alphas", type=float_list, help="comma-separated alphas")
     p.add_argument("--trials", type=int)
     p.add_argument("--success-tol", type=float, default=1e-3)

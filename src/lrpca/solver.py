@@ -32,7 +32,9 @@ init, and the returned ``X``; it returns the buffer holding ``S_k``, the
 outlier rule's pass at the previous iterate (zero before the init, whose
 pass gives ``S_0``).  Under the ``iterate_change`` stop, which compares
 consecutive ``S``, every pass replaces ``S_k`` with ``S_{k+1}`` in it
-slab by slab; the other stops write ``S_k`` into it at the end.
+slab by slab; under the other stops the end pass writes ``S_k`` into each
+slab just before it measures the returned iterate there, so a solve ends
+with one read of ``Y``.
 The passes' three slab-sized scratch buffers are allocated once per solve,
 or once per training run, and reused by every pass (see :class:`_Scratch`).
 
@@ -377,7 +379,7 @@ def _product_rows(L_rows, RT, out=None):
 
 
 def _soft_pass(Y, L, R, zeta, scratch, S=None, S_out=None, truth=None,
-               for_stop=False):
+               for_stop=False, S_from=None):
     """One slab-streamed pass of the soft-threshold iteration.
 
     Every row slab forms ``X_sl = L_sl R^T`` once and ``T_sl = Y_sl - X_sl``,
@@ -396,6 +398,12 @@ def _soft_pass(Y, L, R, zeta, scratch, S=None, S_out=None, truth=None,
     when asked to, and never holds an n1 x n2 temporary; without ``zeta``
     the pass only measures the iterate.
 
+    ``S_from = (L', R', zeta')``, an earlier iterate and its threshold,
+    makes each slab first write the outlier pass's ``S'_sl = T'_sl -
+    clip(T'_sl, +-zeta')``, ``T'_sl = Y_sl - L'_sl R'^T``, into ``S``,
+    which the slab then measures against: a solve's end pass writes the
+    returned ``S`` and measures the returned iterate in one read of ``Y``.
+
     The slabs, ``C R`` and the copies of ``L`` and ``R`` they are formed
     from are in ``scratch.dtype``, the dtype of ``Y``, ``S`` and ``truth``
     in a solve: float32 halves the bytes the pass moves.  Each slab's sums
@@ -413,7 +421,12 @@ def _soft_pass(Y, L, R, zeta, scratch, S=None, S_out=None, truth=None,
         CtL = np.zeros((n2, r))
         if for_stop:
             CtCR = np.zeros((n2, r))
+    if S_from is not None:
+        Lf, Rf, zf = *_in_dtype(scratch.dtype, *S_from[:2]), S_from[2]
     for sl, X, D, C in scratch.rows(n1, n2):
+        if S_from is not None:  # S's slab, before it is read below
+            T = np.subtract(Y[sl], _product_rows(Lf[sl], Rf.T, X), out=X)
+            np.subtract(T, np.clip(T, -zf, zf, out=C), out=S[sl])
         _product_rows(L[sl], RT, X)
         if truth is not None:
             err_sq += _sq(np.subtract(X, truth[sl], out=D))
@@ -491,11 +504,14 @@ def _soft_backward(Y, L, R, zeta, eta, L_bar, R_bar, scratch, solvers):
 
 
 def _sparsify_pass(Y, L, R, alpha_tilde, scratch, S=None, S_out=None,
-                   truth=None, for_stop=False):
+                   truth=None, for_stop=False, S_from=None):
     """:func:`_soft_pass` for top-fraction sparsification.  Its row and
     column cutoffs need the whole residual, so ``T`` is materialized in
     ``scratch.dtype`` and the slab buffers go unused; ``W`` is read in
-    float64 by the thin products."""
+    float64 by the thin products.  ``S_from`` writes ``S`` by a whole
+    pass at that iterate before this one measures against it."""
+    if S_from is not None:
+        _sparsify_pass(Y, *S_from, scratch, S_out=S)
     Lp, Rp = _in_dtype(scratch.dtype, L, R)
     X = _product_rows(Lp, Rp.T)
     err_sq = _sq(X - truth) if truth is not None else 0.0
@@ -618,6 +634,14 @@ def _resolve_schedule(schedule, truth, max_iters):
     raise InvalidInput(f"unsupported schedule source {type(schedule).__name__}")
 
 
+def _stops(stop, k, res, change):
+    """Whether ``stop`` ends a solve at iterate k, of residual ``res`` and
+    relative change ``change`` from iterate k - 1 (infinite at the init).
+    An exactly zero residual ends it at the init, in every mode."""
+    value = {"residual_rel": res, "iterate_change": change}.get(stop.mode, np.inf)
+    return (k == 0 and res == 0.0) or value < stop.tolerance
+
+
 def _run(Y, r, schedule, stop, truth, seed, init_fn, pass_fn):
     """The solve driver of both outlier rules.
 
@@ -628,21 +652,19 @@ def _run(Y, r, schedule, stop, truth, seed, init_fn, pass_fn):
     iterate k measures its error against ``truth`` and returns the sums
     from which the factor update also gives iterate k + 1's residual
     (:func:`_step_sums`), so the stop rule decides before the next pass.
-    An init whose residual is exactly zero ends the solve in every mode.
+    One test, :func:`_stops`, decides at the init and at every iterate.
 
     Every solve holds the init's ``S_0`` buffer to the end and returns it
     holding ``S_k``, the rule's pass at the previous iterate; before the
     init that iterate is zero, whose pass reads ``Y - 0 = Y`` and so gives
-    ``S_0`` bit for bit.  Under ``iterate_change``, whose stop compares
-    ``S_k`` with ``S_{k+1}``, every ``for_stop`` pass compares S' with the
-    S in the buffer before writing over it, slab by slab, so the buffer
-    holds ``S_k`` already, unless the solve ended at the init, where the
-    row-0 pass wrote ``S_1`` over ``S_0``.  The other modes' row-0 pass
-    leaves ``S_0`` in place, so a solve that ends at the init returns it
-    as it is.  Otherwise one more ``pass_fn`` at the previous iterate
-    writes ``S_k`` into the buffer, and a measure-only pass measures the
-    returned iterate against it.  Every pass reuses the solve's one set of
-    slab buffers.  ``wall_ms[k]`` is the time since the previous row.
+    ``S_0`` bit for bit.  Under ``iterate_change`` every ``for_stop`` pass
+    compares S' with the S in the buffer before writing over it, slab by
+    slab.  One rule ends every solve: where the buffer does not hold
+    ``S_k``, the end pass takes ``S_from``, the previous iterate and
+    ``zeta_k``, and writes it; a solve of k >= 1 steps measures its
+    returned iterate in that pass, and so makes k + 1 passes.  Every pass
+    reuses the solve's one set of slab buffers.  ``wall_ms[k]`` is the
+    time since the previous row.
     """
     if not isinstance(stop, StopRule):
         raise InvalidInput(f"stop must be a StopRule, got {type(stop).__name__}")
@@ -657,7 +679,6 @@ def _run(Y, r, schedule, stop, truth, seed, init_fn, pass_fn):
     ny = np.sqrt(_sq(Y))
     nt = np.sqrt(_sq(truth)) if truth is not None else 0.0
     track = stop.mode == "iterate_change"
-    by_residual = stop.mode == "residual_rel"
     t0 = time.perf_counter()
 
     def append(zeta, eta, res, err_sq):
@@ -690,9 +711,9 @@ def _run(Y, r, schedule, stop, truth, seed, init_fn, pass_fn):
         p = pass_fn(Y, factors.L, factors.R, nxt[0], scratch, S=S,
                     S_out=S_out, truth=truth, for_stop=True)
         res = residual(0, p.resid_sq)
-        append(zeta, eta, res, p.err_sq)
-        converged = res == 0.0 or (by_residual and res < stop.tolerance)
+        converged = _stops(stop, 0, res, np.inf)
         while not converged and k < stop.max_iters:
+            append(zeta, eta, res, p.err_sq)  # row k; the end pass appends the last
             k += 1
             zeta, eta = nxt
             try:
@@ -702,23 +723,21 @@ def _run(Y, r, schedule, stop, truth, seed, init_fn, pass_fn):
                 raise SingularGram(
                     f"Gram factorization collapsed at iteration {k}: {exc}") from exc
             res = residual(k, resid_sq)
-            if track:
-                change = max(_ratio(dX_sq, X_sq), _ratio(p.dS_sq, p.S_sq))
-                converged = change < stop.tolerance
-            else:
-                converged = by_residual and res < stop.tolerance
+            converged = _stops(stop, k, res, max(_ratio(dX_sq, X_sq),
+                                                 _ratio(p.dS_sq, p.S_sq)))
             old, factors = factors, new
             if converged or k == stop.max_iters:
                 break
             nxt = params_fn(k + 1, factors, scratch)
             p = pass_fn(Y, factors.L, factors.R, nxt[0], scratch, S_out=S_out,
                         truth=truth, for_stop=True)
-            append(zeta, eta, res, p.err_sq)
-        if (not track and k > 0) or (track and k == 0 < stop.max_iters):
-            pass_fn(Y, old.L, old.R, zeta, scratch, S_out=S)
-        if k > 0:  # measure the returned iterate against the returned S
-            p = pass_fn(Y, factors.L, factors.R, None, scratch, S=S, truth=truth)
-            append(zeta, eta, residual(k, p.resid_sq), p.err_sq)
+        # After steps outside iterate_change, or an iterate_change row-0
+        # pass that wrote S_1 over S_0, the buffer lacks S_k: the end pass
+        # writes it, slab by slab, just before measuring X_k against it.
+        if k > 0 or (track and stop.max_iters > 0):
+            p = pass_fn(Y, factors.L, factors.R, None, scratch, S=S, truth=truth,
+                        S_from=None if track and k > 0 else (old.L, old.R, zeta))
+        append(zeta, eta, residual(k, p.resid_sq), p.err_sq)
     trace.stop_reason = "converged" if converged else "max_iters"
     del scratch  # free the slab buffers before X is formed
     return _product_rows(*_in_dtype(Y.dtype, factors.L, factors.R.T)), S, trace

@@ -10,6 +10,7 @@ from lrpca import (FixedSchedule, InstanceSource, OracleSchedule, ParamSchedule,
                    StopRule, TrainConfig, background_subtract, gen_instance,
                    read_matrix, read_schedule, train_schedule, write_matrix,
                    write_pgm, write_schedule)
+from lrpca import bench as bench_mod
 from lrpca.cli import build_parser, main, parse_config
 from lrpca.video import moving_blob_scene
 
@@ -116,6 +117,20 @@ class TestSolveCommand:
         assert len(trace) == 12  # header + init + 10 iterations
         rel_errs = [float(ln.split(",")[4]) for ln in trace[1:]]
         assert rel_errs[-1] < rel_errs[0]
+
+    def test_summary_line_says_how_the_solve_ended(self, instance_dir,
+                                                   tmp_path, capsys):
+        # A solve that hits the cap must not read like one that converged.
+        base = ["solve", "--y", instance_dir / "Y.lrpm", "--r", 2, "--oracle",
+                "--truth", instance_dir / "X_star.lrpm"]
+        for extra, reason in ((["--tol", "0.1"], "converged"),
+                              (["--max-iters", 2], "max_iters")):
+            out = tmp_path / reason
+            assert run(base + extra + ["--out", out]) == 0
+            iters = len(read_lines(out / "trace.csv")) - 2
+            line = capsys.readouterr().out.strip()
+            assert line.startswith(f"solve: {iters} iterations ({reason}), "
+                                   "final residual ")
 
     def test_oracle_without_truth_is_usage_error(self, instance_dir, tmp_path,
                                                  capsys):
@@ -472,6 +487,26 @@ class TestBgsubCommand:
         assert (out / "bg_00005.pgm").exists()
         assert (out / "trace.csv").exists()
 
+    @pytest.mark.parametrize("max_iters, reason", [(100, "converged"),
+                                                   (1, "max_iters")])
+    def test_summary_line_says_how_the_solve_ended(self, tmp_path, capsys,
+                                                   max_iters, reason):
+        seq, _ = moving_blob_scene(height=8, width=10, n_frames=6)
+        frames = tmp_path / "frames"
+        frames.mkdir()
+        for i, frame in enumerate(seq.frames):
+            write_pgm(frame, frames / f"f{i:02d}.pgm")
+        sched = tmp_path / "sched.csv"
+        write_schedule(ParamSchedule(zetas=(0.5, 0.3, 0.2), etas=(0.7, 0.7),
+                                     beta=1.0, phi=0.6), sched)
+        out = tmp_path / "bg"
+        assert run(["bgsub", "--frames", frames, "--r", 1, "--schedule", sched,
+                    "--max-iters", max_iters, "--out", out]) == 0
+        iters = len(read_lines(out / "trace.csv")) - 2
+        assert capsys.readouterr().out == (
+            f"bgsub: processed 6 frames in {iters} iterations ({reason}); "
+            f"outputs in {out}\n")
+
     def test_empty_directory_usage_error(self, tmp_path):
         frames = tmp_path / "nothing"
         frames.mkdir()
@@ -772,6 +807,43 @@ def test_parser_defaults_come_from_the_library():
     assert defaults("bgsub", *stop) == stop_settings(bgsub)
     assert defaults("solve", "eta") == defaults("bench", "eta") == \
         (OracleSchedule().eta,)
+    assert defaults("bench", "scaledgd_eta") == (
+        param_default(bench_mod.scaledgd_spec, "eta"),)
+
+
+def param_default(func, name):
+    return inspect.signature(func).parameters[name].default
+
+
+# Per bench kind: settings, and the library defaults that fill what they
+# leave unset.
+BENCH_FILLS = {
+    "convergence": (["--n", 20, "--r", 2],
+                    {"max_iters": StopRule().max_iters}),
+    "recoverability": (
+        ["--alphas", "0.1", "--trials", 1, "--n", 20, "--r", 2],
+        {"max_iters": param_default(bench_mod.recoverability_sweep,
+                                    "max_iters")}),
+    "generalization": (
+        ["--schedule", "{sched}", "--n", 20, "--r", 2, "--targets", "20:2",
+         "--tol", "1e-2"],
+        {key: param_default(bench_mod.generalization_bench, key)
+         for key in ("max_iters", "trials")}),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BENCH_FILLS))
+def test_bench_fills_come_from_the_library(tmp_path, kind):
+    # The manifest records the value each unset setting ran with.
+    sched = tmp_path / "s.csv"
+    write_schedule(FixedSchedule(0.1, 0.5), sched)
+    extra, expected = BENCH_FILLS[kind]
+    out = tmp_path / kind
+    assert run(["bench", "--kind", kind, "--out", out]
+               + [str(a).format(sched=sched) for a in extra]) == 0
+    manifest = parse_config(out / "manifest.txt")
+    assert {key: manifest[key] for key in expected} == \
+        {key: str(value) for key, value in expected.items()}
 
 
 def test_readme_names_only_declared_flags():

@@ -412,6 +412,30 @@ class TestSolve:
         assert calls == [None]
         assert np.array_equal(S, soft_threshold(X, np.abs(X).max()))
 
+    @pytest.mark.parametrize("mode", ["residual_rel", "iterate_change",
+                                      "fixed_iters"])
+    @pytest.mark.parametrize("max_iters", [1, 25])
+    def test_solve_of_k_steps_makes_k_plus_one_passes(self, monkeypatch,
+                                                      mode, max_iters):
+        # The row-0 pass and one per step after the first, each thresholding
+        # for the next step, then one end pass that measures the returned
+        # iterate: outside iterate_change it also writes S_k, from the
+        # previous iterate, in the same read of Y.
+        calls = []
+
+        def counting_pass(*args, **kwargs):
+            calls.append(kwargs.get("S_from") is not None)
+            return _soft_pass(*args, **kwargs)
+
+        monkeypatch.setattr(solver_module, "_soft_pass", counting_pass)
+        inst = gen_instance(300, 200, 3, 0.1, 3)
+        _, _, trace = solve(inst.Y, 3, OracleSchedule(0.5),
+                            StopRule(mode, 1e-6, max_iters), truth=inst.X_star)
+        k = trace.iterations
+        assert k >= 1
+        assert len(calls) == k + 1
+        assert calls == [False] * k + [mode != "iterate_change"]
+
     def test_unsupported_schedule_source_rejected(self, rng):
         Y = rng.standard_normal((10, 10))
         with pytest.raises(InvalidInput, match="unsupported schedule source"):
@@ -666,8 +690,9 @@ class TestSlabStreamedIteration:
     ], ids=["residual", "change", "fixed"])
     def test_last_trace_row_measures_returned_iterate(self, n1, n2, r, alpha,
                                                       stop, solver):
-        # Both solvers build the returned S by one more pass at the previous
-        # factors, except under iterate_change, which already holds it.
+        # Outside iterate_change, whose buffer already holds the returned S,
+        # the end pass writes it from the previous factors slab by slab and
+        # measures the returned iterate against each slab as it goes.
         inst = gen_instance(n1, n2, r, alpha, 3)
         if solver == "lrpca":
             X, S, trace = solve(inst.Y, r, OracleSchedule(0.5), stop,
